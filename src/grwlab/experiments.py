@@ -127,6 +127,8 @@ _DEFAULTS = {
 
 _TUPLE_INT = {"schemes", "seeds", "synth_sizes", "widths", "approx_sizes"}
 _BOOLS = {"synthetic", "reg_tracking_check", "sign_check", "permute_check"}
+_BOOL_TEXT = {"1": True, "true": True, "yes": True, "on": True,
+              "0": False, "false": False, "no": False, "off": False}
 
 
 def make_config(experiment: str, **overrides) -> ExperimentConfig:
@@ -143,7 +145,12 @@ def _coerce(key: str, value: str):
     if key in _TUPLE_INT:
         return tuple(int(v) for v in value.split(",") if v.strip())
     if key in _BOOLS:
-        return value.lower() in ("1", "true", "yes", "on")
+        if value.lower() not in _BOOL_TEXT:
+            raise InvalidArgumentError(
+                f"config key {key!r} needs a boolean (1/0, true/false, yes/no, on/off), "
+                f"got {value!r}"
+            )
+        return _BOOL_TEXT[value.lower()]
     field_types = ExperimentConfig.__dataclass_fields__
     if key not in field_types:
         raise InvalidArgumentError(f"unknown config key {key!r}")
@@ -507,10 +514,11 @@ def run_fig1(cfg: ExperimentConfig) -> dict:
             continue
         hist = np.stack(logger.q_tail)
         window = min(1000, hist.shape[0])
-        ok, q_star, _ = check_assumption1(hist, window=window, tol=1e-4)
+        ok, q_star, t_eps = check_assumption1(hist, window=window, tol=1e-4)
         report.check(f"weights_settle_positive[{scheme_text}]", ok, q_star,
                      "tail oscillation <= 1e-4, min weight > 0")
         report.metric(f"q_star[{scheme_text}]", q_star)
+        report.metric(f"t_eps[{scheme_text}]", t_eps)
 
     # Panel data: gaps to the first scheme, first-scheme norm, losses, group weights.
     steps = min(len(t) for t in traces)
@@ -818,24 +826,28 @@ def _train_pair_shared_weights(arch, theta0_flat, data, scheme, eta, epochs, sto
     The weights are recomputed each epoch from the *network's* losses and the
     very same q is applied to both updates.  Returns the sup over epochs of
     the output gap at the test points, plus the final risks.
+
+    The training and test points travel as one batch: each epoch makes one
+    network forward pass, whose pullback takes the weighted loss gradient
+    padded with zeros at the test points.  The linearization's f0 and
+    features at that batch are computed once.
     """
     net = WideNet(arch)
-    params0 = ModelParams(theta0_flat.copy(), net.layout)
-    lin = LinearizedNet(linearize(arch, params0, data.X))
-    f0_test, _ = nn_forward_batch(arch, params0, test_points)
-    feats_test = nn_grad_batch(arch, params0, test_points)
+    n = data.n
+    points = linalg.as_matrix(np.hstack([data.X, test_points]), "training and test points")
+    lin = LinearizedNet(linearize(arch, ModelParams(theta0_flat.copy(), net.layout), points))
     theta_nn = theta0_flat.copy()
     theta_lin = theta0_flat.copy()
     state = scheme.init_state(data.groups)
     loss = Squared()
+    v = np.zeros(points.shape[1])
     sup_gap = 0.0
     risk = float("nan")
     for t in range(epochs + 1):
-        yhat_nn = net.predict(theta_nn, data.X)
-        values_test = net.predict(theta_nn, test_points)
-        lin_test = f0_test + feats_test.T @ (theta_lin - theta0_flat)
-        sup_gap = max(sup_gap, float(np.abs(values_test - lin_test).max()))
-        losses_nn = np.asarray(loss_value(loss, yhat_nn, data.Y))
+        out_nn, pullback_nn = net.vjp(theta_nn, points)
+        out_lin, pullback_lin = lin.vjp(theta_lin, points)
+        sup_gap = max(sup_gap, float(np.abs(out_nn[n:] - out_lin[n:]).max()))
+        losses_nn = np.asarray(loss_value(loss, out_nn[:n], data.Y))
         risk = float(losses_nn.mean())
         if not np.isfinite(risk):
             raise DivergedError(f"paired run diverged at epoch {t}")
@@ -843,11 +855,10 @@ def _train_pair_shared_weights(arch, theta0_flat, data, scheme, eta, epochs, sto
             break
         state = scheme.update(state, losses_nn, data.groups)
         q = state.q
-        g_nn = np.asarray(loss_grad(loss, yhat_nn, data.Y))
-        theta_nn = theta_nn - eta * (net.jacobian(theta_nn, data.X) @ (q * g_nn))
-        yhat_lin = lin.predict(theta_lin, data.X)
-        g_lin = np.asarray(loss_grad(loss, yhat_lin, data.Y))
-        theta_lin = theta_lin - eta * (lin.jacobian(theta_lin, data.X) @ (q * g_lin))
+        v[:n] = q * loss_grad(loss, out_nn[:n], data.Y)
+        theta_nn = theta_nn - eta * pullback_nn(v)
+        v[:n] = q * loss_grad(loss, out_lin[:n], data.Y)
+        theta_lin = theta_lin - eta * pullback_lin(v)
     return sup_gap, risk
 
 

@@ -72,8 +72,12 @@ def loss_name(kind: LossKind) -> str:
     return f"polytailed:{kind.alpha:g}:{kind.beta:g}"
 
 
-def _require_labels(y: np.ndarray) -> None:
-    if not np.all(np.abs(y) == 1.0):
+def require_labels(kind: LossKind, y: np.ndarray) -> None:
+    """Raise unless the classification labels are exactly -1 or +1.
+
+    Squared-loss targets may be any real numbers.
+    """
+    if not isinstance(kind, Squared) and not np.all(np.abs(y) == 1.0):
         raise InvalidArgumentError("classification labels must be exactly -1 or +1")
 
 
@@ -82,39 +86,63 @@ def _logistic_value(m: np.ndarray) -> np.ndarray:
     return np.log1p(np.exp(-np.abs(m))) + np.maximum(0.0, -m)
 
 
+def _squared(yhat, y):
+    return 0.5 * (yhat - y) ** 2
+
+
+def _squared_grad(yhat, y):
+    return yhat - y
+
+
+def _logistic(yhat, y):
+    return _logistic_value(yhat * y)
+
+
+def _logistic_grad(yhat, y):
+    return -y * expit(-(yhat * y))
+
+
+def loss_kernels(kind: LossKind):
+    """(value, grad) functions of (yhat, y) float64 arrays, without checks.
+
+    For callers that validated the labels once up front with
+    ``require_labels``; ``loss_value`` and ``loss_grad`` are the checked
+    entry points and compute the same numbers.
+    """
+    if isinstance(kind, Squared):
+        return _squared, _squared_grad
+    if isinstance(kind, Logistic):
+        return _logistic, _logistic_grad
+    alpha, beta = kind.alpha, kind.beta
+    shift = 1.0 - _logistic_value(np.asarray(beta))
+
+    def value(yhat, y):
+        m = yhat * y
+        left = _logistic_value(m) + shift
+        right = np.power(np.maximum(m - (beta - 1.0), 1.0), -alpha)
+        return np.where(m < beta, left, right)
+
+    def grad(yhat, y):
+        m = yhat * y
+        left = -y * expit(-m)
+        base = np.maximum(m - (beta - 1.0), 1.0)
+        right = -y * alpha * np.power(base, -(alpha + 1.0))
+        return np.where(m < beta, left, right)
+
+    return value, grad
+
+
 def loss_value(kind: LossKind, yhat, y):
     """Pointwise loss; scalar in, scalar out; arrays broadcast elementwise."""
-    yhat = np.asarray(yhat, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if isinstance(kind, Squared):
-        out = 0.5 * (yhat - y) ** 2
-    else:
-        _require_labels(y)
-        m = yhat * y
-        if isinstance(kind, Logistic):
-            out = _logistic_value(m)
-        else:
-            shift = 1.0 - _logistic_value(np.asarray(kind.beta))
-            left = _logistic_value(m) + shift
-            right = np.power(np.maximum(m - (kind.beta - 1.0), 1.0), -kind.alpha)
-            out = np.where(m < kind.beta, left, right)
+    require_labels(kind, y)
+    out = loss_kernels(kind)[0](np.asarray(yhat, dtype=np.float64), y)
     return out if out.ndim else float(out)
 
 
 def loss_grad(kind: LossKind, yhat, y):
     """Derivative of loss_value with respect to yhat."""
-    yhat = np.asarray(yhat, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if isinstance(kind, Squared):
-        out = yhat - y
-    else:
-        _require_labels(y)
-        m = yhat * y
-        if isinstance(kind, Logistic):
-            out = -y * expit(-m)
-        else:
-            left = -y * expit(-m)
-            base = np.maximum(m - (kind.beta - 1.0), 1.0)
-            right = -y * kind.alpha * np.power(base, -(kind.alpha + 1.0))
-            out = np.where(m < kind.beta, left, right)
+    require_labels(kind, y)
+    out = loss_kernels(kind)[1](np.asarray(yhat, dtype=np.float64), y)
     return out if out.ndim else float(out)

@@ -165,14 +165,21 @@ class ForwardCache:
     acts: list[np.ndarray]
 
 
-def nn_forward_batch(arch: Architecture, params: ModelParams, xs) -> tuple[np.ndarray, ForwardCache]:
-    """Forward pass on a d0 x m batch; returns (values (m,), cache)."""
-    xs = as_matrix(xs, "inputs")
+def nn_forward_batch(arch: Architecture, params: ModelParams, xs,
+                     check: bool = True) -> tuple[np.ndarray, ForwardCache]:
+    """Forward pass on a d0 x m batch; returns (values (m,), cache).
+
+    ``check=False`` skips the finite-entry scan and the unit-ball warning, for
+    callers that validated ``xs`` once up front.
+    """
+    if check:
+        xs = as_matrix(xs, "inputs")
     if xs.shape[0] != arch.input_dim:
         raise InvalidArgumentError(
             f"input dimension {xs.shape[0]} does not match architecture d0={arch.input_dim}"
         )
-    _warn_ball(xs)
+    if check:
+        _warn_ball(xs)
     act, _ = ACTIVATIONS[arch.activation]
     dims = arch.layer_dims
     preacts, acts = [], []
@@ -213,6 +220,27 @@ def nn_grad_batch(arch: Architecture, params: ModelParams, xs) -> np.ndarray:
         if l > 0:
             alpha = act_prime(cache.preacts[l - 1]) * (params.weight(l).T @ alpha / np.sqrt(dims[l]))
     return jac
+
+
+def nn_pullback(arch: Architecture, params: ModelParams, xs: np.ndarray, cache: ForwardCache,
+                v: np.ndarray) -> np.ndarray:
+    """J @ v for the batch behind ``cache``, by backpropagating the output
+    cotangents v (m,) through that forward pass; J is never formed."""
+    _, act_prime = ACTIVATIONS[arch.activation]
+    dims = arch.layer_dims
+    layout = params.layout
+    out = np.empty(layout.size, dtype=np.float64)
+    # alpha^{l+1} = v-weighted d h^{L+1} / d h^{l+1}, one column per input.
+    alpha = v[None, :]
+    for l in range(arch.depth, -1, -1):
+        a_prev = xs if l == 0 else cache.acts[l - 1]
+        shape = layout.weight_shapes[l]
+        off_w, off_b = layout.weight_offsets[l], layout.bias_offsets[l]
+        out[off_w : off_w + shape[0] * shape[1]] = (alpha @ a_prev.T).ravel() / np.sqrt(dims[l])
+        out[off_b : off_b + shape[0]] = arch.beta * alpha.sum(axis=1)
+        if l > 0:
+            alpha = act_prime(cache.preacts[l - 1]) * (params.weight(l).T @ alpha / np.sqrt(dims[l]))
+    return out
 
 
 def nn_grad(arch: Architecture, params: ModelParams, x) -> np.ndarray:
@@ -301,6 +329,18 @@ def parse_model(text: str):
     raise InvalidArgumentError(f"unknown model spec: {text!r}")
 
 
+# Every trainer-facing model below offers the same four methods:
+#
+#   init_params(seed)     -> theta0, the flat starting parameters;
+#   predict(theta, xs)    -> outputs at the columns of xs;
+#   jacobian(theta, xs)   -> the p x m matrix of output gradients;
+#   vjp(theta, xs)        -> (outputs, pullback) from one forward pass, where
+#                            pullback(v) = jacobian(theta, xs) @ v.
+#
+# vjp is the training step's only model call.  It expects xs validated
+# already (train() checks the data once on entry), so it skips the checks.
+
+
 class LinearModel:
     """f(x) = <theta, x>; the degenerate model whose features are x itself."""
 
@@ -321,6 +361,9 @@ class LinearModel:
 
     def jacobian(self, theta: np.ndarray, xs: np.ndarray) -> np.ndarray:
         return xs
+
+    def vjp(self, theta: np.ndarray, xs: np.ndarray):
+        return xs.T @ theta, lambda v: xs @ v
 
 
 class WideNet:
@@ -347,6 +390,11 @@ class WideNet:
     def jacobian(self, theta: np.ndarray, xs: np.ndarray) -> np.ndarray:
         return nn_grad_batch(self.arch, self._wrap(theta), xs)
 
+    def vjp(self, theta: np.ndarray, xs: np.ndarray):
+        params = self._wrap(theta)
+        values, cache = nn_forward_batch(self.arch, params, xs, check=False)
+        return values, lambda v: nn_pullback(self.arch, params, xs, cache, v)
+
 
 class LinearizedNet:
     """Trainer-facing adapter for the linearization of a WideNet at theta0.
@@ -366,13 +414,19 @@ class LinearizedNet:
     def init_params(self, seed: int = 0) -> np.ndarray:
         return self.theta0.copy()
 
-    def predict(self, theta: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        feats = feature_matrix(self.lin, xs)
+    def _f0_and_features(self, xs):
+        """Cached at the construction points, computed afresh elsewhere."""
         if xs is None or xs is self.lin.points:
-            f0 = self.lin.f0
-        else:
-            f0, _ = nn_forward_batch(self.lin.arch, self.lin.params0, xs)
-        return f0 + feats.T @ (theta - self.theta0)
+            return self.lin.f0, self.lin.features
+        f0, _ = nn_forward_batch(self.lin.arch, self.lin.params0, xs)
+        return f0, nn_grad_batch(self.lin.arch, self.lin.params0, xs)
+
+    def predict(self, theta: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        return self.vjp(theta, xs)[0]
 
     def jacobian(self, theta: np.ndarray, xs: np.ndarray) -> np.ndarray:
         return feature_matrix(self.lin, xs)
+
+    def vjp(self, theta: np.ndarray, xs: np.ndarray):
+        f0, feats = self._f0_and_features(xs)
+        return f0 + feats.T @ (theta - self.theta0), lambda v: feats @ v

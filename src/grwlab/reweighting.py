@@ -9,7 +9,7 @@ is renormalized after each step so that drift stays below 1e-12 even over
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -61,7 +61,6 @@ class WeightState:
 
     q: np.ndarray
     gdro_g: np.ndarray | None = None
-    step: int = 0
 
 
 def _renormalized(q: np.ndarray) -> np.ndarray:
@@ -124,7 +123,7 @@ def gdro_step(state: WeightState, group_risks, nu: float, groups: GroupInfo) -> 
     if g is None:
         raise InvalidArgumentError("state has no group weights; initialize with gdro_init")
     q, new_g = _gdro_core(g, risks, nu, groups)
-    return WeightState(q=q, gdro_g=new_g, step=state.step + 1)
+    return WeightState(q=q, gdro_g=new_g)
 
 
 def cvar_weights(per_sample_losses, alpha: float) -> WeightState:
@@ -136,13 +135,17 @@ def cvar_weights(per_sample_losses, alpha: float) -> WeightState:
     losses = as_vector(per_sample_losses, "per-sample losses")
     if not (0.0 < alpha <= 1.0):
         raise InvalidArgumentError("alpha must be in (0, 1]")
+    return WeightState(q=_cvar_core(losses, alpha))
+
+
+def _cvar_core(losses: np.ndarray, alpha: float) -> np.ndarray:
     n = losses.shape[0]
     m = int(np.ceil(alpha * n))
     # Stable sort on -losses keeps the original order among equal losses.
     order = np.argsort(-losses, kind="stable")
     q = np.zeros(n)
     q[order[:m]] = 1.0 / m
-    return WeightState(q=_renormalized(q))
+    return q / q.sum()
 
 
 def check_assumption1(weight_history, window: int = 1000, tol: float = 1e-4):
@@ -161,10 +164,8 @@ def check_assumption1(weight_history, window: int = 1000, tol: float = 1e-4):
             f"need a 2-D history with at least window={window} rows, got shape {hist.shape}"
         )
     steps = hist.shape[0]
-    osc = np.empty(steps - window + 1)
-    for end in range(window - 1, steps):
-        block = hist[end - window + 1 : end + 1]
-        osc[end - window + 1] = float((block.max(axis=0) - block.min(axis=0)).max())
+    osc = (_sliding(np.maximum, hist, window, -np.inf)
+           - _sliding(np.minimum, hist, window, np.inf)).max(axis=1)
     tail_mean = hist[-window:].mean(axis=0)
     q_star = max(float(tail_mean.min()), 0.0)
     settled = osc <= tol
@@ -176,6 +177,26 @@ def check_assumption1(weight_history, window: int = 1000, tol: float = 1e-4):
     else:
         t_eps = steps
     return satisfied, q_star, t_eps
+
+
+def _sliding(op, hist: np.ndarray, window: int, fill: float) -> np.ndarray:
+    """op (np.maximum or np.minimum) over every window of consecutive rows.
+
+    van Herk / Gil-Werman: cut the rows into blocks of ``window`` rows; a
+    window then spans the tail of one block and the head of the next, so its
+    result is op(suffix scan at its start, prefix scan at its end).  O(steps)
+    instead of O(steps * window), and exact since op only selects values.
+    ``fill`` pads the last block with op's identity.
+    """
+    steps, n = hist.shape
+    blocks = -(-steps // window)
+    padded = np.full((blocks * window, n), fill)
+    padded[:steps] = hist
+    padded = padded.reshape(blocks, window, n)
+    prefix = op.accumulate(padded, axis=1).reshape(-1, n)
+    suffix = op.accumulate(padded[:, ::-1], axis=1)[:, ::-1].reshape(-1, n)
+    count = steps - window + 1
+    return op(suffix[:count], prefix[window - 1 : window - 1 + count])
 
 
 class StaticScheme:
@@ -191,7 +212,7 @@ class StaticScheme:
         return iw_weights(groups)
 
     def update(self, state: WeightState, per_sample_losses, groups: GroupInfo) -> WeightState:
-        return replace(state, step=state.step + 1)
+        return state
 
 
 class GroupDroScheme:
@@ -214,7 +235,7 @@ class GroupDroScheme:
         if not np.all(np.isfinite(risks)):
             raise InvalidArgumentError("non-finite group risk")
         q, new_g = _gdro_core(state.gdro_g, risks, self.nu, groups)
-        return WeightState(q=q, gdro_g=new_g, step=state.step + 1)
+        return WeightState(q=q, gdro_g=new_g)
 
 
 class CvarScheme:
@@ -230,8 +251,8 @@ class CvarScheme:
         return erm_weights(groups.n)
 
     def update(self, state: WeightState, per_sample_losses, groups: GroupInfo) -> WeightState:
-        new = cvar_weights(per_sample_losses, self.alpha)
-        return replace(new, step=state.step + 1)
+        # Hot path: cvar_weights without the argument re-validation.
+        return WeightState(q=_cvar_core(per_sample_losses, self.alpha))
 
 
 def parse_scheme(text: str):

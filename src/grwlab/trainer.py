@@ -10,6 +10,12 @@ weights and mu an optional L2 penalty centered at the starting parameters
 recompute q from the current per-sample losses before each step, so the step
 toward theta^{t+1} uses the weights derived from the model at step t.
 
+The step is a vector-Jacobian product: one call to ``model.vjp`` runs a
+single forward pass for the outputs, and its pullback backpropagates
+q * dloss from that pass.  J itself is never formed.  The data are validated
+once, when ``train`` is entered (finite inputs, the unit-ball warning, +-1
+labels for the classification losses); the step runs unchecked kernels.
+
 A single run is strictly sequential; independent runs share only immutable
 data and may execute concurrently.
 """
@@ -22,8 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DivergedError, InvalidArgumentError
-from .linalg import as_matrix, extreme_eigenvalues, gram
-from .losses import LossKind, loss_grad, loss_value
+from .linalg import as_matrix, as_vector, extreme_eigenvalues, gram
+from .losses import LossKind, loss_kernels, require_labels
 from .reweighting import GroupInfo, group_means
 
 _BALL_TOL = 1e-9
@@ -104,9 +110,13 @@ def train(model, data, cfg: TrainConfig, theta0=None, theta_ref=None, ref_direct
     DivergedError carrying the partial trace and last parameters.
     """
     xs = as_matrix(data.X, "data matrix")
-    ys = np.asarray(data.Y, dtype=np.float64)
+    ys = as_vector(data.Y, "targets")
+    if ys.shape[0] != xs.shape[1]:
+        raise InvalidArgumentError(f"{ys.shape[0]} targets for {xs.shape[1]} data columns")
+    require_labels(cfg.loss, ys)
     groups: GroupInfo = data.groups
     _check_ball(xs)
+    value_fn, grad_fn = loss_kernels(cfg.loss)
     theta = (model.init_params(cfg.seed) if theta0 is None else np.array(theta0, dtype=np.float64)).copy()
     start = theta.copy()
     state = cfg.scheme.init_state(groups)
@@ -144,8 +154,8 @@ def train(model, data, cfg: TrainConfig, theta0=None, theta_ref=None, ref_direct
     # risk and reported through DivergedError rather than as warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
-            yhat = model.predict(theta, xs)
-            losses = np.asarray(loss_value(cfg.loss, yhat, ys))
+            yhat, pullback = model.vjp(theta, xs)
+            losses = value_fn(yhat, ys)
             risk = float(losses.mean())
             finite = math.isfinite(risk)
             if finite:
@@ -162,8 +172,7 @@ def train(model, data, cfg: TrainConfig, theta0=None, theta_ref=None, ref_direct
                     trace.diverged = True
                     raise DivergedError(f"non-finite risk at epoch {t}", trace=trace, params=theta)
                 break
-            g = np.asarray(loss_grad(cfg.loss, yhat, ys))
-            step = model.jacobian(theta, xs) @ (q * g)
+            step = pullback(q * grad_fn(yhat, ys))
             if cfg.mu > 0:
                 step = step + cfg.mu * (theta - start)
             theta = theta - cfg.eta * step

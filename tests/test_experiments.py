@@ -66,6 +66,23 @@ def test_parse_config_file(tmp_path):
         parse_config_file(unknown)
 
 
+@pytest.mark.parametrize("text,expected", [
+    ("1", True), ("0", False), ("true", True), ("false", False), ("yes", True),
+    ("no", False), ("on", True), ("off", False), ("TRUE", True), ("No", False), ("oN", True),
+])
+def test_parse_config_file_boolean_spellings(tmp_path, text, expected):
+    path = tmp_path / "c.cfg"
+    path.write_text(f"experiment = compare\npermute_check = {text}\n")
+    assert parse_config_file(path).permute_check is expected
+
+
+def test_parse_config_file_rejects_unknown_boolean(tmp_path):
+    path = tmp_path / "c.cfg"
+    path.write_text("experiment = compare\npermute_check = maybe\n")
+    with pytest.raises(InvalidArgumentError, match="permute_check"):
+        parse_config_file(path)
+
+
 def test_shipped_configs_parse():
     from pathlib import Path
 
@@ -198,6 +215,65 @@ def test_paired_training_gap_zero_at_start():
     pts = np.random.default_rng(1).standard_normal((4, 3)) / 4
     gap, _ = _train_pair_shared_weights(arch, theta0, data, ps("erm"), 0.2, 0, 0.0, pts)
     assert gap == 0.0
+
+
+def _paired_inputs():
+    from grwlab.models import Architecture, nn_init
+
+    data = load_experiment_dataset(make_config("compare", synthetic=True, synth_d=4,
+                                               synth_sizes=(2, 2)), False)
+    arch = Architecture(4, (64,), beta=0.1)
+    pts = np.random.default_rng(1).standard_normal((4, 3))
+    pts /= 1.2 * np.linalg.norm(pts, axis=0).max()
+    return arch, nn_init(arch, 0).flat, data, pts
+
+
+def _paired_reference(arch, theta0, data, scheme, eta, epochs, pts):
+    """Two-pass loop: predict for the values, the full Jacobian for the step."""
+    from grwlab.losses import Squared, loss_grad, loss_value
+    from grwlab.models import WideNet
+
+    net = WideNet(arch)
+    theta_nn, theta_lin = theta0.copy(), theta0.copy()
+    f0_train, f0_test = net.predict(theta0, data.X), net.predict(theta0, pts)
+    feats_train, feats_test = net.jacobian(theta0, data.X), net.jacobian(theta0, pts)
+    state = scheme.init_state(data.groups)
+    sup_gap, risk = 0.0, float("nan")
+    for t in range(epochs + 1):
+        lin_test = f0_test + feats_test.T @ (theta_lin - theta0)
+        sup_gap = max(sup_gap, float(np.abs(net.predict(theta_nn, pts) - lin_test).max()))
+        yhat = net.predict(theta_nn, data.X)
+        losses = loss_value(Squared(), yhat, data.Y)
+        risk = float(losses.mean())
+        if t == epochs:
+            break
+        state = scheme.update(state, losses, data.groups)
+        q = state.q
+        theta_nn = theta_nn - eta * (net.jacobian(theta_nn, data.X) @ (q * loss_grad(Squared(), yhat, data.Y)))
+        yhat_lin = f0_train + feats_train.T @ (theta_lin - theta0)
+        theta_lin = theta_lin - eta * (feats_train @ (q * loss_grad(Squared(), yhat_lin, data.Y)))
+    return sup_gap, risk
+
+
+def test_paired_training_one_forward_pass_per_epoch_and_matches_two_pass_loop(monkeypatch):
+    import grwlab.models as models
+    from grwlab.experiments import _train_pair_shared_weights
+    from grwlab.reweighting import parse_scheme as ps
+
+    arch, theta0, data, pts = _paired_inputs()
+    ref = _paired_reference(arch, theta0, data, ps("gdro:0.1"), 0.25, 40, pts)
+    calls = []
+    original = models.nn_forward_batch
+    monkeypatch.setattr(models, "nn_forward_batch", lambda *a, **k: calls.append(1) or original(*a, **k))
+    for epochs in (20, 40):
+        calls.clear()
+        got = _train_pair_shared_weights(arch, theta0, data, ps("gdro:0.1"), 0.25, epochs, 0.0, pts)
+        # One pass per epoch (epochs + 1 evaluations), plus the two made
+        # once to linearize at the training and test points.
+        assert len(calls) == epochs + 1 + 2
+    assert ref[0] > 1e-6  # the gap is not trivially zero
+    assert got[0] == pytest.approx(ref[0], rel=1e-10)
+    assert got[1] == pytest.approx(ref[1], rel=1e-10)
 
 
 def test_feature_gram_equals_empirical_kernel():

@@ -244,3 +244,49 @@ def test_wide_net_adapter_consistency():
     ref, _ = nn_forward_batch(arch, ModelParams(theta, net.layout), xs)
     assert np.array_equal(vals, ref)
     assert np.array_equal(net.jacobian(theta, xs), nn_grad_batch(arch, ModelParams(theta, net.layout), xs))
+
+
+def _vjp_cases():
+    rng = np.random.default_rng(17)
+    xs = rng.standard_normal((3, 5))
+    xs /= 1.1 * np.linalg.norm(xs, axis=0).max()
+    yield "linear", LinearModel(3), rng.standard_normal(3), xs
+    for activation in ("erf", "tanh"):
+        for depth in (1, 2):
+            net = WideNet(Architecture(3, (24,) * depth, beta=0.3, activation=activation))
+            # Move off the zero output layer so that every block carries signal.
+            theta = net.init_params(depth) + 0.3 * rng.standard_normal(net.n_params)
+            yield f"widenet-{activation}-{depth}", net, theta, xs
+    arch = Architecture(3, (24,), beta=0.3)
+    params0 = nn_init(arch, 5)
+    lin = LinearizedNet(linearize(arch, params0, xs))
+    theta = params0.flat + 0.3 * rng.standard_normal(params0.flat.shape)
+    yield "linearized-cached", lin, theta, xs
+    yield "linearized-new-points", lin, theta, xs[:, :3].copy()
+
+
+@pytest.mark.parametrize("case", list(_vjp_cases()), ids=lambda c: c[0])
+def test_vjp_pullback_equals_jacobian_times_v(case):
+    name, model, theta, xs = case
+    v = np.random.default_rng(3).standard_normal(xs.shape[1])
+    values, pullback = model.vjp(theta, xs)
+    ref = model.jacobian(theta, xs) @ v
+    assert np.allclose(values, model.predict(theta, xs), rtol=0, atol=1e-12)
+    if name == "linear":
+        assert np.array_equal(values, model.predict(theta, xs))
+        assert np.array_equal(pullback(v), ref)
+    else:
+        assert np.allclose(pullback(v), ref, rtol=0, atol=1e-12 * max(1.0, np.abs(ref).max()))
+
+
+def test_widenet_vjp_is_one_forward_pass(monkeypatch):
+    import grwlab.models as models
+
+    calls = []
+    original = models.nn_forward_batch
+    monkeypatch.setattr(models, "nn_forward_batch", lambda *a, **k: calls.append(1) or original(*a, **k))
+    net = WideNet(Architecture(3, (16,), beta=0.3))
+    xs = np.random.default_rng(4).standard_normal((3, 4)) / 4.0
+    _, pullback = net.vjp(net.init_params(1), xs)
+    pullback(np.ones(4))
+    assert len(calls) == 1

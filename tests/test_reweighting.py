@@ -222,3 +222,25 @@ def test_group_info_validation():
     gi = GroupInfo([1, 0, 0])
     assert gi.n_groups == 2
     assert gi.sizes.tolist() == [2, 1]
+
+
+def test_check_assumption1_matches_window_by_window_scan():
+    # The sliding max/min must give exactly what rescanning each window gives.
+    rng = np.random.default_rng(11)
+    for steps, window, tol in ((50, 10, 0.05), (57, 10, 0.05), (40, 40, 0.5), (33, 1, 0.0),
+                               (300, 37, 1e-3)):
+        hist = rng.dirichlet(np.ones(3), size=steps)
+        hist[steps // 2 :] = hist[steps // 2] + 1e-4 * rng.standard_normal((steps - steps // 2, 3))
+        osc = np.array([float((hist[e - window + 1 : e + 1].max(axis=0)
+                               - hist[e - window + 1 : e + 1].min(axis=0)).max())
+                        for e in range(window - 1, steps)])
+        settled = osc <= tol
+        if np.all(settled):
+            t_eps = 0
+        elif settled[-1]:
+            t_eps = int(np.nonzero(~settled)[0][-1] + window)
+        else:
+            t_eps = steps
+        q_star = max(float(hist[-window:].mean(axis=0).min()), 0.0)
+        assert check_assumption1(hist, window=window, tol=tol) == (
+            bool(settled[-1]) and q_star > 0.0, q_star, t_eps)

@@ -204,3 +204,42 @@ def test_warns_on_out_of_ball_data():
     object.__setattr__(data, "classification", False)
     with pytest.warns(UserWarning):
         train(LinearModel(2), data, _cfg(epochs=1), theta0=np.zeros(2))
+
+
+class _CountingLinear(LinearModel):
+    def __init__(self, dim):
+        super().__init__(dim)
+        self.vjp_calls = 0
+
+    def vjp(self, theta, xs):
+        self.vjp_calls += 1
+        return super().vjp(theta, xs)
+
+
+def test_bad_classification_label_rejected_before_any_step():
+    data = _small_blobs(classification=True)
+    y = data.Y.copy()
+    y[0] = 0.5
+    bad = Dataset(X=data.X, Y=y, groups=data.groups, provenance="unit")
+    model = _CountingLinear(data.dim)
+    with pytest.raises(InvalidArgumentError):
+        train(model, bad, _cfg(loss=Logistic(), epochs=5), theta0=np.zeros(data.dim))
+    assert model.vjp_calls == 0
+
+
+@pytest.mark.parametrize("kind", ["linear", "widenet"])
+def test_out_of_ball_data_warns_once_per_run(kind):
+    import warnings
+
+    from grwlab.models import Architecture, WideNet
+
+    data = Dataset.__new__(Dataset)  # bypass normalization check deliberately
+    object.__setattr__(data, "X", np.array([[2.0, 0.0], [0.0, 0.5]]))
+    object.__setattr__(data, "Y", np.array([1.0, -1.0]))
+    object.__setattr__(data, "groups", GroupInfo([0, 1]))
+    model = LinearModel(2) if kind == "linear" else WideNet(Architecture(2, (8,), beta=0.1))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _, trace = train(model, data, _cfg(eta=0.01, epochs=20, stop_risk=0.0))
+    assert trace.epochs[-1] == 20
+    assert [w.category for w in caught] == [UserWarning]
