@@ -621,6 +621,12 @@ def run_fig2(cfg: ExperimentConfig) -> dict:
                     f"gd_limit_matches_ridge_oracle[mu={mu:g},{scheme_text}]",
                     gap < 1e-6, gap, "< 1e-6",
                 )
+                # The trace's risk at the optimum itself, where a converged
+                # run ends: the measured floor for small_mu_risk_below_1e-6.
+                report.metric(
+                    f"ridge_oracle_risk[mu={mu:g},{scheme_text}]",
+                    float(loss_value(Squared(), data.X.T @ ridge, data.Y).mean()),
+                )
 
     small, large = regimes[cfg.mu_small], regimes[cfg.mu_large]
     report.check(

@@ -6,6 +6,12 @@ plain row-major float64 ``numpy`` arrays (2-D), vectors are 1-D arrays; every
 entry must be finite.  All functions are pure and never mutate their inputs,
 so they are safe to call concurrently.
 
+The factorizations are LAPACK's, through numpy and SciPy: symmetric
+eigenvalues from ``numpy.linalg.eigvalsh`` and SPD solves from
+``scipy.linalg.cho_factor`` / ``cho_solve``.  Both are direct, finite
+algorithms, so no result here depends on an iteration cap or a stopping
+tolerance.
+
 Everything runs in 64-bit floats.  No extended precision is used anywhere:
 long classification runs are expected to saturate double precision and that
 saturation is treated as documented behavior, not an error.
@@ -14,11 +20,10 @@ saturation is treated as documented behavior, not an error.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import cho_factor, cho_solve
 
 from .errors import (
     InvalidArgumentError,
-    NoConvergenceError,
     NotPositiveDefiniteError,
     RankDeficientError,
 )
@@ -27,10 +32,6 @@ from .errors import (
 # interpolation and max-margin results assume linearly independent inputs, so
 # violations must be detected instead of silently solving an ill-posed system.
 RANK_TOL = 1e-12
-
-# Full Jacobi diagonalization below this size, iterative methods above.
-_JACOBI_MAX_N = 64
-_ITER_CAP = 100_000
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -71,105 +72,37 @@ def _check_symmetric(s: np.ndarray, tol: float = 1e-10) -> None:
         raise InvalidArgumentError("matrix is not symmetric within tolerance")
 
 
-def _jacobi_eigenvalues(s: np.ndarray, tol: float) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi sweeps."""
-    a = s.copy()
-    n = a.shape[0]
-    scale = max(float(np.abs(a).max()), 1e-300)
-    target = max(tol, 1e-15 * scale) * 1e-2
-    for _ in range(60):
-        off = np.sqrt(2.0 * np.sum(np.triu(a, 1) ** 2))
-        if off <= target:
-            return np.sort(np.diag(a))
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau)) if tau != 0 else 1.0
-                c = 1.0 / np.hypot(1.0, t)
-                sn = t * c
-                rp, rq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * rp - sn * rq
-                a[q, :] = sn * rp + c * rq
-                cp, cq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * cp - sn * cq
-                a[:, q] = sn * cp + c * cq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-    raise NoConvergenceError("Jacobi diagonalization did not converge in 60 sweeps")
-
-
-def _power_max_eigenvalue(b: np.ndarray, tol: float) -> float:
-    """Largest eigenvalue of a symmetric PSD matrix by power iteration."""
-    n = b.shape[0]
-    rng = np.random.default_rng(0x5EED)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    lam = float(v @ (b @ v))
-    for _ in range(_ITER_CAP):
-        w = b @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        new = float(v @ (b @ v))
-        if abs(new - lam) <= tol * max(1.0, abs(new)):
-            return new
-        lam = new
-    raise NoConvergenceError("power iteration hit the iteration cap")
-
-
 def extreme_eigenvalues(s, tol: float = 1e-10) -> tuple[float, float]:
-    """(lambda_max, lambda_min) of a symmetric matrix.
+    """(lambda_max, lambda_min) of a symmetric matrix, from LAPACK's eigvalsh.
 
-    Full Jacobi diagonalization for n <= 64; above that, power iteration on a
-    Gershgorin-shifted copy (which makes both extremes dominant) with a cap of
-    10^5 iterations.
+    The eigenvalues come from ``numpy.linalg.eigvalsh`` (a direct symmetric
+    eigensolver with no iteration cap), so they are accurate to round-off at
+    every size.  ``tol`` is kept because callers pass it positionally; it no
+    longer changes the result.
     """
     s = as_matrix(s, "symmetric matrix")
     _check_symmetric(s)
-    n = s.shape[0]
-    if n == 1:
-        v = float(s[0, 0])
-        return v, v
-    if n <= _JACOBI_MAX_N:
-        eig = _jacobi_eigenvalues(s, tol)
-        return float(eig[-1]), float(eig[0])
-    # Gershgorin bound >= |lambda| for every eigenvalue, so both shifted
-    # operators below are PSD with the wanted extreme as dominant eigenvalue.
-    shift = float(np.abs(s).sum(axis=1).max())
-    lam_max = _power_max_eigenvalue(s + shift * np.eye(n), tol) - shift
-    lam_min = shift - _power_max_eigenvalue(shift * np.eye(n) - s, tol)
-    return lam_max, lam_min
-
-
-def _cholesky_lower(a: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor; raises on any non-positive pivot."""
-    n = a.shape[0]
-    low = np.zeros_like(a)
-    for j in range(n):
-        d = a[j, j] - low[j, :j] @ low[j, :j]
-        if not np.isfinite(d) or d <= 0.0:
-            raise NotPositiveDefiniteError(f"non-positive pivot at column {j}: {d!r}")
-        low[j, j] = np.sqrt(d)
-        if j + 1 < n:
-            low[j + 1 :, j] = (a[j + 1 :, j] - low[j + 1 :, :j] @ low[j, :j]) / low[j, j]
-    return low
+    eig = np.linalg.eigvalsh(s)
+    return float(eig[-1]), float(eig[0])
 
 
 def solve_spd(a, b) -> np.ndarray:
-    """Solve A x = b for symmetric positive definite A via Cholesky."""
+    """Solve A x = b for symmetric positive definite A by LAPACK's Cholesky.
+
+    Only the lower triangle of A is read.  A non-positive pivot raises
+    NotPositiveDefiniteError.
+    """
     a = as_matrix(a, "SPD matrix")
     if a.shape[0] != a.shape[1]:
         raise InvalidArgumentError(f"SPD matrix must be square, got shape {a.shape}")
     b = as_vector(b, "right-hand side")
     if b.shape[0] != a.shape[0]:
         raise InvalidArgumentError("right-hand side length does not match matrix size")
-    low = _cholesky_lower(a)
-    y = solve_triangular(low, b, lower=True)
-    return solve_triangular(low.T, y, lower=False)
+    try:
+        factor = cho_factor(a, lower=True, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError(str(exc)) from exc
+    return cho_solve(factor, b, check_finite=False)
 
 
 def _checked_gram(x: np.ndarray) -> np.ndarray:

@@ -4,8 +4,9 @@ These are the independent answers that training is predicted to reach: the
 minimum-norm interpolator, the weighted-ridge optimum, the hard-margin
 direction, the infinite-width kernel of the erf network, and the robust risk
 summaries.  None of them runs gradient descent on the model being checked;
-the max-margin solver additionally ships a subset-enumeration twin so the
-two routes can be cross-validated on small instances.
+the hard margin is solved exactly, as a least-distance program through one
+Lawson-Hanson NNLS, and ships a subset-enumeration twin so the two routes
+can be cross-validated on small instances.
 """
 
 from __future__ import annotations
@@ -22,11 +23,14 @@ from .errors import (
     NotSeparableError,
     UnsupportedError,
 )
-from .linalg import as_matrix, as_vector, extreme_eigenvalues, gram, min_norm_span_solve
+from .linalg import as_matrix, as_vector, gram, min_norm_span_solve
 from .models import ACTIVATIONS, LinearizedModel
 from .reweighting import GroupInfo, group_means
 
 _MARGIN_TOL = 1e-12
+# Samples whose margin is within this relative distance of the minimum form
+# the support set.
+_SUPPORT_RTOL = 1e-6
 
 
 def min_norm_interpolator(x, y, theta0, f0_at_x) -> np.ndarray:
@@ -77,8 +81,11 @@ def ridge_closed_form(x, y, q, mu: float, theta0, f0_at_x) -> np.ndarray:
 class MarginSolution:
     """Hard-margin solution: unit direction, its margin, and the dual certificate.
 
-    direction = sum_i alphas[i] * y_i * x_i with alphas >= 0 supported only on
-    the active set; margin = min_i y_i <direction, x_i>.
+    direction = sum_i alphas[i] * y_i * x_i with alphas >= 0, and margin =
+    min_i y_i <direction, x_i>.  support_set holds the samples at that
+    minimum margin; unlike the dual alphas, which need not be unique (two
+    identical signed points can share their weight in any split), this set
+    is determined by the data.
     """
 
     direction: np.ndarray
@@ -87,30 +94,8 @@ class MarginSolution:
     alphas: np.ndarray
 
 
-def _perceptron_separable(x: np.ndarray, y: np.ndarray, max_updates: int = 1_000_000) -> None:
-    """Mistake-driven separability screen; raises when no separator is found."""
-    w = np.zeros(x.shape[0])
-    b = 0.0
-    updates = 0
-    while updates < max_updates:
-        margins = y * (x.T @ w + b)
-        bad = np.nonzero(margins <= 0)[0]
-        if bad.size == 0:
-            return
-        i = int(bad[0])
-        w += y[i] * x[:, i]
-        b += y[i]
-        updates += 1
-    raise NotSeparableError(f"perceptron found no separator within {max_updates} updates")
-
-
-def _signed_gram(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    z = x * y[None, :]
-    return z, gram(z)
-
-
-def _solution_from_dual(z: np.ndarray, alpha: np.ndarray) -> MarginSolution:
-    w = z @ alpha
+def _solution_from_dual(z: np.ndarray, alpha: np.ndarray, w: np.ndarray) -> MarginSolution:
+    """The solution along w = z @ alpha (up to round-off) with dual alpha."""
     norm = float(np.linalg.norm(w))
     if norm < _MARGIN_TOL:
         raise NotSeparableError("degenerate margin")
@@ -119,19 +104,56 @@ def _solution_from_dual(z: np.ndarray, alpha: np.ndarray) -> MarginSolution:
     margin = float(margins.min())
     if margin < _MARGIN_TOL:
         raise NotSeparableError(f"degenerate margin {margin:.3e}")
-    scaled = alpha / norm
-    support = tuple(int(i) for i in np.nonzero(alpha > 1e-8 * alpha.max())[0])
-    cleaned = np.where(alpha > 1e-8 * alpha.max(), scaled, 0.0)
+    support = tuple(int(i) for i in np.nonzero(margins <= margin * (1.0 + _SUPPORT_RTOL))[0])
+    cleaned = np.where(alpha > 1e-8 * alpha.max(), alpha / norm, 0.0)
     return MarginSolution(direction=direction, margin=margin, support_set=support, alphas=cleaned)
 
 
-def max_margin_direction(x, y, max_iter: int = 100_000, tol: float = 1e-12) -> MarginSolution:
+def _nnls(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """argmin ||a u - b|| over u >= 0 by the Lawson-Hanson active-set method.
+
+    Each outer step frees the bound variable with the largest positive
+    gradient; the inner loop solves the least-squares problem on the free
+    set and steps back to the feasible boundary while any free variable is
+    not positive.  Both loops are bounded; NoConvergenceError if a bound is hit.
+    """
+    m, n = a.shape
+    tol = 10.0 * max(m, n) * np.finfo(float).eps * max(1.0, float(np.abs(a).sum(axis=0).max()))
+    u = np.zeros(n)
+    free = np.zeros(n, dtype=bool)
+    for _ in range(3 * n + 1):
+        grad = a.T @ (b - a @ u)
+        grad[free] = -np.inf
+        j = int(np.argmax(grad))
+        if grad[j] <= tol:
+            return u
+        free[j] = True
+        for _ in range(3 * n + 1):
+            s = np.zeros(n)
+            s[free] = np.linalg.lstsq(a[:, free], b, rcond=None)[0]
+            if s[free].min() > 0.0:
+                u = s
+                break
+            blocking = free & (s <= 0.0)
+            ub, drop = u[blocking], u[blocking] - s[blocking]
+            step = float(np.min(np.divide(ub, drop, out=np.zeros_like(ub), where=drop > 0.0)))
+            u = u + step * (s - u)
+            free &= u > tol
+            u[~free] = 0.0
+        else:
+            raise NoConvergenceError("NNLS inner loop hit its bound")
+    raise NoConvergenceError("NNLS outer loop hit its bound")
+
+
+def max_margin_direction(x, y) -> MarginSolution:
     """Unit vector maximizing the minimum label margin over the samples.
 
-    Projected gradient ascent on the dual of { min ||w||^2 : y_i <w, x_i> >= 1 }
-    with step 1/lambda_max of the signed Gram matrix.  Data is first screened
-    for separability with a perceptron; use max_margin_bruteforce to
-    cross-check results on n <= 10.
+    Solves min ||w|| s.t. z_i^T w >= 1 (z_i = y_i x_i) exactly, as the
+    least-distance program of Lawson & Hanson (1974, ch. 23): one NNLS,
+    u = argmin ||[Z; 1^T] u - e_{d+1}|| over u >= 0.  The constraints are
+    feasible, i.e. the data are separable through the origin, exactly when
+    1 - sum(u) > 0; then alpha = u / (1 - sum(u)) is the hard-margin dual and
+    w = Z alpha.  Use max_margin_bruteforce to cross-check results on n <= 10.
     """
     x = as_matrix(x, "data matrix")
     y = as_vector(y, "labels")
@@ -139,24 +161,19 @@ def max_margin_direction(x, y, max_iter: int = 100_000, tol: float = 1e-12) -> M
         raise InvalidArgumentError("label count does not match the number of columns")
     if not np.all(np.abs(y) == 1.0):
         raise InvalidArgumentError("labels must be exactly -1 or +1")
-    _perceptron_separable(x, y)
-    z, g = _signed_gram(x, y)
-    lam_max, _ = extreme_eigenvalues(g, 1e-10)
-    if lam_max <= 0:
-        raise NotSeparableError("all samples are at the origin")
-    step = 1.0 / lam_max
-    n = x.shape[1]
-    alpha = np.full(n, 1.0 / n)
-    for _ in range(max_iter):
-        grad = 1.0 - g @ alpha
-        new_alpha = np.maximum(0.0, alpha + step * grad)
-        move = float(np.abs(new_alpha - alpha).max())
-        alpha = new_alpha
-        if move <= tol * max(1.0, float(alpha.max())):
-            break
-    else:
-        raise NoConvergenceError("dual projected gradient ascent hit the iteration cap")
-    return _solution_from_dual(z, alpha)
+    z = x * y[None, :]
+    e = np.zeros(z.shape[0] + 1)
+    e[-1] = 1.0
+    u = _nnls(np.vstack([z, np.ones((1, z.shape[1]))]), e)
+    slack = 1.0 - float(u.sum())
+    if not slack > 0.0:
+        raise NotSeparableError("the margin constraints are infeasible: data is not separable")
+    # Z u has norm about the margin while u is O(1), so forming w from it
+    # loses digits on small margins.  The support NNLS found fixes w exactly:
+    # the minimum-norm w with z_i^T w = 1 on it, solved directly.
+    free = u > 0.0
+    w = np.linalg.lstsq(z[:, free].T, np.ones(int(free.sum())), rcond=None)[0]
+    return _solution_from_dual(z, u / slack, w)
 
 
 def max_margin_bruteforce(x, y) -> MarginSolution:
@@ -174,9 +191,10 @@ def max_margin_bruteforce(x, y) -> MarginSolution:
         raise InvalidArgumentError("brute-force enumeration is limited to n <= 10")
     if not np.all(np.abs(y) == 1.0):
         raise InvalidArgumentError("labels must be exactly -1 or +1")
-    z, g = _signed_gram(x, y)
+    z = x * y[None, :]
+    g = gram(z)
     best_norm = math.inf
-    best = None
+    best = best_w = None
     for size in range(1, n + 1):
         for subset in itertools.combinations(range(n), size):
             sub = np.ix_(subset, subset)
@@ -184,7 +202,10 @@ def max_margin_bruteforce(x, y) -> MarginSolution:
                 a = np.linalg.solve(g[sub], np.ones(size))
             except np.linalg.LinAlgError:
                 continue
-            if np.any(a < -1e-10):
+            # Round-off in a and in the margins grows with the size of the
+            # solve (the margin scaling makes ||w|| = 1 / margin), so both
+            # tolerances are relative to it.
+            if np.any(a < -1e-10 * max(1.0, float(a.max()))):
                 continue
             alpha = np.zeros(n)
             alpha[list(subset)] = np.maximum(a, 0.0)
@@ -192,14 +213,14 @@ def max_margin_bruteforce(x, y) -> MarginSolution:
             norm = float(np.linalg.norm(w))
             if norm < _MARGIN_TOL:
                 continue
-            if float((z.T @ w).min()) < 1.0 - 1e-9:
+            if float((z.T @ w).min()) < 1.0 - 1e-9 * max(1.0, norm):
                 continue
             if norm < best_norm - 1e-12:
                 best_norm = norm
-                best = alpha
+                best, best_w = alpha, w
     if best is None:
         raise NotSeparableError("no feasible support subset: data is not separable")
-    return _solution_from_dual(z, best)
+    return _solution_from_dual(z, best, best_w)
 
 
 @dataclass(frozen=True)

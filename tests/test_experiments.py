@@ -175,6 +175,13 @@ def test_fig2_ridge_oracle_assertions(tmp_path):
     assert len(oracle_checks) == 4
     assert all(a["passed"] for a in oracle_checks)
     assert any(a["name"] == "large_mu_risk_above_1e-2" and a["passed"] for a in rep["assertions"])
+    # The closed-form optimum's risk is recorded next to the trained risk it
+    # bounds from below, and the converged runs reach it.
+    for mu in ("0.1", "10"):
+        trained = rep["metrics"][f"mu={mu}"]["risks"]
+        for scheme, risk in zip(("erm", "iw"), trained):
+            floor = rep["metrics"][f"ridge_oracle_risk[mu={mu},{scheme}]"]
+            assert floor == pytest.approx(risk, rel=1e-9)
 
 
 def test_ntk_convergence_guards():

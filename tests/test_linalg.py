@@ -80,8 +80,23 @@ def test_extreme_eigenvalues_large_matrix_power_iteration():
     s = s + s.T
     lam_max, lam_min = la.extreme_eigenvalues(s, 1e-11)
     ref = np.linalg.eigvalsh(s)
-    assert lam_max == pytest.approx(ref[-1], rel=1e-6)
-    assert lam_min == pytest.approx(ref[0], rel=1e-6)
+    assert lam_max == pytest.approx(ref[-1], rel=1e-10)
+    assert lam_min == pytest.approx(ref[0], rel=1e-10)
+
+
+@pytest.mark.parametrize("n", [96, 200])
+def test_extreme_eigenvalues_known_spectrum(n):
+    # Q diag(lam) Q^T with a random orthogonal Q: the extremes are known
+    # without any eigensolver.
+    rng = np.random.default_rng(n)
+    qmat, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    lam = rng.uniform(0.5, 4.0, n)
+    lam[:2] = [4.5, 0.25]
+    s = (qmat * lam) @ qmat.T
+    s = 0.5 * (s + s.T)
+    lam_max, lam_min = la.extreme_eigenvalues(s, 1e-12)
+    assert lam_max == pytest.approx(4.5, rel=1e-10)
+    assert lam_min == pytest.approx(0.25, rel=1e-10)
 
 
 def test_extreme_eigenvalues_rejects_asymmetric():

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ from grwlab.errors import InvalidArgumentError, NotSeparableError, UnsupportedEr
 from grwlab.models import Architecture, linearize, nn_grad, nn_init
 from grwlab.oracles import (
     KernelSpec,
+    _nnls,
     empirical_ntk,
     max_margin_bruteforce,
     max_margin_direction,
@@ -112,6 +117,23 @@ def test_ridge_rejects_bad_mu():
 # -- hard margin ----------------------------------------------------------------
 
 
+@pytest.mark.parametrize("shape", [(9, 4), (6, 6), (4, 12), (65, 200)])
+def test_nnls_matches_scipy(shape):
+    # scipy.optimize.nnls is the reference here only: the package itself
+    # does not import scipy.optimize.
+    from scipy.optimize import nnls
+
+    rng = np.random.default_rng(shape[1])
+    for _ in range(20):
+        a = rng.standard_normal(shape)
+        b = rng.standard_normal(shape[0])
+        u = _nnls(a, b)
+        ref, ref_res = nnls(a, b, maxiter=10 * shape[1])
+        assert np.all(u >= 0)
+        assert np.linalg.norm(a @ u - b) == pytest.approx(ref_res, rel=1e-9, abs=1e-12)
+        assert np.allclose(u, ref, atol=1e-9)
+
+
 def test_max_margin_symmetric_pair():
     x = np.array([[1.0, -1.0], [0.0, 0.0]])
     y = np.array([1.0, -1.0])
@@ -149,10 +171,7 @@ def test_max_margin_dual_matches_bruteforce():
         assert float(dual.direction @ brute.direction) > 1.0 - 1e-8
 
 
-def test_max_margin_kkt_and_probabilistic_optimality():
-    rng = np.random.default_rng(21)
-    x, y = _random_separable(rng, 6, 10)
-    sol = max_margin_direction(x, y)
+def _assert_kkt_and_unbeaten(x, y, sol, rng):
     margins = (x * y[None, :]).T @ sol.direction
     # Complementary slackness at the returned scaling.
     assert np.all(sol.alphas >= 0)
@@ -160,10 +179,86 @@ def test_max_margin_kkt_and_probabilistic_optimality():
     # Reconstruction: direction = sum alphas_i y_i x_i.
     assert np.allclose((x * y[None, :]) @ sol.alphas, sol.direction, atol=1e-8)
     # No random unit direction beats it.
-    probes = rng.standard_normal((10, 10_000))
+    probes = rng.standard_normal((x.shape[0], 10_000))
     probes /= np.linalg.norm(probes, axis=0, keepdims=True)
     probe_margins = ((x * y[None, :]).T @ probes).min(axis=0)
     assert probe_margins.max() <= sol.margin + 1e-12
+
+
+def test_max_margin_kkt_and_probabilistic_optimality():
+    rng = np.random.default_rng(21)
+    x, y = _random_separable(rng, 6, 10)
+    _assert_kkt_and_unbeaten(x, y, max_margin_direction(x, y), rng)
+
+
+def test_max_margin_small_margin_set_matches_bruteforce():
+    # Margin 2.1e-4 on 8 points in R^5: the hard-margin dual is badly
+    # conditioned, and brute force is still cheap.
+    fixed = np.random.default_rng(2577)
+    x = fixed.standard_normal((5, 8))
+    x /= np.linalg.norm(x, axis=0).max()
+    y = fixed.choice([-1.0, 1.0], 8)
+    sol = max_margin_direction(x, y)
+    brute = max_margin_bruteforce(x, y)
+    assert sol.margin == pytest.approx(2.1e-4, rel=0.05)
+    assert sol.margin == pytest.approx(brute.margin, rel=1e-8)
+    assert float(sol.direction @ brute.direction) > 1.0 - 1e-12
+    assert sol.support_set == brute.support_set
+    _assert_kkt_and_unbeaten(x, y, sol, np.random.default_rng(22))
+
+
+def test_max_margin_bruteforce_accepts_tiny_margin_set():
+    # Draw 128 of this stream is a 3 x 8 set with margin 7.3e-5: at the
+    # margin-1 scaling ||w|| is about 1.4e4, so the computed margins of its
+    # own support fall short of 1 by more than an absolute tolerance allows.
+    rng = np.random.default_rng(0)
+    for _ in range(129):
+        d = rng.integers(2, 12)
+        n = rng.integers(1, 10)
+        x = rng.standard_normal((d, n))
+        x /= np.linalg.norm(x, axis=0).max()
+        y = rng.choice([-1.0, 1.0], n)
+    assert x.shape == (3, 8)
+    brute = max_margin_bruteforce(x, y)
+    sol = max_margin_direction(x, y)
+    assert brute.margin == pytest.approx(7.3e-5, rel=0.01)
+    assert brute.margin == pytest.approx(sol.margin, rel=1e-8)
+    assert brute.support_set == sol.support_set == (3, 5, 7)
+
+
+def test_max_margin_many_samples():
+    # n = 200 > 10: beyond brute force, so the KKT certificate and random
+    # probes are the oracle.
+    rng = np.random.default_rng(31)
+    d, n = 64, 200
+    w = rng.standard_normal(d)
+    x = rng.standard_normal((d, n))
+    x /= np.linalg.norm(x, axis=0).max()
+    y = np.sign(x.T @ w)
+    sol = max_margin_direction(x, y)
+    assert sol.margin > 0
+    assert float(sol.direction @ w) > 0
+    _assert_kkt_and_unbeaten(x, y, sol, rng)
+
+
+def test_oracles_do_not_import_scipy_optimize():
+    # Importing scipy.optimize costs about 15 MiB of peak resident memory
+    # and 0.2 s; the exact oracles need none of it.
+    import grwlab
+
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import grwlab\n"
+        "from grwlab import linalg\n"
+        "grwlab.max_margin_direction(np.array([[1.0, -1.0], [0.5, 0.2]]), np.array([1.0, -1.0]))\n"
+        "linalg.extreme_eigenvalues(np.array([[2.0, 1.0], [1.0, 2.0]]))\n"
+        "linalg.solve_spd(np.array([[2.0, 1.0], [1.0, 2.0]]), np.array([1.0, 0.0]))\n"
+        "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize was imported'\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(grwlab.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_max_margin_rejects_inseparable():
