@@ -1,6 +1,6 @@
 """Command-line front end.
 
-    grwlab <experiment> [--config FILE] [--out DIR] [--jobs N] [--synthetic]
+    grwlab <experiment> [--config FILE] [--out DIR] [--synthetic]
     grwlab oracle <min-norm|max-margin|ridge|ntk> [options]
 
 Experiments exit with status 0 exactly when every assertion in the emitted
@@ -41,7 +41,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"run the {name} experiment")
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--jobs", type=int, help="max concurrent cells")
         p.add_argument("--synthetic", action="store_true",
                        help="force the synthetic dataset even when IDX files exist")
     oracle = sub.add_parser("oracle", help="evaluate a closed-form reference solution")
@@ -66,8 +65,6 @@ def _experiment_config(args, experiment: str) -> ExperimentConfig:
     overrides = {}
     if args.out:
         overrides["out"] = args.out
-    if args.jobs:
-        overrides["jobs"] = args.jobs
     if args.synthetic:
         overrides["synthetic"] = True
     if args.config:

@@ -12,7 +12,8 @@ Trace files use the fixed schema
 
 with floats printed at 17 significant digits so a parse round-trips to the
 identical float64 values.  The JSON mirror carries the same fields plus the
-config hash of the run that produced it.
+config hash of the run that produced it, why the run stopped and how many
+epochs it ran.
 """
 
 from __future__ import annotations
@@ -330,6 +331,8 @@ def export_trace(trace: TrainTrace, path, fmt: str = "csv") -> None:
             doc = {
                 "scheme": trace.scheme,
                 "config_hash": trace.config_hash,
+                "stop_reason": trace.stop_reason,
+                "epochs_run": trace.epochs_run,
                 "columns": cols,
                 "data": payload,
             }

@@ -3,10 +3,12 @@
 Each runner wires datasets, schemes, the trainer and the oracles into one
 reproducible study, writes traces (CSV + JSON), data-only SVG charts and a
 machine-readable ``report.json`` whose ``assertions`` list carries one
-pass/fail entry per claim checked.  Independent (scheme, seed, width) cells
-may run concurrently under ``--jobs``; report assembly is a single-threaded
-reduction, so results are bit-identical for a fixed (config, seed) on one
-platform.
+pass/fail entry per claim checked.  The runs of one study that share a
+model, data and loss are trained in lock step as one batch (see
+``trainer``): fig1's schemes, fig2's schemes at each mu, fig3's schemes for
+each loss, compare's schemes, and approx-scaling's seeds at each width and
+its regularization-tracking runs.  Nothing runs concurrently, so results are
+bit-identical for a fixed (config, seed) on one platform.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+import warnings
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -42,7 +44,6 @@ from .models import (
     ModelParams,
     WideNet,
     linearize,
-    nn_forward_batch,
     nn_grad_batch,
     nn_init,
     parse_model,
@@ -54,7 +55,7 @@ from .oracles import (
     ntk_limiting_kernel,
     ridge_closed_form,
 )
-from .reweighting import check_assumption1, iw_weights, parse_scheme
+from .reweighting import check_assumption1, iw_weights, parse_scheme, repeat_state, take_runs
 from .trainer import TrainConfig, compare_runs, safe_learning_rate, train
 
 EXPERIMENTS = ("fig1", "fig2", "fig3", "ntk-convergence", "approx-scaling", "compare")
@@ -66,7 +67,6 @@ class ExperimentConfig:
 
     experiment: str
     out: str = "out"
-    jobs: int = 1
     synthetic: bool = False
     dataset: str = "auto"
     schemes: tuple[str, ...] = ("erm", "iw", "gdro:0.01")
@@ -110,8 +110,6 @@ class ExperimentConfig:
             )
         if not self.schemes:
             raise InvalidArgumentError("need at least one scheme")
-        if self.jobs < 1:
-            raise InvalidArgumentError("jobs must be >= 1")
 
 
 _DEFAULTS = {
@@ -129,6 +127,10 @@ _TUPLE_INT = {"schemes", "seeds", "synth_sizes", "widths", "approx_sizes"}
 _BOOLS = {"synthetic", "reg_tracking_check", "sign_check", "permute_check"}
 _BOOL_TEXT = {"1": True, "true": True, "yes": True, "on": True,
               "0": False, "false": False, "no": False, "off": False}
+
+
+# Keys that config files may still carry but that no longer do anything.
+_RETIRED_KEYS = {"jobs": "runs of one study are batched automatically"}
 
 
 def make_config(experiment: str, **overrides) -> ExperimentConfig:
@@ -173,6 +175,10 @@ def parse_config_file(path, experiment: str | None = None, **overrides) -> Exper
             raise InvalidArgumentError(f"bad config line: {raw!r}")
         key, value = line.split("=", 1)
         key = key.strip()
+        if key in _RETIRED_KEYS:
+            warnings.warn(f"config key {key!r} is ignored: {_RETIRED_KEYS[key]}",
+                          DeprecationWarning, stacklevel=2)
+            continue
         if key == "experiment":
             values[key] = value.strip()
         else:
@@ -307,13 +313,6 @@ def _export_run(out_dir: Path, tag: str, trace, report: Report) -> None:
         report.artifact(path)
 
 
-def _parallel(jobs: int, fn, items: list):
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # SVG charts (data-only line charts with fixed axes)
 
@@ -404,9 +403,11 @@ def svg_line_chart(path, series, title="", xlabel="", ylabel="", logy=False, log
 class _WeightLogger:
     """Scheme decorator keeping the trailing per-epoch weights for diagnostics.
 
-    A bounded ring buffer holds the last ``keep`` weight vectors at full epoch
-    resolution, which is what the settlement check needs; the thinned trace
-    still records the whole trajectory.
+    A bounded ring buffer holds the weights of the last ``keep`` updates at
+    full epoch resolution, which is what the settlement check needs; the
+    thinned trace still records the whole trajectory.  A logger compares
+    equal only to itself, so in a batch it sees exactly the runs it was
+    given; once they stop, its buffer stops growing.
     """
 
     def __init__(self, inner, keep: int = 5000):
@@ -425,25 +426,30 @@ class _WeightLogger:
         return state
 
 
-def _train_scheme(data, scheme_text, loss, eta, epochs, stop_risk, record_every, mu=0.0,
-                  theta0=None, model=None, record_params=False, theta_ref=None,
-                  ref_direction=None, cfg_hash="", scheme_obj=None):
+def _train_runs(data, schemes, loss, eta, epochs, record_every, stop_risk=0.0, mu=0.0,
+                theta0=None, model=None, record_params=False, theta_ref=None,
+                ref_direction=None, cfg_hash=""):
+    """Train one run per scheme (spec text or scheme object) in lock step.
+
+    ``stop_risk`` and ``mu`` are one value for every run or a list with one
+    value per run.  Returns the (final, trace) pairs in scheme order.
+    """
     model = model if model is not None else LinearModel(data.dim)
-    cfg = TrainConfig(
-        eta=eta,
-        epochs=epochs,
-        loss=loss,
-        scheme=scheme_obj if scheme_obj is not None else parse_scheme(scheme_text),
-        mu=mu,
-        stop_risk=stop_risk,
-        record_every=record_every,
-        record_params=record_params,
-    )
+    runs = len(schemes)
+    stop_risks = stop_risk if isinstance(stop_risk, (list, tuple)) else [stop_risk] * runs
+    mus = mu if isinstance(mu, (list, tuple)) else [mu] * runs
+    cfgs = [
+        TrainConfig(eta=eta, epochs=epochs, loss=loss,
+                    scheme=parse_scheme(scheme) if isinstance(scheme, str) else scheme,
+                    mu=m, stop_risk=sr, record_every=record_every, record_params=record_params)
+        for scheme, sr, m in zip(schemes, stop_risks, mus)
+    ]
     theta0 = np.zeros(model.n_params) if theta0 is None else theta0
-    final, trace = train(model, data, cfg, theta0=theta0, theta_ref=theta_ref,
-                         ref_direction=ref_direction)
-    trace.config_hash = cfg_hash
-    return final, trace
+    pairs = train(model, data, cfgs, theta0=theta0, theta_ref=theta_ref,
+                  ref_direction=ref_direction)
+    for _, trace in pairs:
+        trace.config_hash = cfg_hash
+    return pairs
 
 
 def run_fig1(cfg: ExperimentConfig) -> dict:
@@ -465,21 +471,16 @@ def run_fig1(cfg: ExperimentConfig) -> dict:
     report.check("oracle_norm_order_one", 0.05 < oracle_norm < 20.0, oracle_norm,
                  "in (0.05, 20)")
 
-    def cell(scheme_text):
-        scheme = parse_scheme(scheme_text)
-        dynamic = scheme_text.startswith(("gdro", "cvar"))
-        scheme = _WeightLogger(scheme) if dynamic else scheme
-        final, trace = _train_scheme(
-            data, scheme_text, Squared(), eta, cfg.epochs, cfg.stop_risk,
-            cfg.record_every, record_params=True, theta_ref=oracle, cfg_hash=chash,
-            scheme_obj=scheme,
-        )
-        return final, trace, scheme
-
-    results = _parallel(cfg.jobs, cell, list(cfg.schemes))
-    finals = [r[0] for r in results]
-    traces = [r[1] for r in results]
-    loggers = [r[2] for r in results]
+    # Dynamic schemes keep their trailing weights for the settlement check.
+    loggers = [
+        _WeightLogger(parse_scheme(s)) if s.startswith(("gdro", "cvar")) else parse_scheme(s)
+        for s in cfg.schemes
+    ]
+    runs = _train_runs(data, loggers, Squared(), eta, cfg.epochs, cfg.record_every,
+                       stop_risk=cfg.stop_risk, record_params=True, theta_ref=oracle,
+                       cfg_hash=chash)
+    finals = [final for final, _ in runs]
+    traces = [trace for _, trace in runs]
     for scheme_text, trace in zip(cfg.schemes, traces):
         _export_run(out_dir, _safe_name(scheme_text), trace, report)
 
@@ -512,7 +513,7 @@ def run_fig1(cfg: ExperimentConfig) -> dict:
     for scheme_text, logger in zip(cfg.schemes, loggers):
         if not isinstance(logger, _WeightLogger):
             continue
-        hist = np.stack(logger.q_tail)
+        hist = np.stack(logger.q_tail).reshape(len(logger.q_tail), -1)
         window = min(1000, hist.shape[0])
         ok, q_star, t_eps = check_assumption1(hist, window=window, tol=1e-4)
         report.check(f"weights_settle_positive[{scheme_text}]", ok, q_star,
@@ -585,16 +586,10 @@ def run_fig2(cfg: ExperimentConfig) -> dict:
     regimes = {}
     for mu in (cfg.mu_small, cfg.mu_large):
         eta = _resolve_eta(cfg, data, mu=mu)
-
-        def cell(scheme_text, mu=mu, eta=eta):
-            return _train_scheme(
-                data, scheme_text, Squared(), eta, cfg.epochs, 0.0,
-                cfg.record_every, mu=mu, cfg_hash=chash,
-            )
-
-        results = _parallel(cfg.jobs, cell, list(cfg.schemes))
-        finals = [r[0] for r in results]
-        traces = [r[1] for r in results]
+        runs = _train_runs(data, cfg.schemes, Squared(), eta, cfg.epochs, cfg.record_every,
+                           mu=mu, cfg_hash=chash)
+        finals = [final for final, _ in runs]
+        traces = [trace for _, trace in runs]
         for scheme_text, trace in zip(cfg.schemes, traces):
             _export_run(out_dir, f"mu{mu:g}_{_safe_name(scheme_text)}", trace, report)
         gaps = [
@@ -685,19 +680,14 @@ def run_fig3(cfg: ExperimentConfig) -> dict:
     poly_name = loss_name(PolyTailed(1.0, 0.0))
     runs: dict = {}
 
-    def cell(item):
-        loss, scheme_text = item
-        return _train_scheme(
-            data, scheme_text, loss, eta, cfg.epochs, cfg.stop_risk, cfg.record_every,
-            ref_direction=mm.direction, record_params=True, cfg_hash=chash,
-        )
-
-    items = [(loss, s) for loss in losses for s in cfg.schemes]
-    results = _parallel(cfg.jobs, cell, items)
-    for (loss, scheme_text), (final, trace) in zip(items, results):
-        tag = f"{loss_name(loss).split(':')[0]}_{_safe_name(scheme_text)}"
-        _export_run(out_dir, tag, trace, report)
-        runs[(loss_name(loss), scheme_text)] = (final, trace)
+    for loss in losses:
+        pairs = _train_runs(data, cfg.schemes, loss, eta, cfg.epochs, cfg.record_every,
+                            stop_risk=cfg.stop_risk, ref_direction=mm.direction,
+                            record_params=True, cfg_hash=chash)
+        for scheme_text, (final, trace) in zip(cfg.schemes, pairs):
+            _export_run(out_dir, f"{loss_name(loss).split(':')[0]}_{_safe_name(scheme_text)}",
+                        trace, report)
+            runs[(loss_name(loss), scheme_text)] = (final, trace)
 
     def unit(v):
         return v / np.linalg.norm(v)
@@ -792,7 +782,7 @@ def run_ntk_convergence(cfg: ExperimentConfig) -> dict:
         width, seed = item
         arch = Architecture(d0, (width,) * cfg.nn_depth, beta=cfg.nn_beta, activation="erf")
         params = nn_init(arch, seed)
-        feats = nn_grad_batch(arch, params, points)
+        _, feats = nn_grad_batch(arch, params, points)
         emp = linalg.gram(feats)
         err = float(np.linalg.norm(emp - limit)) / limit_norm
         lam_max, lam_min = linalg.extreme_eigenvalues(emp, 1e-10)
@@ -801,7 +791,7 @@ def run_ntk_convergence(cfg: ExperimentConfig) -> dict:
     medians = []
     for width in cfg.widths:
         items = [(width, 10_000 * width + s) for s in cfg.seeds]
-        out = _parallel(cfg.jobs, cell, items)
+        out = [cell(item) for item in items]
         errs = sorted(e for e, _ in out)
         med = float(np.median(errs))
         medians.append(med)
@@ -825,46 +815,60 @@ def run_ntk_convergence(cfg: ExperimentConfig) -> dict:
 # approx-scaling: width scaling of the linearization gap
 
 
-def _train_pair_shared_weights(arch, theta0_flat, data, scheme, eta, epochs, stop_risk,
+def _train_pair_shared_weights(arch, theta0, data, scheme, eta, epochs, stop_risk,
                                test_points):
-    """Train the net and its linearization with one shared weight sequence.
+    """Train nets and their linearizations with shared weight sequences.
 
-    The weights are recomputed each epoch from the *network's* losses and the
-    very same q is applied to both updates.  Returns the sup over epochs of
-    the output gap at the test points, plus the final risks.
+    ``theta0`` is one flat start (p,) or a p x S stack, one seed per column;
+    all seeds go in lock step.  For each seed the weights are recomputed
+    each epoch from the *network's* losses, and the very same q is applied
+    to both updates.  Returns the sup over epochs of the output gap at the
+    test points and the final network risk: floats for one start, arrays of
+    S for a stack.  A seed stops on its own once its risk reaches stop_risk.
 
     The training and test points travel as one batch: each epoch makes one
-    network forward pass, whose pullback takes the weighted loss gradient
-    padded with zeros at the test points.  The linearization's f0 and
-    features at that batch are computed once.
+    network forward pass for every seed, whose pullback takes the weighted
+    loss gradient padded with zeros at the test points.  The
+    linearizations' f0 and features at that batch come from one pass at the
+    stacked starting points.
     """
     net = WideNet(arch)
     n = data.n
+    start = np.array(theta0, dtype=np.float64).reshape(net.n_params, -1)
     points = linalg.as_matrix(np.hstack([data.X, test_points]), "training and test points")
-    lin = LinearizedNet(linearize(arch, ModelParams(theta0_flat.copy(), net.layout), points))
-    theta_nn = theta0_flat.copy()
-    theta_lin = theta0_flat.copy()
-    state = scheme.init_state(data.groups)
-    loss = Squared()
-    v = np.zeros(points.shape[1])
-    sup_gap = 0.0
-    risk = float("nan")
+    lin = all_lin = LinearizedNet(linearize(arch, ModelParams(start, net.layout), points))
+    theta_nn, theta_lin = start.copy(), start.copy()
+    state = repeat_state(scheme.init_state(data.groups), start.shape[1])
+    loss, y = Squared(), data.Y[:, None]
+    v = np.zeros((points.shape[1], start.shape[1]))
+    ids = np.arange(start.shape[1])  # seed of each working column
+    sup_gap = np.zeros(start.shape[1])
+    risk = np.full(start.shape[1], np.nan)
     for t in range(epochs + 1):
         out_nn, pullback_nn = net.vjp(theta_nn, points)
         out_lin, pullback_lin = lin.vjp(theta_lin, points)
-        sup_gap = max(sup_gap, float(np.abs(out_nn[n:] - out_lin[n:]).max()))
-        losses_nn = np.asarray(loss_value(loss, out_nn[:n], data.Y))
-        risk = float(losses_nn.mean())
-        if not np.isfinite(risk):
+        sup_gap[ids] = np.maximum(sup_gap[ids], np.abs(out_nn[n:] - out_lin[n:]).max(axis=0))
+        losses_nn = loss_value(loss, out_nn[:n], y)
+        risk[ids] = losses_nn.mean(axis=0)
+        if not np.all(np.isfinite(risk[ids])):
             raise DivergedError(f"paired run diverged at epoch {t}")
-        if risk <= stop_risk or t == epochs:
+        done = risk[ids] <= stop_risk if t < epochs else np.ones(len(ids), dtype=bool)
+        if done.all():
             break
         state = scheme.update(state, losses_nn, data.groups)
-        q = state.q
-        v[:n] = q * loss_grad(loss, out_nn[:n], data.Y)
-        theta_nn = theta_nn - eta * pullback_nn(v)
-        v[:n] = q * loss_grad(loss, out_lin[:n], data.Y)
-        theta_lin = theta_lin - eta * pullback_lin(v)
+        v[:n] = state.q * loss_grad(loss, out_nn[:n], y)
+        step_nn = pullback_nn(v)
+        v[:n] = state.q * loss_grad(loss, out_lin[:n], y)
+        step_lin = pullback_lin(v)
+        if done.any():
+            keep = ~done
+            ids, state, v = ids[keep], take_runs(state, keep), v[:, keep]
+            theta_nn, theta_lin = theta_nn[:, keep], theta_lin[:, keep]
+            step_nn, step_lin, lin = step_nn[:, keep], step_lin[:, keep], all_lin.take(ids)
+        theta_nn = theta_nn - eta * step_nn
+        theta_lin = theta_lin - eta * step_lin
+    if np.ndim(theta0) == 1:
+        return float(sup_gap[0]), float(risk[0])
     return sup_gap, risk
 
 
@@ -884,26 +888,19 @@ def run_approx_scaling(cfg: ExperimentConfig) -> dict:
     report.metric("provenance", data.provenance)
     report.metric("eta", eta)
 
-    def cell(item):
-        width, seed = item
-        arch = Architecture(d0, (width,) * cfg.nn_depth, beta=cfg.nn_beta,
-                            activation=cfg.nn_activation)
-        theta0 = nn_init(arch, seed).flat
-        gap, risk = _train_pair_shared_weights(
-            arch, theta0, data, parse_scheme(scheme_text), eta, cfg.epochs,
-            cfg.stop_risk, test_points,
-        )
-        return gap, risk
-
     medians = []
     for width in cfg.widths:
-        items = [(width, 77_000 + 10_000 * width + s) for s in cfg.seeds]
-        out = _parallel(cfg.jobs, cell, items)
-        gaps = [g for g, _ in out]
+        arch = Architecture(d0, (width,) * cfg.nn_depth, beta=cfg.nn_beta,
+                            activation=cfg.nn_activation)
+        theta0 = np.column_stack([nn_init(arch, 77_000 + 10_000 * width + s).flat for s in cfg.seeds])
+        gaps, risks = _train_pair_shared_weights(
+            arch, theta0, data, parse_scheme(scheme_text), eta, cfg.epochs, cfg.stop_risk,
+            test_points,
+        )
         med = float(np.median(gaps))
         medians.append(med)
         report.metric(f"median_sup_gap[width={width}]", med)
-        report.metric(f"final_risks[width={width}]", [r for _, r in out])
+        report.metric(f"final_risks[width={width}]", [float(r) for r in risks])
     for a, b, wa, wb in zip(medians, medians[1:], cfg.widths, cfg.widths[1:]):
         report.check(f"median_gap_decreases[{wa}->{wb}]", b < a, (a, b), "strictly decreasing")
     slope = float(np.polyfit(np.log(cfg.widths), np.log(medians), 1)[0])
@@ -918,21 +915,16 @@ def run_approx_scaling(cfg: ExperimentConfig) -> dict:
                             activation=cfg.nn_activation)
         theta0 = nn_init(arch, cfg.data_seed).flat
         net = WideNet(arch)
-        erm_final, _ = _train_scheme(
-            data, "erm", Squared(), eta, cfg.epochs, cfg.stop_risk, cfg.record_every,
+        mus = [cfg.reg_tracking_mu, cfg.reg_tracking_mu / 10.0]
+        (erm_final, _), *regs = _train_runs(
+            data, ["erm", scheme_text, scheme_text], Squared(), eta, cfg.epochs,
+            cfg.record_every, stop_risk=[cfg.stop_risk, 0.0, 0.0], mu=[0.0, *mus],
             theta0=theta0, model=net,
         )
         ref_out = net.predict(erm_final, test_points)
-        gaps_mu, risks_mu = [], []
-        for mu in (cfg.reg_tracking_mu, cfg.reg_tracking_mu / 10.0):
-            reg_final, reg_trace = _train_scheme(
-                data, scheme_text, Squared(), eta, cfg.epochs, 0.0, cfg.record_every,
-                mu=mu, theta0=theta0, model=net,
-            )
-            gaps_mu.append(float(np.abs(net.predict(reg_final, test_points) - ref_out).max()))
-            risks_mu.append(reg_trace.risk[-1])
-        report.metric("reg_tracking", {"mus": [cfg.reg_tracking_mu, cfg.reg_tracking_mu / 10.0],
-                                       "risks": risks_mu, "test_gaps": gaps_mu})
+        gaps_mu = [float(np.abs(net.predict(final, test_points) - ref_out).max()) for final, _ in regs]
+        risks_mu = [trace.risk[-1] for _, trace in regs]
+        report.metric("reg_tracking", {"mus": mus, "risks": risks_mu, "test_gaps": gaps_mu})
         report.check("smaller_residual_risk_with_smaller_mu", risks_mu[1] < risks_mu[0],
                      risks_mu, "risk(mu/10) < risk(mu)")
         report.check("reg_tracking_gap_shrinks_with_risk", gaps_mu[1] < gaps_mu[0],
@@ -974,15 +966,11 @@ def run_compare(cfg: ExperimentConfig) -> dict:
     eta = _resolve_eta(cfg, data, mu=cfg.mu) if cfg.eta == "auto" else float(cfg.eta)
     chash = config_hash(cfg)
 
-    def cell(scheme_text):
-        return _train_scheme(
-            data, scheme_text, loss, eta, cfg.epochs, cfg.stop_risk, cfg.record_every,
-            mu=cfg.mu, theta0=theta0, model=model, cfg_hash=chash,
-        )
-
-    results = _parallel(cfg.jobs, cell, list(cfg.schemes))
-    finals = [r[0] for r in results]
-    traces = [r[1] for r in results]
+    runs = _train_runs(data, cfg.schemes, loss, eta, cfg.epochs, cfg.record_every,
+                       stop_risk=cfg.stop_risk, mu=cfg.mu, theta0=theta0, model=model,
+                       cfg_hash=chash)
+    finals = [final for final, _ in runs]
+    traces = [trace for _, trace in runs]
     for scheme_text, trace in zip(cfg.schemes, traces):
         _export_run(out_dir, _safe_name(scheme_text), trace, report)
     report.metric("comparison", compare_runs(traces, finals))
@@ -993,9 +981,9 @@ def run_compare(cfg: ExperimentConfig) -> dict:
         rng = np.random.default_rng(cfg.data_seed + 99)
         order = rng.permutation(data.n)
         permuted = data.permuted(order)
-        perm_final, _ = _train_scheme(
-            permuted, cfg.schemes[0], loss, eta, cfg.epochs, cfg.stop_risk,
-            cfg.record_every, mu=cfg.mu, theta0=theta0, model=model, cfg_hash=chash,
+        [(perm_final, _)] = _train_runs(
+            permuted, cfg.schemes[:1], loss, eta, cfg.epochs, cfg.record_every,
+            stop_risk=cfg.stop_risk, mu=cfg.mu, theta0=theta0, model=model, cfg_hash=chash,
         )
         gap = float(np.linalg.norm(finals[0] - perm_final))
         report.check("sample_order_invariance_below_1e-9", gap <= 1e-9, gap, "<= 1e-9")
@@ -1013,21 +1001,20 @@ def _sign_agreement_study(cfg: ExperimentConfig, report: Report) -> None:
     arch = Architecture(d0, (cfg.sign_width,) * cfg.nn_depth, beta=cfg.nn_beta,
                         activation=cfg.nn_activation)
     theta0_params = nn_init(arch, cfg.data_seed)
-    feats_train = nn_grad_batch(arch, theta0_params, data.X)
+    _, feats_train = nn_grad_batch(arch, theta0_params, data.X)
     mm = max_margin_direction(feats_train, data.Y)
     net = WideNet(arch)
     eta = float(cfg.eta) if cfg.eta != "auto" else 0.5
-    final, trace = _train_scheme(
-        data, cfg.schemes[0], Logistic(), eta, cfg.sign_epochs, 0.0, cfg.record_every,
+    [(final, trace)] = _train_runs(
+        data, cfg.schemes[:1], Logistic(), eta, cfg.sign_epochs, cfg.record_every,
         mu=cfg.sign_mu, theta0=theta0_params.flat, model=net,
     )
     report.metric("sign_study_final_risk", trace.risk[-1])
     pts = _unit_ball_points(d0, cfg.sign_points, cfg.data_seed + 5)
-    feats_pts = nn_grad_batch(arch, theta0_params, pts)
+    f0_pts, feats_pts = nn_grad_batch(arch, theta0_params, pts)
     f_mm = feats_pts.T @ mm.direction
     threshold = float(np.quantile(np.abs(f_mm), cfg.sign_quantile))
     confident = np.abs(f_mm) > threshold
-    f0_pts, _ = nn_forward_batch(arch, theta0_params, pts)
     net_out = net.predict(final, pts) - f0_pts
     agree = np.sign(net_out[confident]) == np.sign(f_mm[confident])
     rate = float(np.mean(agree)) if agree.size else float("nan")

@@ -18,6 +18,7 @@ infinite-width kernel.
 
 from __future__ import annotations
 
+import copy
 import warnings
 from dataclasses import dataclass, field
 
@@ -115,13 +116,18 @@ class ModelParams:
     layout: ParamLayout
 
     def weight(self, l: int) -> np.ndarray:
+        """W^l as (d_out, d_in), or (R, d_out, d_in) for a p x R stack of runs."""
         shape = self.layout.weight_shapes[l]
         off = self.layout.weight_offsets[l]
-        return self.flat[off : off + shape[0] * shape[1]].reshape(shape)
+        block = self.flat[off : off + shape[0] * shape[1]]
+        if block.ndim == 1:
+            return block.reshape(shape)
+        return np.ascontiguousarray(block.T).reshape(-1, *shape)
 
     def bias(self, l: int) -> np.ndarray:
+        """b^l as (d_out,), or (R, d_out) for a p x R stack of runs."""
         off = self.layout.bias_offsets[l]
-        return self.flat[off : off + self.layout.weight_shapes[l][0]]
+        return self.flat[off : off + self.layout.weight_shapes[l][0]].T
 
 
 def nn_init(arch: Architecture, seed: int) -> ModelParams:
@@ -157,6 +163,12 @@ def _warn_ball(xs: np.ndarray) -> None:
         )
 
 
+# Every network routine below takes either one flat parameter vector (p,) or
+# a p x R stack whose columns are R independent runs.  Stacked layers carry
+# a leading run axis, (R, d_out, m), and go through batched ``np.matmul``;
+# per-input outputs come back as (m,) or (m, R).
+
+
 @dataclass
 class ForwardCache:
     """Pre-activations h^1..h^{L+1} and activations x^1..x^L for one batch."""
@@ -167,7 +179,7 @@ class ForwardCache:
 
 def nn_forward_batch(arch: Architecture, params: ModelParams, xs,
                      check: bool = True) -> tuple[np.ndarray, ForwardCache]:
-    """Forward pass on a d0 x m batch; returns (values (m,), cache).
+    """Forward pass on a d0 x m batch; returns (values (m,) or (m, R), cache).
 
     ``check=False`` skips the finite-entry scan and the unit-ball warning, for
     callers that validated ``xs`` once up front.
@@ -185,12 +197,12 @@ def nn_forward_batch(arch: Architecture, params: ModelParams, xs,
     preacts, acts = [], []
     a = xs
     for l in range(arch.depth + 1):
-        h = params.weight(l) @ a / np.sqrt(dims[l]) + arch.beta * params.bias(l)[:, None]
+        h = params.weight(l) @ a / np.sqrt(dims[l]) + arch.beta * params.bias(l)[..., None]
         preacts.append(h)
         if l < arch.depth:
             a = act(h)
             acts.append(a)
-    return preacts[-1][0].copy(), ForwardCache(preacts, acts)
+    return preacts[-1][..., 0, :].T.copy(), ForwardCache(preacts, acts)
 
 
 def nn_forward(arch: Architecture, params: ModelParams, x) -> tuple[float, ForwardCache]:
@@ -200,53 +212,63 @@ def nn_forward(arch: Architecture, params: ModelParams, x) -> tuple[float, Forwa
     return float(values[0]), cache
 
 
-def nn_grad_batch(arch: Architecture, params: ModelParams, xs) -> np.ndarray:
-    """Exact reverse-mode Jacobian d f(x_j) / d theta, one column per input."""
+def nn_grad_batch(arch: Architecture, params: ModelParams, xs) -> tuple[np.ndarray, np.ndarray]:
+    """Outputs and exact reverse-mode Jacobian d f(x_j) / d theta from one
+    forward pass: (values, jac) with jac p x m, one column per input, or
+    R x p x m for a p x R parameter stack."""
     xs = as_matrix(xs, "inputs")
-    _, cache = nn_forward_batch(arch, params, xs)
+    values, cache = nn_forward_batch(arch, params, xs)
     _, act_prime = ACTIVATIONS[arch.activation]
     dims = arch.layer_dims
     m = xs.shape[1]
-    jac = np.empty((params.layout.size, m), dtype=np.float64)
+    lead = params.flat.shape[1:][::-1]
+    jac = np.empty(lead + (params.layout.size, m), dtype=np.float64)
     # alpha^{l+1} = d h^{L+1} / d h^{l+1}, started at the scalar output.
-    alpha = np.ones((1, m), dtype=np.float64)
+    alpha = np.ones(lead + (1, m), dtype=np.float64)
     for l in range(arch.depth, -1, -1):
         a_prev = xs if l == 0 else cache.acts[l - 1]
         shape = params.layout.weight_shapes[l]
         off_w, off_b = params.layout.weight_offsets[l], params.layout.bias_offsets[l]
-        dw = alpha[:, None, :] * a_prev[None, :, :] / np.sqrt(dims[l])
-        jac[off_w : off_w + shape[0] * shape[1], :] = dw.reshape(shape[0] * shape[1], m)
-        jac[off_b : off_b + shape[0], :] = arch.beta * alpha
+        dw = alpha[..., :, None, :] * a_prev[..., None, :, :] / np.sqrt(dims[l])
+        jac[..., off_w : off_w + shape[0] * shape[1], :] = dw.reshape(lead + (shape[0] * shape[1], m))
+        jac[..., off_b : off_b + shape[0], :] = arch.beta * alpha
         if l > 0:
-            alpha = act_prime(cache.preacts[l - 1]) * (params.weight(l).T @ alpha / np.sqrt(dims[l]))
-    return jac
+            alpha = act_prime(cache.preacts[l - 1]) * (
+                np.swapaxes(params.weight(l), -1, -2) @ alpha / np.sqrt(dims[l]))
+    return values, jac
 
 
 def nn_pullback(arch: Architecture, params: ModelParams, xs: np.ndarray, cache: ForwardCache,
                 v: np.ndarray) -> np.ndarray:
     """J @ v for the batch behind ``cache``, by backpropagating the output
-    cotangents v (m,) through that forward pass; J is never formed."""
+    cotangents v, (m,) or (m, R), through that forward pass; J is never
+    formed.  The result has the shape of ``params.flat``."""
     _, act_prime = ACTIVATIONS[arch.activation]
     dims = arch.layer_dims
     layout = params.layout
-    out = np.empty(layout.size, dtype=np.float64)
+    out = np.empty(params.flat.shape, dtype=np.float64)
+
+    def flat(block):  # (d_out, d_in) -> (d_out * d_in,); (R, d_out, d_in) -> (d_out * d_in, R)
+        return block.ravel() if block.ndim < 3 else block.reshape(block.shape[0], -1).T
+
     # alpha^{l+1} = v-weighted d h^{L+1} / d h^{l+1}, one column per input.
-    alpha = v[None, :]
+    alpha = v.T[..., None, :]
     for l in range(arch.depth, -1, -1):
         a_prev = xs if l == 0 else cache.acts[l - 1]
         shape = layout.weight_shapes[l]
         off_w, off_b = layout.weight_offsets[l], layout.bias_offsets[l]
-        out[off_w : off_w + shape[0] * shape[1]] = (alpha @ a_prev.T).ravel() / np.sqrt(dims[l])
-        out[off_b : off_b + shape[0]] = arch.beta * alpha.sum(axis=1)
+        out[off_w : off_w + shape[0] * shape[1]] = flat(alpha @ np.swapaxes(a_prev, -1, -2)) / np.sqrt(dims[l])
+        out[off_b : off_b + shape[0]] = arch.beta * alpha.sum(axis=-1).T
         if l > 0:
-            alpha = act_prime(cache.preacts[l - 1]) * (params.weight(l).T @ alpha / np.sqrt(dims[l]))
+            alpha = act_prime(cache.preacts[l - 1]) * (
+                np.swapaxes(params.weight(l), -1, -2) @ alpha / np.sqrt(dims[l]))
     return out
 
 
 def nn_grad(arch: Architecture, params: ModelParams, x) -> np.ndarray:
     """Gradient of the scalar output with respect to the flat parameters."""
     x = as_vector(x, "input")
-    return nn_grad_batch(arch, params, x[:, None])[:, 0]
+    return nn_grad_batch(arch, params, x[:, None])[1][:, 0]
 
 
 @dataclass
@@ -256,8 +278,10 @@ class LinearizedModel:
     f_lin(x; theta) = f0(x) + <theta - theta0, grad_theta f(x; theta0)>.
 
     The value and feature caches for the construction points are computed
-    once here and never mutated; queries at new points are computed on
-    demand without touching the caches.
+    once here, from one network pass, and never mutated; queries at new
+    points are computed on demand without touching the caches.  A p x R
+    stack of base points gives f0 as m x R and features as R x p x m; only
+    ``LinearizedNet`` reads such a stack.
     """
 
     arch: Architecture
@@ -268,9 +292,7 @@ class LinearizedModel:
 
     def __post_init__(self):
         self.points = as_matrix(self.points, "cache points")
-        values, _ = nn_forward_batch(self.arch, self.params0, self.points)
-        self.f0 = values
-        self.features = nn_grad_batch(self.arch, self.params0, self.points)
+        self.f0, self.features = nn_grad_batch(self.arch, self.params0, self.points)
 
     def features_at(self, x) -> np.ndarray:
         """Feature vector grad f(x; theta0); cached column if x is an index."""
@@ -304,7 +326,7 @@ def feature_matrix(lin: LinearizedModel, xs=None) -> np.ndarray:
     """Columns grad f(x_i; theta0); the cached matrix when xs is omitted."""
     if xs is None or xs is lin.points:
         return lin.features
-    return nn_grad_batch(lin.arch, lin.params0, xs)
+    return nn_grad_batch(lin.arch, lin.params0, xs)[1]
 
 
 def parse_model(text: str):
@@ -339,6 +361,10 @@ def parse_model(text: str):
 #
 # vjp is the training step's only model call.  It expects xs validated
 # already (train() checks the data once on entry), so it skips the checks.
+# vjp also takes a p x R stack of runs: outputs and cotangents are then
+# m x R, and the pullback returns p x R.  A model that keeps per-run state
+# (a stack of base points) also offers take(runs), the model for a subset of
+# its runs; the trainer calls it when runs stop.
 
 
 class LinearModel:
@@ -388,7 +414,7 @@ class WideNet:
         return values
 
     def jacobian(self, theta: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        return nn_grad_batch(self.arch, self._wrap(theta), xs)
+        return nn_grad_batch(self.arch, self._wrap(theta), xs)[1]
 
     def vjp(self, theta: np.ndarray, xs: np.ndarray):
         params = self._wrap(theta)
@@ -400,12 +426,15 @@ class LinearizedNet:
     """Trainer-facing adapter for the linearization of a WideNet at theta0.
 
     Training this model with any weight sequence is exactly linear-model
-    training over the frozen feature map.
+    training over the frozen feature map.  Built from a stacked
+    ``LinearizedModel`` it holds R base points, one per run, and then takes
+    p x R parameters only.
     """
 
     def __init__(self, lin: LinearizedModel):
         self.lin = lin
         self.theta0 = lin.params0.flat
+        self.f0, self.features = lin.f0, lin.features
 
     @property
     def n_params(self) -> int:
@@ -414,19 +443,32 @@ class LinearizedNet:
     def init_params(self, seed: int = 0) -> np.ndarray:
         return self.theta0.copy()
 
+    def take(self, runs) -> "LinearizedNet":
+        """The model for the given runs of a stack of base points."""
+        if self.theta0.ndim == 1:
+            return self
+        sub = copy.copy(self)
+        sub.theta0, sub.f0, sub.features = self.theta0[:, runs], self.f0[:, runs], self.features[runs]
+        return sub
+
     def _f0_and_features(self, xs):
         """Cached at the construction points, computed afresh elsewhere."""
         if xs is None or xs is self.lin.points:
-            return self.lin.f0, self.lin.features
-        f0, _ = nn_forward_batch(self.lin.arch, self.lin.params0, xs)
-        return f0, nn_grad_batch(self.lin.arch, self.lin.params0, xs)
+            return self.f0, self.features
+        return nn_grad_batch(self.lin.arch, ModelParams(self.theta0, self.lin.params0.layout), xs)
 
     def predict(self, theta: np.ndarray, xs: np.ndarray) -> np.ndarray:
         return self.vjp(theta, xs)[0]
 
     def jacobian(self, theta: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        return feature_matrix(self.lin, xs)
+        return self._f0_and_features(xs)[1]
 
     def vjp(self, theta: np.ndarray, xs: np.ndarray):
         f0, feats = self._f0_and_features(xs)
-        return f0 + feats.T @ (theta - self.theta0), lambda v: feats @ v
+        if feats.ndim == 3:  # one base point per run: feats is R x p x m
+            disp = (theta - self.theta0).T[:, :, None]
+            out = f0 + (np.swapaxes(feats, 1, 2) @ disp)[:, :, 0].T
+            return out, lambda v: (feats @ v.T[:, :, None])[:, :, 0].T
+        theta0 = self.theta0 if theta.ndim == 1 else self.theta0[:, None]
+        f0 = f0 if theta.ndim == 1 else f0[:, None]
+        return f0 + feats.T @ (theta - theta0), lambda v: feats @ v

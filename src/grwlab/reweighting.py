@@ -5,10 +5,16 @@ dynamic ones (exponentiated-gradient group weights, worst-alpha-fraction CVaR
 weights).  Every update returns weights on the probability simplex; the sum
 is renormalized after each step so that drift stays below 1e-12 even over
 10^7 epochs.
+
+A scheme's ``update`` takes the per-sample losses of one run (n,) or of a
+block of r runs (n x r, one column per run) and returns weights of the same
+shape, so runs that share a scheme share one call per step.  Schemes are
+values: two schemes with the same spec compare equal.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +29,7 @@ class GroupInfo:
 
     labels: np.ndarray
     sizes: np.ndarray = field(init=False)
+    mean_map: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         labels = np.asarray(self.labels, dtype=np.int64)
@@ -36,6 +43,11 @@ class GroupInfo:
             raise InvalidArgumentError("every group must be nonempty")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "sizes", sizes)
+        # n x K one-hot matrix scaled by 1/n_k: mean_map.T @ losses gives the
+        # group means of every run at once, mean_map @ g spreads group
+        # weights to samples as g_k / n_k.
+        onehot = labels[:, None] == np.arange(k)
+        object.__setattr__(self, "mean_map", onehot / sizes)
 
     @property
     def n(self) -> int:
@@ -57,10 +69,26 @@ def group_means(values, groups: GroupInfo) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WeightState:
-    """Simplex weights over samples, plus group weights for Group DRO runs."""
+    """Simplex weights over samples, plus group weights for Group DRO runs.
+
+    For a block of r runs, q is n x r and gdro_g is K x r.
+    """
 
     q: np.ndarray
     gdro_g: np.ndarray | None = None
+
+
+def repeat_state(state: WeightState, runs: int) -> WeightState:
+    """The joint state of ``runs`` runs that start at one run's state."""
+    g = state.gdro_g
+    return WeightState(q=np.repeat(state.q[:, None], runs, axis=1),
+                       gdro_g=None if g is None else np.repeat(g[:, None], runs, axis=1))
+
+
+def take_runs(state: WeightState, runs) -> WeightState:
+    """The joint state restricted to some of its runs (columns)."""
+    g = state.gdro_g
+    return WeightState(q=state.q[:, runs], gdro_g=None if g is None else g[:, runs])
 
 
 def _renormalized(q: np.ndarray) -> np.ndarray:
@@ -98,13 +126,14 @@ def _group_to_sample(g: np.ndarray, groups: GroupInfo) -> np.ndarray:
 
 def _gdro_core(g: np.ndarray, risks: np.ndarray, nu: float, groups: GroupInfo) -> tuple[np.ndarray, np.ndarray]:
     # Subtracting the largest exponent makes the update exactly invariant to
-    # adding a constant to all group risks.
+    # adding a constant to all group risks.  Columns are runs, and the
+    # reductions run down each column.
     logits = np.log(g) + nu * risks
-    logits -= logits.max()
+    logits -= np.maximum.reduce(logits)
     new_g = np.exp(logits)
-    new_g /= new_g.sum()
-    q = new_g[groups.labels] / groups.sizes[groups.labels]
-    q /= q.sum()
+    new_g /= np.add.reduce(new_g)
+    q = groups.mean_map @ new_g
+    q /= np.add.reduce(q)
     return q, new_g
 
 
@@ -140,12 +169,15 @@ def cvar_weights(per_sample_losses, alpha: float) -> WeightState:
 
 def _cvar_core(losses: np.ndarray, alpha: float) -> np.ndarray:
     n = losses.shape[0]
-    m = int(np.ceil(alpha * n))
-    # Stable sort on -losses keeps the original order among equal losses.
-    order = np.argsort(-losses, kind="stable")
-    q = np.zeros(n)
-    q[order[:m]] = 1.0 / m
-    return q / q.sum()
+    m = math.ceil(alpha * n)
+    # Stable sort on -losses keeps the original order among equal losses,
+    # column by column for a block of runs.
+    block = losses.reshape(n, -1)
+    order = np.argsort(-block, axis=0, kind="stable")
+    q = np.zeros(block.shape)
+    q[order[:m], np.arange(block.shape[1])] = 1.0 / m
+    q /= np.add.reduce(q)
+    return q.reshape(losses.shape)
 
 
 def check_assumption1(weight_history, window: int = 1000, tol: float = 1e-4):
@@ -199,7 +231,19 @@ def _sliding(op, hist: np.ndarray, window: int, fill: float) -> np.ndarray:
     return op(suffix[:count], prefix[window - 1 : window - 1 + count])
 
 
-class StaticScheme:
+class _Scheme:
+    """Schemes are immutable values named by their spec; equal specs are equal."""
+
+    name: str
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other.name == self.name
+
+    def __hash__(self):
+        return hash((type(self), self.name))
+
+
+class StaticScheme(_Scheme):
     """Weights fixed for the whole run (ERM or importance weighting)."""
 
     def __init__(self, name: str, kind: str):
@@ -215,7 +259,7 @@ class StaticScheme:
         return state
 
 
-class GroupDroScheme:
+class GroupDroScheme(_Scheme):
     """Exponentiated-gradient group weights recomputed from full-batch risks."""
 
     def __init__(self, nu: float):
@@ -228,17 +272,15 @@ class GroupDroScheme:
         return gdro_init(groups)
 
     def update(self, state: WeightState, per_sample_losses, groups: GroupInfo) -> WeightState:
-        # Hot path of the training loop: same arithmetic as
-        # gdro_step(group_means(...)) without the argument re-validation.
-        sums = np.bincount(groups.labels, weights=per_sample_losses, minlength=groups.n_groups)
-        risks = sums / groups.sizes
-        if not np.all(np.isfinite(risks)):
-            raise InvalidArgumentError("non-finite group risk")
+        # Hot path of the training loop: the update of gdro_step on the group
+        # means, without the argument checks.  The caller has checked that
+        # the risk, and so every group risk, is finite.
+        risks = groups.mean_map.T @ per_sample_losses
         q, new_g = _gdro_core(state.gdro_g, risks, self.nu, groups)
         return WeightState(q=q, gdro_g=new_g)
 
 
-class CvarScheme:
+class CvarScheme(_Scheme):
     """Uniform weight on the worst alpha-fraction of sample losses each epoch."""
 
     def __init__(self, alpha: float):

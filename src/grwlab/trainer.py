@@ -16,8 +16,15 @@ q * dloss from that pass.  J itself is never formed.  The data are validated
 once, when ``train`` is entered (finite inputs, the unit-ball warning, +-1
 labels for the classification losses); the step runs unchecked kernels.
 
-A single run is strictly sequential; independent runs share only immutable
-data and may execute concurrently.
+Runs go in lock step.  ``train`` takes one TrainConfig or a list of R of
+them that share the model, the data, the loss, eta, epochs and record_every;
+scheme, mu, stop_risk, seed, record_params, theta0, theta_ref and
+ref_direction may differ from run to run.  The parameters of the runs form
+one p x R array with a column per run, and losses and weights are n x R, so
+each step is one array program: one vjp, one loss evaluation and one
+``update`` call per distinct scheme.  A run that stops leaves the working
+set: its parameters, scheme state and trace no longer change while the
+others go on.  A single run is the R = 1 case of the same loop.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ import numpy as np
 from .errors import DivergedError, InvalidArgumentError
 from .linalg import as_matrix, as_vector, extreme_eigenvalues, gram
 from .losses import LossKind, loss_kernels, require_labels
-from .reweighting import GroupInfo, group_means
+from .reweighting import GroupInfo, group_means, repeat_state, take_runs
 
 _BALL_TOL = 1e-9
 
@@ -70,6 +77,9 @@ class TrainTrace:
     point theta0.  ``theta_gap_ref`` / ``cos_ref`` are filled only when a
     reference parameter vector / unit direction is supplied; the cosine is
     measured between theta/||theta|| and the reference direction.
+    ``stop_reason`` is "stop_risk" when the risk reached the config's
+    stop_risk, "epoch_budget" when the run made all its epochs and
+    "diverged" on a non-finite risk; ``epochs_run`` counts the updates made.
     """
 
     scheme: str
@@ -87,6 +97,8 @@ class TrainTrace:
     theta_snapshots: list[np.ndarray] = field(default_factory=list)
     config_hash: str = ""
     diverged: bool = False
+    stop_reason: str = ""
+    epochs_run: int = 0
 
     def __len__(self) -> int:
         return len(self.epochs)
@@ -102,82 +114,183 @@ def _check_ball(xs: np.ndarray) -> None:
         )
 
 
-def train(model, data, cfg: TrainConfig, theta0=None, theta_ref=None, ref_direction=None):
-    """Run full-batch reweighted GD; returns (final_params, trace).
+def _per_run(value, runs: int, name: str) -> list:
+    """One value per run: a list is taken as given, anything else is shared."""
+    if isinstance(value, (list, tuple)):
+        if len(value) != runs:
+            raise InvalidArgumentError(f"{len(value)} values of {name} for {runs} runs")
+        return list(value)
+    return [value] * runs
 
-    Stops early once the unweighted risk drops to cfg.stop_risk.  The final
-    epoch is always recorded.  A non-finite risk aborts the run by raising
-    DivergedError carrying the partial trace and last parameters.
+
+class _SchemeBlock:
+    """The runs that share one scheme: columns lo:hi of the working set."""
+
+    def __init__(self, scheme, lo: int, hi: int, groups: GroupInfo):
+        self.scheme, self.lo, self.hi = scheme, lo, hi
+        self.state = repeat_state(scheme.init_state(groups), hi - lo)
+
+    def update(self, q: np.ndarray, losses: np.ndarray, groups: GroupInfo) -> None:
+        """Advance the state on this block's columns of losses; write its q."""
+        state = self.scheme.update(self.state, losses[:, self.lo : self.hi], groups)
+        if state is not self.state:
+            self.state = state
+            q[:, self.lo : self.hi] = state.q
+
+    def keep(self, keep: np.ndarray) -> bool:
+        """Drop the columns of stopped runs; False when none are left."""
+        mine = keep[self.lo : self.hi]
+        if not mine.all():
+            self.state = take_runs(self.state, mine)
+        self.lo = int(keep[: self.lo].sum())
+        self.hi = self.lo + int(mine.sum())
+        return self.hi > self.lo
+
+
+def train(model, data, cfg, theta0=None, theta_ref=None, ref_direction=None):
+    """Run full-batch reweighted GD.
+
+    ``cfg`` is one TrainConfig, which gives (final_params, trace), or a list
+    of R configs, which gives a list of R (final_params, trace) pairs in
+    order, trained in lock step.  For a list, theta0, theta_ref and
+    ref_direction are each either one value shared by every run or a list
+    with one value per run; theta0 may also be a p x R array.  theta0=None
+    starts each run at model.init_params(seed).
+
+    Each run stops once its unweighted risk drops to its stop_risk, or after
+    epochs updates; its final epoch is always recorded.  A non-finite risk in
+    any run aborts the call by raising DivergedError carrying that run's
+    partial trace and last parameters.
     """
+    single = isinstance(cfg, TrainConfig)
+    cfgs = [cfg] if single else list(cfg)
+    runs = len(cfgs)
+    if runs < 1:
+        raise InvalidArgumentError("need at least one run")
+    head = cfgs[0]
+    shared = (head.eta, head.epochs, head.loss, head.record_every)
+    if any((c.eta, c.epochs, c.loss, c.record_every) != shared for c in cfgs[1:]):
+        raise InvalidArgumentError("runs trained together must share eta, epochs, loss and record_every")
+    if single:
+        theta0, theta_ref, ref_direction = [theta0], [theta_ref], [ref_direction]
+    elif isinstance(theta0, np.ndarray) and theta0.ndim == 2:
+        theta0 = list(theta0.T)
     xs = as_matrix(data.X, "data matrix")
     ys = as_vector(data.Y, "targets")
     if ys.shape[0] != xs.shape[1]:
         raise InvalidArgumentError(f"{ys.shape[0]} targets for {xs.shape[1]} data columns")
-    require_labels(cfg.loss, ys)
+    require_labels(head.loss, ys)
     groups: GroupInfo = data.groups
     _check_ball(xs)
-    value_fn, grad_fn = loss_kernels(cfg.loss)
-    theta = (model.init_params(cfg.seed) if theta0 is None else np.array(theta0, dtype=np.float64)).copy()
-    start = theta.copy()
-    state = cfg.scheme.init_state(groups)
-    trace = TrainTrace(scheme=getattr(cfg.scheme, "name", "?"), theta0=start, n_groups=groups.n_groups)
+    value_fn, grad_fn = loss_kernels(head.loss)
+    start = np.column_stack([
+        model.init_params(c.seed) if t0 is None else np.asarray(t0, dtype=np.float64)
+        for c, t0 in zip(cfgs, _per_run(theta0, runs, "theta0"))
+    ])
+    if start.shape[1] != runs:
+        raise InvalidArgumentError(f"starting parameters of shape {start.shape} for {runs} runs")
+    refs = _per_run(theta_ref, runs, "theta_ref")
+    directions = _per_run(ref_direction, runs, "ref_direction")
+    traces = [TrainTrace(scheme=getattr(c.scheme, "name", "?"), theta0=start[:, r].copy(),
+                         n_groups=groups.n_groups) for r, c in enumerate(cfgs)]
+    finals: list = [None] * runs
 
-    def record(t: int, risk: float, wrisk: float, losses: np.ndarray, q: np.ndarray) -> None:
+    # Working set: column j of every array below belongs to run ids[j].  The
+    # runs are ordered so that those sharing a scheme are adjacent.
+    members: dict = {}
+    for r, c in enumerate(cfgs):
+        members.setdefault(c.scheme, []).append(r)
+    ids = np.array([r for cols in members.values() for r in cols])
+    blocks, lo = [], 0
+    for scheme, cols in members.items():
+        blocks.append(_SchemeBlock(scheme, lo, lo + len(cols), groups))
+        lo += len(cols)
+    origin = start[:, ids]
+    theta = origin.copy()
+    mu = np.array([cfgs[r].mu for r in ids])
+    penalized = bool(mu.any())
+    # Per-run scalars that are read every step stay Python floats: with a
+    # handful of runs a list comparison costs less than a numpy call.
+    stop_risk = [cfgs[r].stop_risk for r in ids]
+    q = np.hstack([block.state.q for block in blocks])
+    ycol = ys[:, None]
+    active = model.take(ids) if hasattr(model, "take") else model
+    n, eta, epochs, record_every = groups.n, head.eta, head.epochs, head.record_every
+
+    def record(j: int, t: int, risk: float, losses: np.ndarray) -> None:
+        r = ids[j]
+        trace, th, qj, lj = traces[r], theta[:, j], q[:, j], losses[:, j]
         trace.epochs.append(t)
         trace.risk.append(risk)
-        trace.weighted_risk.append(wrisk)
         if math.isfinite(risk):
-            trace.group_risks.append(group_means(losses, groups))
+            trace.weighted_risk.append(float(qj @ lj))
+            trace.group_risks.append(group_means(lj, groups))
         else:
             # Diverged rows keep their non-finite values verbatim.
-            sums = np.bincount(groups.labels, weights=losses, minlength=groups.n_groups)
+            trace.weighted_risk.append(risk)
+            sums = np.bincount(groups.labels, weights=lj, minlength=groups.n_groups)
             trace.group_risks.append(sums / groups.sizes)
-        trace.q_group.append(np.bincount(groups.labels, weights=q, minlength=groups.n_groups))
-        trace.q_snapshots.append(q.copy())
-        disp = theta - start
-        trace.theta_norm.append(float(np.linalg.norm(disp)))
-        if theta_ref is not None:
-            trace.theta_gap_ref.append(float(np.linalg.norm(theta - theta_ref)))
-        else:
-            trace.theta_gap_ref.append(float("nan"))
-        if ref_direction is not None:
-            norm = float(np.linalg.norm(theta))
-            trace.cos_ref.append(float(theta @ ref_direction) / norm if norm > 0 else float("nan"))
+        trace.q_group.append(np.bincount(groups.labels, weights=qj, minlength=groups.n_groups))
+        trace.q_snapshots.append(qj.copy())
+        trace.theta_norm.append(float(np.linalg.norm(th - origin[:, j])))
+        ref, direction = refs[r], directions[r]
+        trace.theta_gap_ref.append(float(np.linalg.norm(th - ref)) if ref is not None else float("nan"))
+        if direction is not None:
+            norm = float(np.linalg.norm(th))
+            trace.cos_ref.append(float(th @ direction) / norm if norm > 0 else float("nan"))
         else:
             trace.cos_ref.append(float("nan"))
-        if cfg.record_params:
-            trace.theta_snapshots.append(theta.copy())
+        if cfgs[r].record_params:
+            trace.theta_snapshots.append(th.copy())
 
-    last_recorded = -1
     t = 0
     # Overflow on the way to divergence is expected; it is detected on the
     # risk and reported through DivergedError rather than as warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
-            yhat, pullback = model.vjp(theta, xs)
-            losses = value_fn(yhat, ys)
-            risk = float(losses.mean())
-            finite = math.isfinite(risk)
-            if finite:
-                state = cfg.scheme.update(state, losses, groups)
-            q = state.q
-            wrisk = float(q @ losses) if finite else risk
-            stop = (not finite) or risk <= cfg.stop_risk or t >= cfg.epochs
-            if t % cfg.record_every == 0 or stop:
-                if t != last_recorded:
-                    record(t, risk, wrisk, losses, q)
-                    last_recorded = t
-            if stop:
-                if not finite:
-                    trace.diverged = True
-                    raise DivergedError(f"non-finite risk at epoch {t}", trace=trace, params=theta)
-                break
-            step = pullback(q * grad_fn(yhat, ys))
-            if cfg.mu > 0:
-                step = step + cfg.mu * (theta - start)
-            theta = theta - cfg.eta * step
+            yhat, pullback = active.vjp(theta, xs)
+            losses = value_fn(yhat, ycol)
+            risks = (np.add.reduce(losses) / n).tolist()
+            if not all(map(math.isfinite, risks)):
+                j = next(j for j, risk in enumerate(risks) if not math.isfinite(risk))
+                record(j, t, risks[j], losses)
+                trace = traces[ids[j]]
+                trace.diverged, trace.stop_reason, trace.epochs_run = True, "diverged", t
+                raise DivergedError(f"run {ids[j]}: non-finite risk at epoch {t}",
+                                    trace=trace, params=theta[:, j].copy())
+            for block in blocks:
+                block.update(q, losses, groups)
+            reached = [risk <= stop for risk, stop in zip(risks, stop_risk)]
+            done = [True] * len(risks) if t >= epochs else reached
+            stopping = any(done)
+            recording = t % record_every == 0
+            if recording or stopping:
+                for j, risk in enumerate(risks):
+                    if recording or done[j]:
+                        record(j, t, risk, losses)
+            if stopping:
+                for j in np.flatnonzero(done):
+                    r = ids[j]
+                    finals[r] = theta[:, j].copy()
+                    traces[r].stop_reason = "stop_risk" if reached[j] else "epoch_budget"
+                    traces[r].epochs_run = t
+                if all(done):
+                    break
+            step = pullback(q * grad_fn(yhat, ycol))
+            if stopping:
+                keep = ~np.array(done)
+                blocks = [b for b in blocks if b.keep(keep)]
+                ids, theta, origin, step = ids[keep], theta[:, keep], origin[:, keep], step[:, keep]
+                q, mu = q[:, keep], mu[keep]
+                penalized = bool(mu.any())
+                stop_risk = [stop for stop, d in zip(stop_risk, done) if not d]
+                active = model.take(ids) if hasattr(model, "take") else model
+            if penalized:
+                step = step + mu * (theta - origin)
+            theta = theta - eta * step
             t += 1
-    return theta, trace
+    pairs = list(zip(finals, traces))
+    return pairs[0] if single else pairs
 
 
 def safe_learning_rate(x_or_features, q_star: float) -> float:

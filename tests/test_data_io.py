@@ -215,6 +215,7 @@ def test_export_trace_json_mirror(tmp_path):
     assert doc["columns"] == trace_columns(2)
     assert doc["data"]["epoch"] == trace.epochs
     assert doc["data"]["risk"] == trace.risk
+    assert (doc["stop_reason"], doc["epochs_run"]) == ("epoch_budget", 7)
 
 
 def test_export_empty_trace_header_only(tmp_path):

@@ -66,6 +66,29 @@ def test_parse_config_file(tmp_path):
         parse_config_file(unknown)
 
 
+def test_retired_jobs_key_is_ignored_with_a_warning(tmp_path):
+    path = tmp_path / "c.cfg"
+    path.write_text("experiment = fig1\njobs = 4\nepochs = 7\n")
+    with pytest.warns(DeprecationWarning, match="jobs"):
+        cfg = parse_config_file(path)
+    assert cfg.epochs == 7
+    assert not hasattr(cfg, "jobs")
+    assert cfg == make_config("fig1", epochs=7)
+
+
+def test_make_config_rejects_jobs_like_any_unknown_field():
+    with pytest.raises(TypeError, match="jobs"):
+        make_config("fig1", jobs=2)
+    with pytest.raises(TypeError, match="not_a_key"):
+        make_config("fig1", not_a_key=2)
+
+
+def test_cli_has_no_jobs_option(capsys):
+    with pytest.raises(SystemExit):
+        main(["fig1", "--jobs", "2"])
+    assert "unrecognized arguments: --jobs" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("text,expected", [
     ("1", True), ("0", False), ("true", True), ("false", False), ("yes", True),
     ("no", False), ("on", True), ("off", False), ("TRUE", True), ("No", False), ("oN", True),
@@ -155,16 +178,24 @@ def test_fig1_artifacts_and_determinism(tmp_path):
                (tmp_path / "b" / "fig1" / name).read_bytes()
 
 
-def test_fig1_runs_concurrently_same_results(tmp_path):
-    base = make_config("fig1", synthetic=True, out=str(tmp_path / "s"),
-                       epochs=3000, record_every=500)
-    run_fig1(base)
-    threaded = make_config("fig1", synthetic=True, out=str(tmp_path / "t"),
-                           epochs=3000, record_every=500, jobs=3)
-    run_fig1(threaded)
-    a = (tmp_path / "s" / "fig1" / "iw_trace.csv").read_bytes()
-    b = (tmp_path / "t" / "fig1" / "iw_trace.csv").read_bytes()
-    assert a == b
+def test_fig1_batched_traces_match_sequential_runs(tmp_path):
+    # fig1 trains its schemes as one lock-step batch; each trace file must
+    # match a fig1 run of that scheme alone.
+    from grwlab.data_io import read_trace_csv
+
+    schemes = ("erm", "iw", "gdro:0.001")
+    run_fig1(make_config("fig1", synthetic=True, out=str(tmp_path / "batch"),
+                         epochs=3000, record_every=500, schemes=schemes))
+    for scheme in schemes:
+        run_fig1(make_config("fig1", synthetic=True, out=str(tmp_path / scheme),
+                             epochs=3000, record_every=500, schemes=(scheme,)))
+        name = f"{scheme.replace(':', '-')}_trace.csv"
+        batched = read_trace_csv(tmp_path / "batch" / "fig1" / name)
+        alone = read_trace_csv(tmp_path / scheme / "fig1" / name)
+        assert batched.keys() == alone.keys()
+        for column, values in alone.items():
+            np.testing.assert_allclose(batched[column], values, rtol=1e-12, atol=1e-15,
+                                       err_msg=f"{scheme}: {column}")
 
 
 def test_fig2_ridge_oracle_assertions(tmp_path):
@@ -275,12 +306,32 @@ def test_paired_training_one_forward_pass_per_epoch_and_matches_two_pass_loop(mo
     for epochs in (20, 40):
         calls.clear()
         got = _train_pair_shared_weights(arch, theta0, data, ps("gdro:0.1"), 0.25, epochs, 0.0, pts)
-        # One pass per epoch (epochs + 1 evaluations), plus the two made
+        # One pass per epoch (epochs + 1 evaluations), plus the one made
         # once to linearize at the training and test points.
-        assert len(calls) == epochs + 1 + 2
+        assert len(calls) == epochs + 1 + 1
     assert ref[0] > 1e-6  # the gap is not trivially zero
     assert got[0] == pytest.approx(ref[0], rel=1e-10)
     assert got[1] == pytest.approx(ref[1], rel=1e-10)
+
+
+def test_paired_training_batched_seeds_match_each_seed_alone():
+    from grwlab.experiments import _train_pair_shared_weights
+    from grwlab.models import nn_init
+    from grwlab.reweighting import parse_scheme as ps
+
+    arch, _, data, pts = _paired_inputs()
+    starts = np.column_stack([nn_init(arch, s).flat for s in (0, 1, 2)])
+    # The first seed reaches this risk at epoch 30, the others between epochs
+    # 30 and 45, so the batch drops its seeds one by one.
+    stop = _train_pair_shared_weights(arch, starts[:, 0], data, ps("gdro:0.1"), 0.25, 30, 0.0, pts)[1]
+    gaps, final = _train_pair_shared_weights(arch, starts, data, ps("gdro:0.1"), 0.25, 60, stop, pts)
+    assert gaps.shape == final.shape == (3,)
+    for s in range(3):
+        gap, risk = _train_pair_shared_weights(arch, starts[:, s], data, ps("gdro:0.1"), 0.25, 60,
+                                               stop, pts)
+        assert gaps[s] == pytest.approx(gap, rel=1e-12)
+        assert final[s] == pytest.approx(risk, rel=1e-12)
+    assert np.all(final <= stop)
 
 
 def test_feature_gram_equals_empirical_kernel():

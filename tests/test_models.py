@@ -243,7 +243,9 @@ def test_wide_net_adapter_consistency():
     vals = net.predict(theta, xs)
     ref, _ = nn_forward_batch(arch, ModelParams(theta, net.layout), xs)
     assert np.array_equal(vals, ref)
-    assert np.array_equal(net.jacobian(theta, xs), nn_grad_batch(arch, ModelParams(theta, net.layout), xs))
+    grad_vals, jac = nn_grad_batch(arch, ModelParams(theta, net.layout), xs)
+    assert np.array_equal(grad_vals, ref)
+    assert np.array_equal(net.jacobian(theta, xs), jac)
 
 
 def _vjp_cases():
@@ -290,3 +292,77 @@ def test_widenet_vjp_is_one_forward_pass(monkeypatch):
     _, pullback = net.vjp(net.init_params(1), xs)
     pullback(np.ones(4))
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("activation", ["erf", "tanh"])
+@pytest.mark.parametrize("depth", [1, 2])
+def test_stacked_runs_match_each_run_alone(activation, depth):
+    # A p x R stack goes through batched matmuls; every column must equal
+    # the 1-D computation for that run.
+    arch = Architecture(3, (12,) * depth, beta=0.3, activation=activation)
+    net = WideNet(arch)
+    rng = np.random.default_rng(depth)
+    thetas = np.column_stack([net.init_params(s) + 0.3 * rng.standard_normal(net.n_params)
+                              for s in range(4)])
+    xs = rng.standard_normal((3, 5))
+    xs /= 1.1 * np.linalg.norm(xs, axis=0).max()
+    v = rng.standard_normal((5, 4))
+    values, pullback = net.vjp(thetas, xs)
+    steps = pullback(v)
+    grad_vals, jacs = nn_grad_batch(arch, ModelParams(thetas, net.layout), xs)
+    assert values.shape == grad_vals.shape == (5, 4)
+    assert steps.shape == thetas.shape
+    assert jacs.shape == (4, net.n_params, 5)
+    for r in range(4):
+        one, one_pullback = net.vjp(thetas[:, r], xs)
+        np.testing.assert_allclose(values[:, r], one, rtol=1e-13, atol=1e-14)
+        np.testing.assert_allclose(grad_vals[:, r], one, rtol=1e-13, atol=1e-14)
+        scale = max(1.0, float(np.abs(steps[:, r]).max()))
+        np.testing.assert_allclose(steps[:, r], one_pullback(v[:, r]), rtol=0, atol=1e-13 * scale)
+        np.testing.assert_allclose(jacs[r], net.jacobian(thetas[:, r], xs), rtol=0, atol=1e-13)
+
+
+def test_linearized_net_stack_of_base_points():
+    arch = Architecture(3, (10,), beta=0.2)
+    layout = layout_for(arch)
+    rng = np.random.default_rng(12)
+    xs = rng.standard_normal((3, 4))
+    xs /= 1.2 * np.linalg.norm(xs, axis=0).max()
+    bases = np.column_stack([nn_init(arch, s).flat for s in (3, 4, 5)])
+    stacked = LinearizedNet(linearize(arch, ModelParams(bases, layout), xs))
+    np.testing.assert_array_equal(stacked.init_params(), bases)
+    thetas = bases + 0.2 * rng.standard_normal(bases.shape)
+    v = rng.standard_normal((4, 3))
+    for points in (xs, xs[:, :2].copy()):
+        values, pullback = stacked.vjp(thetas, points)
+        steps = pullback(v[: points.shape[1]])
+        for r in range(3):
+            one = LinearizedNet(linearize(arch, ModelParams(bases[:, r].copy(), layout), xs))
+            ref, ref_pullback = one.vjp(thetas[:, r], points)
+            np.testing.assert_allclose(values[:, r], ref, rtol=1e-13, atol=1e-14)
+            np.testing.assert_allclose(steps[:, r], ref_pullback(v[: points.shape[1], r]),
+                                       rtol=1e-13, atol=1e-14)
+    # A subset of the runs keeps its own base points.
+    sub = stacked.take(np.array([2, 0]))
+    values, _ = sub.vjp(thetas[:, [2, 0]], xs)
+    full, _ = stacked.vjp(thetas, xs)
+    np.testing.assert_allclose(values, full[:, [2, 0]], rtol=1e-13, atol=1e-14)
+    # One base point shared by every run of a stack.
+    shared = LinearizedNet(linearize(arch, ModelParams(bases[:, 0].copy(), layout), xs))
+    values, _ = shared.vjp(thetas, xs)
+    for r in range(3):
+        np.testing.assert_allclose(values[:, r], shared.predict(thetas[:, r], xs), rtol=1e-13, atol=1e-14)
+
+
+def test_linearize_makes_one_network_pass(monkeypatch):
+    import grwlab.models as models
+
+    calls = []
+    original = models.nn_forward_batch
+    monkeypatch.setattr(models, "nn_forward_batch", lambda *a, **k: calls.append(1) or original(*a, **k))
+    arch = Architecture(3, (8,), beta=0.3)
+    xs = np.random.default_rng(1).standard_normal((3, 4)) / 4.0
+    lin = linearize(arch, nn_init(arch, 2), xs)
+    assert len(calls) == 1
+    values, _ = original(arch, nn_init(arch, 2), xs)
+    np.testing.assert_array_equal(lin.f0, values)

@@ -244,3 +244,56 @@ def test_check_assumption1_matches_window_by_window_scan():
         q_star = max(float(hist[-window:].mean(axis=0).min()), 0.0)
         assert check_assumption1(hist, window=window, tol=tol) == (
             bool(settled[-1]) and q_star > 0.0, q_star, t_eps)
+
+
+def test_scheme_updates_on_a_block_of_runs_match_each_run():
+    groups = GroupInfo([0, 0, 1, 1, 1, 2])
+    rng = np.random.default_rng(9)
+    losses = rng.random((6, 4))
+    for scheme in (StaticScheme("erm", "erm"), StaticScheme("iw", "iw"), GroupDroScheme(0.7),
+                   CvarScheme(0.5)):
+        one = scheme.init_state(groups)
+        if one.gdro_g is not None:
+            one = WeightState(q=one.q, gdro_g=rng.dirichlet(np.ones(3)))
+        block = scheme.update(WeightState(q=np.repeat(one.q[:, None], 4, axis=1),
+                                          gdro_g=None if one.gdro_g is None
+                                          else np.repeat(one.gdro_g[:, None], 4, axis=1)),
+                              losses, groups)
+        assert block.q.shape == (6, 4)
+        for r in range(4):
+            alone = scheme.update(one, losses[:, r], groups)
+            np.testing.assert_allclose(block.q[:, r], alone.q, rtol=1e-15, atol=1e-16)
+            if alone.gdro_g is not None:
+                np.testing.assert_allclose(block.gdro_g[:, r], alone.gdro_g, rtol=1e-15, atol=1e-16)
+
+
+def test_cvar_block_breaks_ties_toward_lowest_index_in_every_column():
+    # Column 0 ties samples 1 and 3 at the cutoff, column 1 ties 0 and 2,
+    # column 2 is all ties.
+    losses = np.array([[0.1, 2.0, 1.0],
+                       [2.0, 0.5, 1.0],
+                       [0.3, 2.0, 1.0],
+                       [2.0, 0.5, 1.0]])
+    q = CvarScheme(0.25).update(erm_weights(4), losses, GroupInfo([0, 0, 1, 1])).q
+    np.testing.assert_array_equal(q, [[0.0, 1.0, 1.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    for r in range(3):
+        np.testing.assert_array_equal(q[:, r], cvar_weights(losses[:, r], 0.25).q)
+    # Many ties in long columns, against the rule spelled out: the m largest
+    # losses, lower index first among equal ones.
+    rng = np.random.default_rng(4)
+    losses = rng.integers(0, 3, size=(60, 5)).astype(float)
+    q = CvarScheme(0.3).update(erm_weights(60), losses, GroupInfo([0] * 60)).q
+    m = int(np.ceil(0.3 * 60))
+    for r in range(5):
+        chosen = sorted(range(60), key=lambda i: (-losses[i, r], i))[:m]
+        expected = np.zeros(60)
+        expected[chosen] = 1.0 / m
+        np.testing.assert_allclose(q[:, r], expected, rtol=1e-15, atol=0)
+
+
+def test_schemes_are_values():
+    assert parse_scheme("gdro:0.1") == parse_scheme("gdro:0.1")
+    assert hash(parse_scheme("cvar:0.5")) == hash(CvarScheme(0.5))
+    assert parse_scheme("erm") != parse_scheme("iw")
+    assert parse_scheme("gdro:0.1") != parse_scheme("gdro:0.2")
+    assert len({parse_scheme(s) for s in ("erm", "erm", "iw", "gdro:0.1", "gdro:0.1")}) == 3

@@ -243,3 +243,157 @@ def test_out_of_ball_data_warns_once_per_run(kind):
         _, trace = train(model, data, _cfg(eta=0.01, epochs=20, stop_risk=0.0))
     assert trace.epochs[-1] == 20
     assert [w.category for w in caught] == [UserWarning]
+
+
+# ---------------------------------------------------------------------------
+# lock-step batches: every column of a batch is its own run
+
+
+def _assert_same_run(batched, alone, rel=1e-12):
+    (fb, tb), (fa, ta) = batched, alone
+    assert tb.scheme == ta.scheme
+    assert tb.epochs == ta.epochs
+    assert (tb.stop_reason, tb.epochs_run) == (ta.stop_reason, ta.epochs_run)
+    np.testing.assert_allclose(tb.risk, ta.risk, rtol=rel, atol=rel)
+    np.testing.assert_allclose(tb.weighted_risk, ta.weighted_risk, rtol=rel, atol=rel)
+    np.testing.assert_allclose(np.array(tb.q_snapshots), np.array(ta.q_snapshots), rtol=rel, atol=rel)
+    np.testing.assert_allclose(tb.theta_norm, ta.theta_norm, rtol=rel, atol=rel)
+    np.testing.assert_array_equal(tb.theta0, ta.theta0)
+    scale = max(1.0, float(np.abs(fa).max()))
+    np.testing.assert_allclose(fb, fa, rtol=rel, atol=rel * scale)
+    assert len(tb.theta_snapshots) == len(ta.theta_snapshots)
+    for sb, sa in zip(tb.theta_snapshots, ta.theta_snapshots):
+        np.testing.assert_allclose(sb, sa, rtol=rel, atol=rel * max(1.0, float(np.abs(sa).max())))
+
+
+def _solo_runs(model, data, cfgs, starts, **refs):
+    return [train(model, data, c, theta0=s, **refs) for c, s in zip(cfgs, starts)]
+
+
+@pytest.mark.parametrize("loss_name", ["squared", "logistic", "polytailed"])
+def test_linear_batch_matches_solo_runs_for_every_scheme(loss_name):
+    from grwlab.losses import PolyTailed
+
+    loss = {"squared": Squared(), "logistic": Logistic(), "polytailed": PolyTailed(1.0, 0.0)}[loss_name]
+    data = _small_blobs(classification=loss_name != "squared")
+    specs = ("erm", "iw", "gdro:0.05", "cvar:0.5", "gdro:0.05", "erm")
+    mus = (0.0, 0.0, 0.0, 0.0, 0.01, 0.3)
+    rng = np.random.default_rng(5)
+    starts = [0.05 * rng.standard_normal(data.dim) for _ in specs]
+    cfgs = [_cfg(eta=0.3, epochs=400, loss=loss, scheme=parse_scheme(s), mu=mu, stop_risk=0.0,
+                 record_every=37, record_params=True) for s, mu in zip(specs, mus)]
+    model = LinearModel(data.dim)
+    ref = np.full(data.dim, 0.1)
+    batch = train(model, data, cfgs, theta0=starts, theta_ref=ref, ref_direction=ref / np.linalg.norm(ref))
+    alone = _solo_runs(model, data, cfgs, starts, theta_ref=ref, ref_direction=ref / np.linalg.norm(ref))
+    assert len(batch) == len(specs)
+    for b, a in zip(batch, alone):
+        _assert_same_run(b, a)
+        np.testing.assert_allclose(b[1].theta_gap_ref, a[1].theta_gap_ref, rtol=1e-12)
+        np.testing.assert_allclose(b[1].cos_ref, a[1].cos_ref, rtol=1e-12, atol=1e-15)
+
+
+def _net_cases():
+    from grwlab.models import Architecture, LinearizedNet, ModelParams, WideNet, linearize
+
+    for activation in ("erf", "tanh"):
+        for depth in (1, 2):
+            arch = Architecture(3, (16,) * depth, beta=0.3, activation=activation)
+            yield f"widenet-{activation}-{depth}", arch, WideNet, None
+            yield f"linearized-{activation}-{depth}", arch, LinearizedNet, (ModelParams, linearize)
+
+
+@pytest.mark.parametrize("case", list(_net_cases()), ids=lambda c: c[0])
+def test_network_batch_matches_solo_runs(case):
+    from grwlab.models import WideNet
+
+    name, arch, kind, lin_parts = case
+    data = _small_blobs(sizes=(3, 2), d=3)
+    net = WideNet(arch)
+    rng = np.random.default_rng(8)
+    starts = [net.init_params(s) + 0.1 * rng.standard_normal(net.n_params) for s in (1, 2, 3)]
+    if kind is WideNet:
+        batch_model, solo_models = net, [net] * 3
+    else:
+        model_params, linearize = lin_parts
+        batch_model = kind(linearize(arch, model_params(np.column_stack(starts), net.layout), data.X))
+        solo_models = [kind(linearize(arch, model_params(s, net.layout), data.X)) for s in starts]
+    specs = ("gdro:0.1", "erm", "gdro:0.1")
+    # The first run stops early, at the risk it reaches at epoch 28 alone.
+    probe = _cfg(eta=0.2, epochs=60, scheme=parse_scheme(specs[0]), stop_risk=0.0, record_every=7)
+    stop = train(solo_models[0], data, probe, theta0=starts[0])[1].risk[4]
+    cfgs = [_cfg(eta=0.2, epochs=60, scheme=parse_scheme(s), mu=mu, stop_risk=sr, record_every=7,
+                 record_params=True) for s, mu, sr in zip(specs, (0.0, 0.0, 0.05), (stop, 0.0, 0.0))]
+    batch = train(batch_model, data, cfgs, theta0=np.column_stack(starts))
+    alone = [train(m, data, c, theta0=s) for m, c, s in zip(solo_models, cfgs, starts)]
+    for b, a in zip(batch, alone):
+        _assert_same_run(b, a, rel=1e-11)
+    assert [t.stop_reason for _, t in batch] == ["stop_risk", "epoch_budget", "epoch_budget"]
+    assert 0 < batch[0][1].epochs_run <= 28  # the risk need not fall monotonically
+
+
+def test_stop_mask_freezes_a_run_while_the_others_go_on():
+    from grwlab.experiments import _WeightLogger
+
+    data = _small_blobs()
+    model = LinearModel(data.dim)
+
+    def cfgs():
+        # The first run stops at risk 1e-3 (epoch 81), the third at 1e-8
+        # (epoch 410), the second runs its whole budget.
+        return [_cfg(eta=0.5, epochs=1000, scheme=_WeightLogger(parse_scheme("gdro:0.01")),
+                     stop_risk=stop, record_every=250) for stop in (1e-3, 0.0, 1e-8)]
+
+    batch_cfgs, solo_cfgs = cfgs(), cfgs()
+    batch = train(model, data, batch_cfgs, theta0=np.zeros(data.dim))
+    alone = [train(model, data, c, theta0=np.zeros(data.dim)) for c in solo_cfgs]
+    for b, a in zip(batch, alone):
+        _assert_same_run(b, a)
+    assert [t.stop_reason for _, t in batch] == ["stop_risk", "epoch_budget", "stop_risk"]
+    assert 0 < batch[0][1].epochs_run < batch[2][1].epochs_run < batch[1][1].epochs_run == 1000
+    assert all(t.epochs[-1] == t.epochs_run for _, t in batch)
+    # Each logger saw exactly the updates of its own run, one per epoch
+    # including the last, and the stopped run's tail stopped there.
+    for cb, ca, (_, trace) in zip(batch_cfgs, solo_cfgs, batch):
+        assert cb.scheme.updates == ca.scheme.updates == trace.epochs_run + 1
+        tail_b = np.stack(cb.scheme.q_tail)[:, :, 0]
+        np.testing.assert_allclose(tail_b, np.stack(ca.scheme.q_tail)[:, :, 0], rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(tail_b[-1], trace.q_snapshots[-1], rtol=0, atol=0)
+
+
+def test_diverging_column_raises_with_its_own_trace():
+    data = _small_blobs()
+    model = LinearModel(data.dim)
+    # eta * mu = 500: the penalty step overshoots and the third run blows up.
+    cfgs = [_cfg(eta=0.5, epochs=500, scheme=parse_scheme(s), mu=mu, stop_risk=0.0, record_every=3)
+            for s, mu in (("erm", 0.0), ("gdro:0.01", 0.0), ("cvar:0.5", 1e3))]
+    with pytest.raises(DivergedError) as batch_err:
+        train(model, data, cfgs, theta0=np.zeros(data.dim))
+    with pytest.raises(DivergedError) as solo_err:
+        train(model, data, cfgs[2], theta0=np.zeros(data.dim))
+    got, want = batch_err.value, solo_err.value
+    assert "run 2" in str(got)
+    assert got.trace.scheme == "cvar:0.5"
+    assert got.trace.diverged and got.trace.stop_reason == "diverged"
+    assert got.trace.epochs == want.trace.epochs
+    assert got.trace.epochs_run == want.trace.epochs_run == want.trace.epochs[-1]
+    assert not np.isfinite(got.trace.risk[-1])
+    np.testing.assert_allclose(got.trace.risk[:-1], want.trace.risk[:-1], rtol=1e-12)
+    assert got.params.shape == (data.dim,)
+
+
+def test_single_run_records_stop_reason_and_epochs():
+    data = _one_sample_data()
+    _, early = train(LinearModel(2), data, _cfg(epochs=10_000, stop_risk=1e-6), theta0=np.zeros(2))
+    assert early.stop_reason == "stop_risk"
+    assert early.epochs_run == early.epochs[-1] < 10_000
+    _, full = train(LinearModel(2), data, _cfg(epochs=5, stop_risk=0.0), theta0=np.zeros(2))
+    assert (full.stop_reason, full.epochs_run) == ("epoch_budget", 5)
+
+
+def test_batch_rejects_mismatched_shared_settings():
+    data = _one_sample_data()
+    with pytest.raises(InvalidArgumentError, match="share"):
+        train(LinearModel(2), data, [_cfg(eta=0.5), _cfg(eta=0.25)], theta0=np.zeros(2))
+    with pytest.raises(InvalidArgumentError, match="theta0"):
+        train(LinearModel(2), data, [_cfg(), _cfg()], theta0=[np.zeros(2)])
