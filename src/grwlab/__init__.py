@@ -31,13 +31,11 @@ from .errors import (
 from .losses import Logistic, PolyTailed, Squared, loss_grad, loss_value, parse_loss
 from .models import (
     Architecture,
-    LinearizedModel,
+    LinearizedNet,
     LinearModel,
     ModelParams,
     WideNet,
-    feature_matrix,
     linearize,
-    linearized_forward,
     nn_forward,
     nn_grad,
     nn_init,

@@ -11,6 +11,16 @@ class InvalidArgumentError(GrwLabError, ValueError):
     """An argument violates a documented precondition."""
 
 
+def parse_number(text: str, convert, what: str):
+    """convert(text) for convert int or float; text that does not parse
+    raises InvalidArgumentError naming ``what``."""
+    try:
+        return convert(text)
+    except ValueError:
+        raise InvalidArgumentError(
+            f"{what}: {text.strip()!r} is not a valid {convert.__name__}") from None
+
+
 class RankDeficientError(GrwLabError):
     """Columns that must be linearly independent are not (within tolerance)."""
 

@@ -35,11 +35,10 @@ from .data_io import (
     paper_subset,
     synth_groups,
 )
-from .errors import DivergedError, InvalidArgumentError, UnsupportedError
+from .errors import DivergedError, InvalidArgumentError, UnsupportedError, parse_number
 from .losses import Logistic, PolyTailed, Squared, loss_grad, loss_name, loss_value, parse_loss
 from .models import (
     Architecture,
-    LinearizedNet,
     LinearModel,
     ModelParams,
     WideNet,
@@ -110,6 +109,8 @@ class ExperimentConfig:
             )
         if not self.schemes:
             raise InvalidArgumentError("need at least one scheme")
+        if self.eta != "auto":
+            parse_number(self.eta, float, "config key 'eta'")
 
 
 _DEFAULTS = {
@@ -144,8 +145,9 @@ def _coerce(key: str, value: str):
     value = value.strip()
     if key in ("schemes",):
         return tuple(v.strip() for v in value.split(",") if v.strip())
+    what = f"config key {key!r}"
     if key in _TUPLE_INT:
-        return tuple(int(v) for v in value.split(",") if v.strip())
+        return tuple(parse_number(v, int, what) for v in value.split(",") if v.strip())
     if key in _BOOLS:
         if value.lower() not in _BOOL_TEXT:
             raise InvalidArgumentError(
@@ -156,12 +158,8 @@ def _coerce(key: str, value: str):
     field_types = ExperimentConfig.__dataclass_fields__
     if key not in field_types:
         raise InvalidArgumentError(f"unknown config key {key!r}")
-    typ = field_types[key].type
-    if typ == "int":
-        return int(value)
-    if typ == "float":
-        return float(value)
-    return value
+    convert = {"int": int, "float": float}.get(field_types[key].type)
+    return value if convert is None else parse_number(value, convert, what)
 
 
 def parse_config_file(path, experiment: str | None = None, **overrides) -> ExperimentConfig:
@@ -836,7 +834,7 @@ def _train_pair_shared_weights(arch, theta0, data, scheme, eta, epochs, stop_ris
     n = data.n
     start = np.array(theta0, dtype=np.float64).reshape(net.n_params, -1)
     points = linalg.as_matrix(np.hstack([data.X, test_points]), "training and test points")
-    lin = all_lin = LinearizedNet(linearize(arch, ModelParams(start, net.layout), points))
+    lin = all_lin = linearize(arch, ModelParams(start, net.layout), points)
     theta_nn, theta_lin = start.copy(), start.copy()
     state = repeat_state(scheme.init_state(data.groups), start.shape[1])
     loss, y = Squared(), data.Y[:, None]

@@ -14,7 +14,7 @@ from typing import Union
 import numpy as np
 from scipy.special import expit
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, parse_number
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,9 @@ def parse_loss(text: str) -> LossKind:
     if parts[0] == "logistic" and len(parts) == 1:
         return Logistic()
     if parts[0] == "polytailed" and len(parts) == 3:
-        return PolyTailed(alpha=float(parts[1]), beta=float(parts[2]))
+        what = f"loss spec {text!r}"
+        alpha, beta = (parse_number(v, float, what) for v in parts[1:])
+        return PolyTailed(alpha=alpha, beta=beta)
     raise InvalidArgumentError(f"unknown loss spec: {text!r}")
 
 

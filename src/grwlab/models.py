@@ -14,18 +14,21 @@ point in R^p.
 Activations are restricted to erf and tanh: both are everywhere
 differentiable with Lipschitz derivative, and erf admits a closed-form
 infinite-width kernel.
+
+The trainer sees three model types: ``LinearModel``, ``WideNet`` (the MLP)
+and ``LinearizedNet``, the MLP's first-order Taylor model around frozen
+parameters, which ``linearize`` builds.
 """
 
 from __future__ import annotations
 
-import copy
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import erf
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, parse_number
 from .linalg import as_matrix, as_vector
 
 _BALL_TOL = 1e-9
@@ -68,8 +71,8 @@ class Architecture:
             raise InvalidArgumentError("input_dim must be >= 1")
         if len(self.hidden_widths) < 1 or any(w < 1 for w in self.hidden_widths):
             raise InvalidArgumentError("need at least one hidden layer, all widths >= 1")
-        if self.beta < 0:
-            raise InvalidArgumentError("beta must be >= 0")
+        if not (0 <= self.beta < np.inf):
+            raise InvalidArgumentError(f"beta must be finite and >= 0, got {self.beta!r}")
         if self.activation not in ACTIVATIONS:
             raise InvalidArgumentError(f"unknown activation {self.activation!r}")
 
@@ -153,7 +156,9 @@ def nn_init(arch: Architecture, seed: int) -> ModelParams:
     return ModelParams(flat, layout)
 
 
-def _warn_ball(xs: np.ndarray) -> None:
+def warn_outside_unit_ball(xs: np.ndarray) -> None:
+    """One UserWarning, attributed to the caller's caller, when a column of
+    xs lies outside the unit ball."""
     norms = np.linalg.norm(xs, axis=0)
     if norms.max(initial=0.0) > 1.0 + _BALL_TOL:
         warnings.warn(
@@ -191,7 +196,7 @@ def nn_forward_batch(arch: Architecture, params: ModelParams, xs,
             f"input dimension {xs.shape[0]} does not match architecture d0={arch.input_dim}"
         )
     if check:
-        _warn_ball(xs)
+        warn_outside_unit_ball(xs)
     act, _ = ACTIVATIONS[arch.activation]
     dims = arch.layer_dims
     preacts, acts = [], []
@@ -271,64 +276,6 @@ def nn_grad(arch: Architecture, params: ModelParams, x) -> np.ndarray:
     return nn_grad_batch(arch, params, x[:, None])[1][:, 0]
 
 
-@dataclass
-class LinearizedModel:
-    """First-order Taylor model around frozen params0.
-
-    f_lin(x; theta) = f0(x) + <theta - theta0, grad_theta f(x; theta0)>.
-
-    The value and feature caches for the construction points are computed
-    once here, from one network pass, and never mutated; queries at new
-    points are computed on demand without touching the caches.  A p x R
-    stack of base points gives f0 as m x R and features as R x p x m; only
-    ``LinearizedNet`` reads such a stack.
-    """
-
-    arch: Architecture
-    params0: ModelParams
-    points: np.ndarray
-    f0: np.ndarray = field(init=False)
-    features: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.points = as_matrix(self.points, "cache points")
-        self.f0, self.features = nn_grad_batch(self.arch, self.params0, self.points)
-
-    def features_at(self, x) -> np.ndarray:
-        """Feature vector grad f(x; theta0); cached column if x is an index."""
-        if isinstance(x, (int, np.integer)):
-            return self.features[:, int(x)]
-        return nn_grad(self.arch, self.params0, x)
-
-    def f0_at(self, x) -> float:
-        if isinstance(x, (int, np.integer)):
-            return float(self.f0[int(x)])
-        value, _ = nn_forward(self.arch, self.params0, x)
-        return value
-
-
-def linearize(arch: Architecture, params0: ModelParams, points) -> LinearizedModel:
-    """Build the linearized model with caches over the given points."""
-    return LinearizedModel(arch, params0, points)
-
-
-def linearized_forward(lin: LinearizedModel, theta, x) -> float:
-    """Evaluate the linearized net at flat parameters theta.
-
-    ``x`` is either a column index into the cached points or a raw vector.
-    """
-    theta = as_vector(theta, "parameters")
-    disp = theta - lin.params0.flat
-    return lin.f0_at(x) + float(disp @ lin.features_at(x))
-
-
-def feature_matrix(lin: LinearizedModel, xs=None) -> np.ndarray:
-    """Columns grad f(x_i; theta0); the cached matrix when xs is omitted."""
-    if xs is None or xs is lin.points:
-        return lin.features
-    return nn_grad_batch(lin.arch, lin.params0, xs)[1]
-
-
 def parse_model(text: str):
     """Parse "linear" or "mlp:<d0>:<width>x<depth>:<beta>:<erf|tanh>".
 
@@ -338,14 +285,15 @@ def parse_model(text: str):
     if parts[0] == "linear" and len(parts) == 1:
         return "linear"
     if parts[0] == "mlp" and len(parts) == 5:
-        d0 = int(parts[1])
-        if "x" not in parts[2]:
+        what = f"model spec {text!r}"
+        d0 = parse_number(parts[1], int, what)
+        w, sep, depth = parts[2].partition("x")
+        if not sep:
             raise InvalidArgumentError(f"bad width spec {parts[2]!r}, expected <w>x<L>")
-        w, depth = parts[2].split("x")
         return Architecture(
             input_dim=d0,
-            hidden_widths=(int(w),) * int(depth),
-            beta=float(parts[3]),
+            hidden_widths=(parse_number(w, int, what),) * parse_number(depth, int, what),
+            beta=parse_number(parts[3], float, what),
             activation=parts[4],
         )
     raise InvalidArgumentError(f"unknown model spec: {text!r}")
@@ -362,9 +310,9 @@ def parse_model(text: str):
 # vjp is the training step's only model call.  It expects xs validated
 # already (train() checks the data once on entry), so it skips the checks.
 # vjp also takes a p x R stack of runs: outputs and cotangents are then
-# m x R, and the pullback returns p x R.  A model that keeps per-run state
-# (a stack of base points) also offers take(runs), the model for a subset of
-# its runs; the trainer calls it when runs stop.
+# m x R, and the pullback returns p x R.  A LinearizedNet over a stack of
+# base points keeps per-run state, so it also offers take(runs), the model
+# for a subset of its runs; the trainer calls it when runs stop.
 
 
 class LinearModel:
@@ -422,19 +370,31 @@ class WideNet:
         return values, lambda v: nn_pullback(self.arch, params, xs, cache, v)
 
 
-class LinearizedNet:
-    """Trainer-facing adapter for the linearization of a WideNet at theta0.
 
-    Training this model with any weight sequence is exactly linear-model
-    training over the frozen feature map.  Built from a stacked
-    ``LinearizedModel`` it holds R base points, one per run, and then takes
-    p x R parameters only.
+
+@dataclass(eq=False)  # equality and hashing by identity: the fields are arrays
+class LinearizedNet:
+    """First-order Taylor model of the MLP around frozen params0:
+
+        f_lin(x; theta) = f0(x) + <theta - theta0, grad_theta f(x; theta0)>.
+
+    Built by ``linearize``, which caches f0 and the features at ``points``;
+    the caches are never mutated, and queries at other points are computed
+    afresh.  Training this model with any weight sequence is exactly
+    linear-model training over the frozen feature map.  A p x R stack of
+    base points holds one per run, f0 m x R and features R x p x m, and then
+    takes p x R parameters only.
     """
 
-    def __init__(self, lin: LinearizedModel):
-        self.lin = lin
-        self.theta0 = lin.params0.flat
-        self.f0, self.features = lin.f0, lin.features
+    arch: Architecture
+    params0: ModelParams
+    points: np.ndarray
+    f0: np.ndarray
+    features: np.ndarray
+
+    @property
+    def theta0(self) -> np.ndarray:
+        return self.params0.flat
 
     @property
     def n_params(self) -> int:
@@ -447,15 +407,14 @@ class LinearizedNet:
         """The model for the given runs of a stack of base points."""
         if self.theta0.ndim == 1:
             return self
-        sub = copy.copy(self)
-        sub.theta0, sub.f0, sub.features = self.theta0[:, runs], self.f0[:, runs], self.features[runs]
-        return sub
+        return replace(self, params0=ModelParams(self.theta0[:, runs], self.params0.layout),
+                       f0=self.f0[:, runs], features=self.features[runs])
 
     def _f0_and_features(self, xs):
         """Cached at the construction points, computed afresh elsewhere."""
-        if xs is None or xs is self.lin.points:
+        if xs is self.points:
             return self.f0, self.features
-        return nn_grad_batch(self.lin.arch, ModelParams(self.theta0, self.lin.params0.layout), xs)
+        return nn_grad_batch(self.arch, self.params0, xs)
 
     def predict(self, theta: np.ndarray, xs: np.ndarray) -> np.ndarray:
         return self.vjp(theta, xs)[0]
@@ -472,3 +431,11 @@ class LinearizedNet:
         theta0 = self.theta0 if theta.ndim == 1 else self.theta0[:, None]
         f0 = f0 if theta.ndim == 1 else f0[:, None]
         return f0 + feats.T @ (theta - theta0), lambda v: feats @ v
+
+
+def linearize(arch: Architecture, params0: ModelParams, points) -> LinearizedNet:
+    """The linearization at params0, with f0 and the features at the columns
+    of ``points`` from one network pass."""
+    points = as_matrix(points, "cache points")
+    f0, features = nn_grad_batch(arch, params0, points)
+    return LinearizedNet(arch, params0, points, f0, features)

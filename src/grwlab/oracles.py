@@ -24,7 +24,7 @@ from .errors import (
     UnsupportedError,
 )
 from .linalg import as_matrix, as_vector, gram, min_norm_span_solve
-from .models import ACTIVATIONS, LinearizedModel
+from .models import ACTIVATIONS, LinearizedNet
 from .reweighting import GroupInfo, group_means
 
 _MARGIN_TOL = 1e-12
@@ -33,11 +33,11 @@ _MARGIN_TOL = 1e-12
 _SUPPORT_RTOL = 1e-6
 
 
-def min_norm_interpolator(x, y, theta0, f0_at_x) -> np.ndarray:
+def min_norm_interpolator(x, y, theta0, f0) -> np.ndarray:
     """The unique interpolator whose displacement from theta0 lies in span{x_i}.
 
     Solves <theta, x_i> shifted by the initial outputs: theta = theta0 +
-    span-solve(x, y - f0(x)).  For a plain linear model f0_at_x = x^T theta0,
+    span-solve(x, y - f0(x)).  For a plain linear model f0 = x^T theta0,
     so the result satisfies x^T theta = y exactly.  Never reads any weights:
     two runs with different weight histories are predicted to land here
     regardless.
@@ -45,13 +45,13 @@ def min_norm_interpolator(x, y, theta0, f0_at_x) -> np.ndarray:
     x = as_matrix(x, "data matrix")
     y = as_vector(y, "targets")
     theta0 = as_vector(theta0, "theta0")
-    f0 = as_vector(f0_at_x, "initial outputs")
+    f0 = as_vector(f0, "initial outputs")
     if y.shape != f0.shape or y.shape[0] != x.shape[1] or theta0.shape[0] != x.shape[0]:
         raise InvalidArgumentError("inconsistent shapes for interpolator solve")
     return theta0 + min_norm_span_solve(x, y - f0)
 
 
-def ridge_closed_form(x, y, q, mu: float, theta0, f0_at_x) -> np.ndarray:
+def ridge_closed_form(x, y, q, mu: float, theta0, f0) -> np.ndarray:
     """Global optimum of the weighted squared loss plus (mu/2)||theta-theta0||^2.
 
     Computed in the n-dimensional dual form theta = theta0 +
@@ -65,7 +65,7 @@ def ridge_closed_form(x, y, q, mu: float, theta0, f0_at_x) -> np.ndarray:
     y = as_vector(y, "targets")
     q = as_vector(q, "weights")
     theta0 = as_vector(theta0, "theta0")
-    f0 = as_vector(f0_at_x, "initial outputs")
+    f0 = as_vector(f0, "initial outputs")
     n = x.shape[1]
     if not (y.shape[0] == q.shape[0] == f0.shape[0] == n) or theta0.shape[0] != x.shape[0]:
         raise InvalidArgumentError("inconsistent shapes for ridge solve")
@@ -322,9 +322,10 @@ def ntk_limiting_kernel_mc(
     return e12 + b2
 
 
-def empirical_ntk(lin: LinearizedModel, x, xp) -> float:
-    """Finite-width tangent kernel: <grad f(x; theta0), grad f(x'; theta0)>."""
-    return float(lin.features_at(x) @ lin.features_at(xp))
+def empirical_ntk(lin: LinearizedNet, i: int, j: int) -> float:
+    """Finite-width tangent kernel <grad f(x_i; theta0), grad f(x_j; theta0)>
+    between columns i and j of the linearization points."""
+    return float(lin.features[:, i] @ lin.features[:, j])
 
 
 def top_fraction_mean(losses: np.ndarray, alpha: float) -> float:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, parse_number
 from .linalg import as_vector
 
 
@@ -305,7 +305,7 @@ def parse_scheme(text: str):
     if parts[0] == "iw" and len(parts) == 1:
         return StaticScheme("iw", "iw")
     if parts[0] == "gdro" and len(parts) == 2:
-        return GroupDroScheme(float(parts[1]))
+        return GroupDroScheme(parse_number(parts[1], float, f"scheme spec {text!r}"))
     if parts[0] == "cvar" and len(parts) == 2:
-        return CvarScheme(float(parts[1]))
+        return CvarScheme(parse_number(parts[1], float, f"scheme spec {text!r}"))
     raise InvalidArgumentError(f"unknown scheme spec: {text!r}")

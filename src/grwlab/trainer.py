@@ -37,9 +37,8 @@ import numpy as np
 from .errors import DivergedError, InvalidArgumentError
 from .linalg import as_matrix, as_vector, extreme_eigenvalues, gram
 from .losses import LossKind, loss_kernels, require_labels
+from .models import warn_outside_unit_ball
 from .reweighting import GroupInfo, group_means, repeat_state, take_runs
-
-_BALL_TOL = 1e-9
 
 
 @dataclass
@@ -59,14 +58,14 @@ class TrainConfig:
     def __post_init__(self):
         if not (self.eta > 0) or not math.isfinite(self.eta):
             raise InvalidArgumentError("eta must be a positive finite float")
-        if self.mu < 0:
-            raise InvalidArgumentError("mu must be >= 0")
+        if not (self.mu >= 0):
+            raise InvalidArgumentError(f"mu must be >= 0, got {self.mu!r}")
         if self.epochs < 1:
             raise InvalidArgumentError("epochs must be >= 1")
         if self.record_every < 1:
             raise InvalidArgumentError("record_every must be >= 1")
-        if self.stop_risk < 0:
-            raise InvalidArgumentError("stop_risk must be >= 0")
+        if not (self.stop_risk >= 0):
+            raise InvalidArgumentError(f"stop_risk must be >= 0, got {self.stop_risk!r}")
 
 
 @dataclass
@@ -96,22 +95,15 @@ class TrainTrace:
     cos_ref: list[float] = field(default_factory=list)
     theta_snapshots: list[np.ndarray] = field(default_factory=list)
     config_hash: str = ""
-    diverged: bool = False
     stop_reason: str = ""
     epochs_run: int = 0
 
+    @property
+    def diverged(self) -> bool:
+        return self.stop_reason == "diverged"
+
     def __len__(self) -> int:
         return len(self.epochs)
-
-
-def _check_ball(xs: np.ndarray) -> None:
-    import warnings
-
-    norms = np.linalg.norm(xs, axis=0)
-    if norms.max(initial=0.0) > 1.0 + _BALL_TOL:
-        warnings.warn(
-            f"data column norm {norms.max():.6g} exceeds the unit ball", stacklevel=3
-        )
 
 
 def _per_run(value, runs: int, name: str) -> list:
@@ -181,7 +173,7 @@ def train(model, data, cfg, theta0=None, theta_ref=None, ref_direction=None):
         raise InvalidArgumentError(f"{ys.shape[0]} targets for {xs.shape[1]} data columns")
     require_labels(head.loss, ys)
     groups: GroupInfo = data.groups
-    _check_ball(xs)
+    warn_outside_unit_ball(xs)
     value_fn, grad_fn = loss_kernels(head.loss)
     start = np.column_stack([
         model.init_params(c.seed) if t0 is None else np.asarray(t0, dtype=np.float64)
@@ -255,7 +247,7 @@ def train(model, data, cfg, theta0=None, theta_ref=None, ref_direction=None):
                 j = next(j for j, risk in enumerate(risks) if not math.isfinite(risk))
                 record(j, t, risks[j], losses)
                 trace = traces[ids[j]]
-                trace.diverged, trace.stop_reason, trace.epochs_run = True, "diverged", t
+                trace.stop_reason, trace.epochs_run = "diverged", t
                 raise DivergedError(f"run {ids[j]}: non-finite risk at epoch {t}",
                                     trace=trace, params=theta[:, j].copy())
             for block in blocks:

@@ -11,10 +11,8 @@ from grwlab.models import (
     LinearModel,
     ModelParams,
     WideNet,
-    feature_matrix,
     layout_for,
     linearize,
-    linearized_forward,
     nn_forward,
     nn_forward_batch,
     nn_grad,
@@ -160,7 +158,7 @@ def test_activation_derivative_bounds():
     assert np.abs(np.diff(tanh_prime) / h).max() < 0.8
 
 
-def test_linearized_forward_basics():
+def test_linearized_predict_basics():
     arch = Architecture(3, (10,), beta=0.2)
     params0 = nn_init(arch, 9)
     rng = np.random.default_rng(4)
@@ -169,32 +167,32 @@ def test_linearized_forward_basics():
     lin = linearize(arch, params0, pts)
     # Zero displacement reproduces the initial function.
     for j in range(5):
-        assert linearized_forward(lin, params0.flat, j) == pytest.approx(lin.f0[j], abs=1e-14)
+        assert lin.predict(params0.flat, pts)[j] == pytest.approx(lin.f0[j], abs=1e-14)
     # Displacement orthogonal to a feature leaves that output unchanged.
-    feats = feature_matrix(lin)
+    feats = lin.jacobian(params0.flat, pts)
     direction = rng.standard_normal(params0.flat.shape)
     direction -= feats[:, 0] * (direction @ feats[:, 0]) / (feats[:, 0] @ feats[:, 0])
     moved = params0.flat + direction
-    assert linearized_forward(lin, moved, 0) == pytest.approx(lin.f0[0], abs=1e-9)
+    assert lin.predict(moved, pts)[0] == pytest.approx(lin.f0[0], abs=1e-9)
     # Generic displacement matches the explicit dot-product formula.
     theta = params0.flat + 0.3 * rng.standard_normal(params0.flat.shape)
     for j in range(5):
         ref = lin.f0[j] + (theta - params0.flat) @ feats[:, j]
-        assert linearized_forward(lin, theta, j) == pytest.approx(ref, abs=1e-12)
+        assert lin.predict(theta, pts)[j] == pytest.approx(ref, abs=1e-12)
 
 
-def test_feature_matrix_linear_model_is_data():
+def test_linear_model_jacobian_is_data():
     model = LinearModel(4)
     xs = np.random.default_rng(2).standard_normal((4, 6)) / 4.0
     assert model.jacobian(np.zeros(4), xs) is xs
 
 
-def test_feature_matrix_single_column_equals_grad():
+def test_linearized_jacobian_single_column_equals_grad():
     arch = Architecture(2, (6,), beta=0.5)
     params0 = nn_init(arch, 1)
     x = np.array([0.3, -0.4])
     lin = linearize(arch, params0, x[:, None])
-    assert np.allclose(feature_matrix(lin)[:, 0], nn_grad(arch, params0, x), atol=1e-14)
+    assert np.allclose(lin.jacobian(params0.flat, lin.points)[:, 0], nn_grad(arch, params0, x), atol=1e-14)
 
 
 def test_linearized_net_is_exactly_linear_training():
@@ -208,7 +206,7 @@ def test_linearized_net_is_exactly_linear_training():
     xs = rng.standard_normal((3, 4))
     xs /= np.linalg.norm(xs, axis=0) * 1.2
     ys = rng.standard_normal(4)
-    lin = LinearizedNet(linearize(arch, params0, xs))
+    lin = linearize(arch, params0, xs)
     feats = lin.jacobian(params0.flat, xs)
     theta_lin = params0.flat.copy()
     phi = np.zeros(feats.shape[0])  # linear model over the feature map
@@ -216,7 +214,7 @@ def test_linearized_net_is_exactly_linear_training():
     for t in range(200):
         q = rng.dirichlet(np.ones(4))
         out_lin = lin.predict(theta_lin, xs)
-        out_phi = lin.lin.f0 + feats.T @ phi
+        out_phi = lin.f0 + feats.T @ phi
         assert np.allclose(out_lin, out_phi, atol=1e-12)
         g1 = np.asarray(lg(Squared(), out_lin, ys))
         theta_lin = theta_lin - eta * (feats @ (q * g1))
@@ -233,6 +231,9 @@ def test_parse_model():
         parse_model("mlp:4:64:0.5:erf")
     with pytest.raises(InvalidArgumentError):
         parse_model("cnn:3")
+    for beta in ("nan", "inf", "-0.5"):
+        with pytest.raises(InvalidArgumentError, match="beta"):
+            parse_model(f"mlp:4:64x2:{beta}:erf")
 
 
 def test_wide_net_adapter_consistency():
@@ -261,7 +262,7 @@ def _vjp_cases():
             yield f"widenet-{activation}-{depth}", net, theta, xs
     arch = Architecture(3, (24,), beta=0.3)
     params0 = nn_init(arch, 5)
-    lin = LinearizedNet(linearize(arch, params0, xs))
+    lin = linearize(arch, params0, xs)
     theta = params0.flat + 0.3 * rng.standard_normal(params0.flat.shape)
     yield "linearized-cached", lin, theta, xs
     yield "linearized-new-points", lin, theta, xs[:, :3].copy()
@@ -329,7 +330,7 @@ def test_linearized_net_stack_of_base_points():
     xs = rng.standard_normal((3, 4))
     xs /= 1.2 * np.linalg.norm(xs, axis=0).max()
     bases = np.column_stack([nn_init(arch, s).flat for s in (3, 4, 5)])
-    stacked = LinearizedNet(linearize(arch, ModelParams(bases, layout), xs))
+    stacked = linearize(arch, ModelParams(bases, layout), xs)
     np.testing.assert_array_equal(stacked.init_params(), bases)
     thetas = bases + 0.2 * rng.standard_normal(bases.shape)
     v = rng.standard_normal((4, 3))
@@ -337,18 +338,19 @@ def test_linearized_net_stack_of_base_points():
         values, pullback = stacked.vjp(thetas, points)
         steps = pullback(v[: points.shape[1]])
         for r in range(3):
-            one = LinearizedNet(linearize(arch, ModelParams(bases[:, r].copy(), layout), xs))
+            one = linearize(arch, ModelParams(bases[:, r].copy(), layout), xs)
             ref, ref_pullback = one.vjp(thetas[:, r], points)
             np.testing.assert_allclose(values[:, r], ref, rtol=1e-13, atol=1e-14)
             np.testing.assert_allclose(steps[:, r], ref_pullback(v[: points.shape[1], r]),
                                        rtol=1e-13, atol=1e-14)
     # A subset of the runs keeps its own base points.
     sub = stacked.take(np.array([2, 0]))
+    assert sub.points is stacked.points
     values, _ = sub.vjp(thetas[:, [2, 0]], xs)
     full, _ = stacked.vjp(thetas, xs)
     np.testing.assert_allclose(values, full[:, [2, 0]], rtol=1e-13, atol=1e-14)
     # One base point shared by every run of a stack.
-    shared = LinearizedNet(linearize(arch, ModelParams(bases[:, 0].copy(), layout), xs))
+    shared = linearize(arch, ModelParams(bases[:, 0].copy(), layout), xs)
     values, _ = shared.vjp(thetas, xs)
     for r in range(3):
         np.testing.assert_allclose(values[:, r], shared.predict(thetas[:, r], xs), rtol=1e-13, atol=1e-14)
@@ -364,5 +366,6 @@ def test_linearize_makes_one_network_pass(monkeypatch):
     xs = np.random.default_rng(1).standard_normal((3, 4)) / 4.0
     lin = linearize(arch, nn_init(arch, 2), xs)
     assert len(calls) == 1
+    assert isinstance(lin, LinearizedNet)
     values, _ = original(arch, nn_init(arch, 2), xs)
     np.testing.assert_array_equal(lin.f0, values)

@@ -294,30 +294,29 @@ def test_linear_batch_matches_solo_runs_for_every_scheme(loss_name):
 
 
 def _net_cases():
-    from grwlab.models import Architecture, LinearizedNet, ModelParams, WideNet, linearize
+    from grwlab.models import Architecture
 
     for activation in ("erf", "tanh"):
         for depth in (1, 2):
             arch = Architecture(3, (16,) * depth, beta=0.3, activation=activation)
-            yield f"widenet-{activation}-{depth}", arch, WideNet, None
-            yield f"linearized-{activation}-{depth}", arch, LinearizedNet, (ModelParams, linearize)
+            yield f"widenet-{activation}-{depth}", arch
+            yield f"linearized-{activation}-{depth}", arch
 
 
 @pytest.mark.parametrize("case", list(_net_cases()), ids=lambda c: c[0])
 def test_network_batch_matches_solo_runs(case):
-    from grwlab.models import WideNet
+    from grwlab.models import ModelParams, WideNet, linearize
 
-    name, arch, kind, lin_parts = case
+    name, arch = case
     data = _small_blobs(sizes=(3, 2), d=3)
     net = WideNet(arch)
     rng = np.random.default_rng(8)
     starts = [net.init_params(s) + 0.1 * rng.standard_normal(net.n_params) for s in (1, 2, 3)]
-    if kind is WideNet:
+    if name.startswith("widenet"):
         batch_model, solo_models = net, [net] * 3
     else:
-        model_params, linearize = lin_parts
-        batch_model = kind(linearize(arch, model_params(np.column_stack(starts), net.layout), data.X))
-        solo_models = [kind(linearize(arch, model_params(s, net.layout), data.X)) for s in starts]
+        batch_model = linearize(arch, ModelParams(np.column_stack(starts), net.layout), data.X)
+        solo_models = [linearize(arch, ModelParams(s, net.layout), data.X) for s in starts]
     specs = ("gdro:0.1", "erm", "gdro:0.1")
     # The first run stops early, at the risk it reaches at epoch 28 alone.
     probe = _cfg(eta=0.2, epochs=60, scheme=parse_scheme(specs[0]), stop_risk=0.0, record_every=7)
@@ -330,6 +329,26 @@ def test_network_batch_matches_solo_runs(case):
         _assert_same_run(b, a, rel=1e-11)
     assert [t.stop_reason for _, t in batch] == ["stop_risk", "epoch_budget", "epoch_budget"]
     assert 0 < batch[0][1].epochs_run <= 28  # the risk need not fall monotonically
+
+
+def test_stacked_linearization_trains_without_network_passes(monkeypatch):
+    # Every step, also after a run stops and the model is cut to the others,
+    # reads the features cached at the training points.
+    import grwlab.models as models
+
+    data = _small_blobs(sizes=(3, 2), d=3)
+    arch = models.Architecture(3, (16,), beta=0.3)
+    starts = np.column_stack([models.nn_init(arch, s).flat for s in (1, 2, 3)])
+    lin = models.linearize(arch, models.ModelParams(starts, models.layout_for(arch)), data.X)
+    calls = []
+    original = models.nn_forward_batch
+    monkeypatch.setattr(models, "nn_forward_batch", lambda *a, **k: calls.append(1) or original(*a, **k))
+    cfgs = [_cfg(eta=0.2, epochs=60, scheme=parse_scheme("gdro:0.1"), stop_risk=sr, record_every=7)
+            for sr in (0.13, 0.0, 0.0)]
+    runs = train(lin, data, cfgs, theta0=starts)
+    assert [t.stop_reason for _, t in runs] == ["stop_risk", "epoch_budget", "epoch_budget"]
+    assert runs[0][1].epochs_run < 60
+    assert calls == []
 
 
 def test_stop_mask_freezes_a_run_while_the_others_go_on():
@@ -397,3 +416,9 @@ def test_batch_rejects_mismatched_shared_settings():
         train(LinearModel(2), data, [_cfg(eta=0.5), _cfg(eta=0.25)], theta0=np.zeros(2))
     with pytest.raises(InvalidArgumentError, match="theta0"):
         train(LinearModel(2), data, [_cfg(), _cfg()], theta0=[np.zeros(2)])
+
+
+@pytest.mark.parametrize("field", ["mu", "stop_risk"])
+def test_config_rejects_nan(field):
+    with pytest.raises(InvalidArgumentError, match=field):
+        _cfg(**{field: float("nan")})
