@@ -27,8 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, InvalidArgumentError, RankDeficientError, TraceIoError
-from .linalg import RANK_TOL, as_matrix, extreme_eigenvalues, gram
+from .errors import FormatError, InvalidArgumentError, TraceIoError
+from .linalg import as_matrix, gram, require_full_rank
 from .reweighting import GroupInfo
 from .trainer import TrainTrace
 
@@ -154,12 +154,6 @@ def write_idx_labels(path, labels: np.ndarray) -> None:
         fh.write(arr.tobytes())
 
 
-def _independence_check(x: np.ndarray) -> None:
-    lam_max, lam_min = extreme_eigenvalues(gram(x), 1e-12)
-    if lam_max <= 0 or lam_min < RANK_TOL * lam_max:
-        raise RankDeficientError("dataset columns are not linearly independent")
-
-
 def paper_subset(raw: RawMnist, classification: bool = False) -> Dataset:
     """Six-image set: the first five images labeled 0 and the first labeled 1.
 
@@ -175,7 +169,7 @@ def paper_subset(raw: RawMnist, classification: bool = False) -> Dataset:
     idx = np.concatenate([zeros, ones])
     x = raw.images[idx].reshape(idx.shape[0], -1).T
     x = _scaled_into_ball(x)
-    _independence_check(x)
+    require_full_rank(gram(x), "dataset columns")
     if classification:
         y = np.array([-1.0] * 5 + [1.0])
     else:

@@ -18,7 +18,7 @@ import json
 import time
 import warnings
 from collections import deque
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +42,6 @@ from .models import (
     LinearModel,
     ModelParams,
     WideNet,
-    linearize,
     nn_grad_batch,
     nn_init,
     parse_model,
@@ -111,6 +110,10 @@ class ExperimentConfig:
             raise InvalidArgumentError("need at least one scheme")
         if self.eta != "auto":
             parse_number(self.eta, float, "config key 'eta'")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and np.isnan(value):
+                raise InvalidArgumentError(f"config key {f.name!r} is NaN")
 
 
 _DEFAULTS = {
@@ -817,34 +820,37 @@ def _train_pair_shared_weights(arch, theta0, data, scheme, eta, epochs, stop_ris
                                test_points):
     """Train nets and their linearizations with shared weight sequences.
 
-    ``theta0`` is one flat start (p,) or a p x S stack, one seed per column;
-    all seeds go in lock step.  For each seed the weights are recomputed
-    each epoch from the *network's* losses, and the very same q is applied
-    to both updates.  Returns the sup over epochs of the output gap at the
-    test points and the final network risk: floats for one start, arrays of
-    S for a stack.  A seed stops on its own once its risk reaches stop_risk.
+    ``theta0`` is a p x S stack of starts, one seed per column; all seeds go
+    in lock step.  For each seed the weights are recomputed each epoch from
+    the *network's* losses, and the very same q is applied to both updates.
+    Returns arrays of S: the sup over epochs of the output gap at the test
+    points and the final network risk.  A seed stops on its own once its
+    risk reaches stop_risk.
 
     The training and test points travel as one batch: each epoch makes one
     network forward pass for every seed, whose pullback takes the weighted
-    loss gradient padded with zeros at the test points.  The
-    linearizations' f0 and features at that batch come from one pass at the
-    stacked starting points.
+    loss gradient padded with zeros at the test points.  The linearizations
+    train in function space (Lee et al. 2019): with F the features at the
+    starts, theta_lin - theta0 = F_train @ coef at every step, so their
+    outputs are f0 + K @ coef with the tangent kernel K = F^T F_train, and
+    their step is coef <- coef - eta * q * dloss.  f0 and F come from one
+    network pass at the stacked starts.
     """
     net = WideNet(arch)
-    n = data.n
-    start = np.array(theta0, dtype=np.float64).reshape(net.n_params, -1)
+    n, seeds = data.n, theta0.shape[1]
     points = linalg.as_matrix(np.hstack([data.X, test_points]), "training and test points")
-    lin = all_lin = linearize(arch, ModelParams(start, net.layout), points)
-    theta_nn, theta_lin = start.copy(), start.copy()
-    state = repeat_state(scheme.init_state(data.groups), start.shape[1])
+    f0, feats = nn_grad_batch(arch, ModelParams(theta0, net.layout), points)
+    kernel = np.swapaxes(feats, 1, 2) @ feats[:, :, :n]  # S x (n + T) x n
+    theta_nn, coef = theta0.copy(), np.zeros((n, seeds))
+    state = repeat_state(scheme.init_state(data.groups), seeds)
     loss, y = Squared(), data.Y[:, None]
-    v = np.zeros((points.shape[1], start.shape[1]))
-    ids = np.arange(start.shape[1])  # seed of each working column
-    sup_gap = np.zeros(start.shape[1])
-    risk = np.full(start.shape[1], np.nan)
+    v = np.zeros((points.shape[1], seeds))
+    ids = np.arange(seeds)  # seed of each working column
+    sup_gap = np.zeros(seeds)
+    risk = np.full(seeds, np.nan)
     for t in range(epochs + 1):
         out_nn, pullback_nn = net.vjp(theta_nn, points)
-        out_lin, pullback_lin = lin.vjp(theta_lin, points)
+        out_lin = f0 + np.einsum("smn,ns->ms", kernel, coef)
         sup_gap[ids] = np.maximum(sup_gap[ids], np.abs(out_nn[n:] - out_lin[n:]).max(axis=0))
         losses_nn = loss_value(loss, out_nn[:n], y)
         risk[ids] = losses_nn.mean(axis=0)
@@ -856,17 +862,14 @@ def _train_pair_shared_weights(arch, theta0, data, scheme, eta, epochs, stop_ris
         state = scheme.update(state, losses_nn, data.groups)
         v[:n] = state.q * loss_grad(loss, out_nn[:n], y)
         step_nn = pullback_nn(v)
-        v[:n] = state.q * loss_grad(loss, out_lin[:n], y)
-        step_lin = pullback_lin(v)
+        step_lin = state.q * loss_grad(loss, out_lin[:n], y)
         if done.any():
             keep = ~done
             ids, state, v = ids[keep], take_runs(state, keep), v[:, keep]
-            theta_nn, theta_lin = theta_nn[:, keep], theta_lin[:, keep]
-            step_nn, step_lin, lin = step_nn[:, keep], step_lin[:, keep], all_lin.take(ids)
+            theta_nn, coef, f0, kernel = theta_nn[:, keep], coef[:, keep], f0[:, keep], kernel[keep]
+            step_nn, step_lin = step_nn[:, keep], step_lin[:, keep]
         theta_nn = theta_nn - eta * step_nn
-        theta_lin = theta_lin - eta * step_lin
-    if np.ndim(theta0) == 1:
-        return float(sup_gap[0]), float(risk[0])
+        coef = coef - eta * step_lin
     return sup_gap, risk
 
 

@@ -105,14 +105,15 @@ def solve_spd(a, b) -> np.ndarray:
     return cho_solve(factor, b, check_finite=False)
 
 
-def _checked_gram(x: np.ndarray) -> np.ndarray:
-    g = gram(x)
-    lam_max, lam_min = extreme_eigenvalues(g, 1e-12)
+def require_full_rank(g, what: str = "columns") -> tuple[float, float]:
+    """(lambda_max, lambda_min) of the Gram matrix g of some columns; raises
+    RankDeficientError unless lambda_min >= RANK_TOL * lambda_max > 0."""
+    lam_max, lam_min = extreme_eigenvalues(g)
     if lam_max <= 0.0 or lam_min < RANK_TOL * lam_max:
         raise RankDeficientError(
-            f"columns are not linearly independent (lambda_min={lam_min:.3e}, lambda_max={lam_max:.3e})"
+            f"{what} are not linearly independent (lambda_min={lam_min:.3e}, lambda_max={lam_max:.3e})"
         )
-    return g
+    return lam_max, lam_min
 
 
 def min_norm_span_solve(x, r) -> np.ndarray:
@@ -121,7 +122,8 @@ def min_norm_span_solve(x, r) -> np.ndarray:
     r = as_vector(r, "targets")
     if r.shape[0] != x.shape[1]:
         raise InvalidArgumentError("target length does not match the number of columns")
-    g = _checked_gram(x)
+    g = gram(x)
+    require_full_rank(g)
     return x @ solve_spd(g, r)
 
 
@@ -131,6 +133,7 @@ def span_residual(v, x) -> float:
     x = as_matrix(x, "input matrix")
     if v.shape[0] != x.shape[0]:
         raise InvalidArgumentError("vector length does not match the column dimension")
-    g = _checked_gram(x)
+    g = gram(x)
+    require_full_rank(g)
     coef = solve_spd(g, x.T @ v)
     return float(np.linalg.norm(v - x @ coef))

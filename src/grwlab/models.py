@@ -23,7 +23,7 @@ parameters, which ``linearize`` builds.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erf
@@ -310,9 +310,8 @@ def parse_model(text: str):
 # vjp is the training step's only model call.  It expects xs validated
 # already (train() checks the data once on entry), so it skips the checks.
 # vjp also takes a p x R stack of runs: outputs and cotangents are then
-# m x R, and the pullback returns p x R.  A LinearizedNet over a stack of
-# base points keeps per-run state, so it also offers take(runs), the model
-# for a subset of its runs; the trainer calls it when runs stop.
+# m x R, and the pullback returns p x R.  The models keep no per-run state,
+# so the runs of a stack share one model.
 
 
 class LinearModel:
@@ -381,9 +380,8 @@ class LinearizedNet:
     Built by ``linearize``, which caches f0 and the features at ``points``;
     the caches are never mutated, and queries at other points are computed
     afresh.  Training this model with any weight sequence is exactly
-    linear-model training over the frozen feature map.  A p x R stack of
-    base points holds one per run, f0 m x R and features R x p x m, and then
-    takes p x R parameters only.
+    linear-model training over the frozen feature map.  There is one base
+    point; a p x R stack of parameters gives R runs around it.
     """
 
     arch: Architecture
@@ -403,13 +401,6 @@ class LinearizedNet:
     def init_params(self, seed: int = 0) -> np.ndarray:
         return self.theta0.copy()
 
-    def take(self, runs) -> "LinearizedNet":
-        """The model for the given runs of a stack of base points."""
-        if self.theta0.ndim == 1:
-            return self
-        return replace(self, params0=ModelParams(self.theta0[:, runs], self.params0.layout),
-                       f0=self.f0[:, runs], features=self.features[runs])
-
     def _f0_and_features(self, xs):
         """Cached at the construction points, computed afresh elsewhere."""
         if xs is self.points:
@@ -424,10 +415,6 @@ class LinearizedNet:
 
     def vjp(self, theta: np.ndarray, xs: np.ndarray):
         f0, feats = self._f0_and_features(xs)
-        if feats.ndim == 3:  # one base point per run: feats is R x p x m
-            disp = (theta - self.theta0).T[:, :, None]
-            out = f0 + (np.swapaxes(feats, 1, 2) @ disp)[:, :, 0].T
-            return out, lambda v: (feats @ v.T[:, :, None])[:, :, 0].T
         theta0 = self.theta0 if theta.ndim == 1 else self.theta0[:, None]
         f0 = f0 if theta.ndim == 1 else f0[:, None]
         return f0 + feats.T @ (theta - theta0), lambda v: feats @ v
@@ -435,7 +422,10 @@ class LinearizedNet:
 
 def linearize(arch: Architecture, params0: ModelParams, points) -> LinearizedNet:
     """The linearization at params0, with f0 and the features at the columns
-    of ``points`` from one network pass."""
+    of ``points`` from one network pass.  params0 is one base point."""
+    if params0.flat.ndim != 1:
+        raise InvalidArgumentError(
+            f"linearize takes one base point, got parameters of shape {params0.flat.shape}")
     points = as_matrix(points, "cache points")
     f0, features = nn_grad_batch(arch, params0, points)
     return LinearizedNet(arch, params0, points, f0, features)

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DivergedError, InvalidArgumentError
-from .linalg import as_matrix, as_vector, extreme_eigenvalues, gram
+from .linalg import as_matrix, as_vector, gram, require_full_rank
 from .losses import LossKind, loss_kernels, require_labels
 from .models import warn_outside_unit_ball
 from .reweighting import GroupInfo, group_means, repeat_state, take_runs
@@ -206,7 +206,6 @@ def train(model, data, cfg, theta0=None, theta_ref=None, ref_direction=None):
     stop_risk = [cfgs[r].stop_risk for r in ids]
     q = np.hstack([block.state.q for block in blocks])
     ycol = ys[:, None]
-    active = model.take(ids) if hasattr(model, "take") else model
     n, eta, epochs, record_every = groups.n, head.eta, head.epochs, head.record_every
 
     def record(j: int, t: int, risk: float, losses: np.ndarray) -> None:
@@ -240,7 +239,7 @@ def train(model, data, cfg, theta0=None, theta_ref=None, ref_direction=None):
     # risk and reported through DivergedError rather than as warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
-            yhat, pullback = active.vjp(theta, xs)
+            yhat, pullback = model.vjp(theta, xs)
             losses = value_fn(yhat, ycol)
             risks = (np.add.reduce(losses) / n).tolist()
             if not all(map(math.isfinite, risks)):
@@ -276,7 +275,6 @@ def train(model, data, cfg, theta0=None, theta_ref=None, ref_direction=None):
                 q, mu = q[:, keep], mu[keep]
                 penalized = bool(mu.any())
                 stop_risk = [stop for stop, d in zip(stop_risk, done) if not d]
-                active = model.take(ids) if hasattr(model, "take") else model
             if penalized:
                 step = step + mu * (theta - origin)
             theta = theta - eta * step
@@ -298,11 +296,7 @@ def safe_learning_rate(x_or_features, q_star: float) -> float:
         raise InvalidArgumentError("q_star must be in (0, 1]")
     x = as_matrix(x_or_features, "data matrix")
     g = gram(x)
-    lam_max, lam_min = extreme_eigenvalues(g, 1e-12)
-    from .errors import RankDeficientError
-
-    if lam_max <= 0 or lam_min < 1e-12 * lam_max:
-        raise RankDeficientError("columns are not linearly independent")
+    _, lam_min = require_full_rank(g)
     a = float(np.trace(g))
     return q_star * lam_min / (4.0 * a * a)
 

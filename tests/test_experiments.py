@@ -83,6 +83,14 @@ def test_make_config_rejects_jobs_like_any_unknown_field():
         make_config("fig1", not_a_key=2)
 
 
+def test_config_rejects_nan_in_every_float_key():
+    floats = [k for k, v in vars(make_config("fig1")).items() if isinstance(v, float)]
+    assert "synth_noise" in floats and "nn_beta" in floats
+    for key in floats:
+        with pytest.raises(InvalidArgumentError, match=key):
+            make_config("fig1", **{key: float("nan")})
+
+
 @pytest.mark.parametrize("argv,config,name", [
     (["fig1"], "epochs = abc", "epochs"),
     (["fig1"], "eta = abc", "eta"),
@@ -90,7 +98,8 @@ def test_make_config_rejects_jobs_like_any_unknown_field():
     (["compare", "--synthetic"], "model = mlp:4:64xq:0.5:erf", "model spec"),
     (["compare", "--synthetic"], "loss = polytailed:1:b", "loss spec"),
     (["oracle", "ridge", "--synthetic", "--scheme", "gdro:x"], None, "scheme spec"),
-], ids=["epochs", "eta", "widths", "model", "loss", "scheme"])
+    (["fig1", "--synthetic"], "synth_noise = nan", "synth_noise"),
+], ids=["epochs", "eta", "widths", "model", "loss", "scheme", "synth_noise"])
 def test_cli_unparseable_numbers_exit_2(tmp_path, capsys, argv, config, name):
     if config is not None:
         path = tmp_path / "c.cfg"
@@ -267,10 +276,10 @@ def test_paired_training_gap_zero_at_start():
     cfg = make_config("approx-scaling", synthetic=True)
     data = load_experiment_dataset(make_config("compare", synthetic=True, synth_d=4), False)
     arch = Architecture(4, (32,), beta=0.1)
-    theta0 = nn_init(arch, 0).flat
+    theta0 = nn_init(arch, 0).flat[:, None]
     pts = np.random.default_rng(1).standard_normal((4, 3)) / 4
     gap, _ = _train_pair_shared_weights(arch, theta0, data, ps("erm"), 0.2, 0, 0.0, pts)
-    assert gap == 0.0
+    assert gap.tolist() == [0.0]
 
 
 def _paired_inputs():
@@ -323,13 +332,15 @@ def test_paired_training_one_forward_pass_per_epoch_and_matches_two_pass_loop(mo
     monkeypatch.setattr(models, "nn_forward_batch", lambda *a, **k: calls.append(1) or original(*a, **k))
     for epochs in (20, 40):
         calls.clear()
-        got = _train_pair_shared_weights(arch, theta0, data, ps("gdro:0.1"), 0.25, epochs, 0.0, pts)
-        # One pass per epoch (epochs + 1 evaluations), plus the one made
-        # once to linearize at the training and test points.
+        got = _train_pair_shared_weights(arch, theta0[:, None], data, ps("gdro:0.1"), 0.25, epochs,
+                                         0.0, pts)
+        # One network pass per epoch (epochs + 1 evaluations), plus the one
+        # made once for f0 and the features at the training and test points;
+        # the linearization then steps in function space with no pass.
         assert len(calls) == epochs + 1 + 1
     assert ref[0] > 1e-6  # the gap is not trivially zero
-    assert got[0] == pytest.approx(ref[0], rel=1e-10)
-    assert got[1] == pytest.approx(ref[1], rel=1e-10)
+    assert got[0][0] == pytest.approx(ref[0], rel=1e-10)
+    assert got[1][0] == pytest.approx(ref[1], rel=1e-10)
 
 
 def test_paired_training_batched_seeds_match_each_seed_alone():
@@ -341,14 +352,15 @@ def test_paired_training_batched_seeds_match_each_seed_alone():
     starts = np.column_stack([nn_init(arch, s).flat for s in (0, 1, 2)])
     # The first seed reaches this risk at epoch 30, the others between epochs
     # 30 and 45, so the batch drops its seeds one by one.
-    stop = _train_pair_shared_weights(arch, starts[:, 0], data, ps("gdro:0.1"), 0.25, 30, 0.0, pts)[1]
+    stop = _train_pair_shared_weights(arch, starts[:, :1], data, ps("gdro:0.1"), 0.25, 30, 0.0,
+                                      pts)[1][0]
     gaps, final = _train_pair_shared_weights(arch, starts, data, ps("gdro:0.1"), 0.25, 60, stop, pts)
     assert gaps.shape == final.shape == (3,)
     for s in range(3):
-        gap, risk = _train_pair_shared_weights(arch, starts[:, s], data, ps("gdro:0.1"), 0.25, 60,
-                                               stop, pts)
-        assert gaps[s] == pytest.approx(gap, rel=1e-12)
-        assert final[s] == pytest.approx(risk, rel=1e-12)
+        gap, risk = _train_pair_shared_weights(arch, starts[:, s, None], data, ps("gdro:0.1"), 0.25,
+                                               60, stop, pts)
+        assert gaps[s] == pytest.approx(gap[0], rel=1e-12)
+        assert final[s] == pytest.approx(risk[0], rel=1e-12)
     assert np.all(final <= stop)
 
 

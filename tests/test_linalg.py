@@ -145,6 +145,19 @@ def test_min_norm_span_solve_rank_deficient():
         la.min_norm_span_solve(x, np.array([1.0, 1.0]))
 
 
+def test_require_full_rank_is_the_one_rank_test():
+    from grwlab.trainer import safe_learning_rate
+
+    lam_max, lam_min = la.require_full_rank(np.diag([4.0, 1.0]))
+    assert (lam_max, lam_min) == (4.0, 1.0)
+    x = np.array([[1.0, 2.0], [2.0, 4.0], [0.0, 0.0]])
+    with pytest.raises(RankDeficientError, match="dataset columns are not linearly independent"):
+        la.require_full_rank(la.gram(x), "dataset columns")
+    # The trainer's step-size bound reports through the same test.
+    with pytest.raises(RankDeficientError, match="lambda_min="):
+        safe_learning_rate(x, 0.5)
+
+
 def test_span_residual_orthogonal_vector():
     assert la.span_residual(np.array([0.0, 1.0]), np.array([[1.0], [0.0]])) == pytest.approx(1.0)
 

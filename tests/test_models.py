@@ -323,37 +323,26 @@ def test_stacked_runs_match_each_run_alone(activation, depth):
         np.testing.assert_allclose(jacs[r], net.jacobian(thetas[:, r], xs), rtol=0, atol=1e-13)
 
 
-def test_linearized_net_stack_of_base_points():
+def test_linearized_net_one_base_point_for_a_stack_of_runs():
     arch = Architecture(3, (10,), beta=0.2)
     layout = layout_for(arch)
     rng = np.random.default_rng(12)
     xs = rng.standard_normal((3, 4))
     xs /= 1.2 * np.linalg.norm(xs, axis=0).max()
     bases = np.column_stack([nn_init(arch, s).flat for s in (3, 4, 5)])
-    stacked = linearize(arch, ModelParams(bases, layout), xs)
-    np.testing.assert_array_equal(stacked.init_params(), bases)
     thetas = bases + 0.2 * rng.standard_normal(bases.shape)
-    v = rng.standard_normal((4, 3))
-    for points in (xs, xs[:, :2].copy()):
-        values, pullback = stacked.vjp(thetas, points)
-        steps = pullback(v[: points.shape[1]])
-        for r in range(3):
-            one = linearize(arch, ModelParams(bases[:, r].copy(), layout), xs)
-            ref, ref_pullback = one.vjp(thetas[:, r], points)
-            np.testing.assert_allclose(values[:, r], ref, rtol=1e-13, atol=1e-14)
-            np.testing.assert_allclose(steps[:, r], ref_pullback(v[: points.shape[1], r]),
-                                       rtol=1e-13, atol=1e-14)
-    # A subset of the runs keeps its own base points.
-    sub = stacked.take(np.array([2, 0]))
-    assert sub.points is stacked.points
-    values, _ = sub.vjp(thetas[:, [2, 0]], xs)
-    full, _ = stacked.vjp(thetas, xs)
-    np.testing.assert_allclose(values, full[:, [2, 0]], rtol=1e-13, atol=1e-14)
-    # One base point shared by every run of a stack.
     shared = linearize(arch, ModelParams(bases[:, 0].copy(), layout), xs)
     values, _ = shared.vjp(thetas, xs)
     for r in range(3):
         np.testing.assert_allclose(values[:, r], shared.predict(thetas[:, r], xs), rtol=1e-13, atol=1e-14)
+
+
+def test_linearize_rejects_a_stack_of_base_points():
+    arch = Architecture(3, (10,), beta=0.2)
+    bases = np.column_stack([nn_init(arch, s).flat for s in (3, 4)])
+    xs = np.random.default_rng(12).standard_normal((3, 4)) / 4.0
+    with pytest.raises(InvalidArgumentError, match="one base point"):
+        linearize(arch, ModelParams(bases, layout_for(arch)), xs)
 
 
 def test_linearize_makes_one_network_pass(monkeypatch):

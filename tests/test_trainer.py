@@ -305,50 +305,27 @@ def _net_cases():
 
 @pytest.mark.parametrize("case", list(_net_cases()), ids=lambda c: c[0])
 def test_network_batch_matches_solo_runs(case):
-    from grwlab.models import ModelParams, WideNet, linearize
+    from grwlab.models import WideNet, linearize, nn_init
 
     name, arch = case
     data = _small_blobs(sizes=(3, 2), d=3)
     net = WideNet(arch)
     rng = np.random.default_rng(8)
     starts = [net.init_params(s) + 0.1 * rng.standard_normal(net.n_params) for s in (1, 2, 3)]
-    if name.startswith("widenet"):
-        batch_model, solo_models = net, [net] * 3
-    else:
-        batch_model = linearize(arch, ModelParams(np.column_stack(starts), net.layout), data.X)
-        solo_models = [linearize(arch, ModelParams(s, net.layout), data.X) for s in starts]
+    # The linearized runs start at three points around one shared base point.
+    model = net if name.startswith("widenet") else linearize(arch, nn_init(arch, 1), data.X)
     specs = ("gdro:0.1", "erm", "gdro:0.1")
     # The first run stops early, at the risk it reaches at epoch 28 alone.
     probe = _cfg(eta=0.2, epochs=60, scheme=parse_scheme(specs[0]), stop_risk=0.0, record_every=7)
-    stop = train(solo_models[0], data, probe, theta0=starts[0])[1].risk[4]
+    stop = train(model, data, probe, theta0=starts[0])[1].risk[4]
     cfgs = [_cfg(eta=0.2, epochs=60, scheme=parse_scheme(s), mu=mu, stop_risk=sr, record_every=7,
                  record_params=True) for s, mu, sr in zip(specs, (0.0, 0.0, 0.05), (stop, 0.0, 0.0))]
-    batch = train(batch_model, data, cfgs, theta0=np.column_stack(starts))
-    alone = [train(m, data, c, theta0=s) for m, c, s in zip(solo_models, cfgs, starts)]
+    batch = train(model, data, cfgs, theta0=np.column_stack(starts))
+    alone = [train(model, data, c, theta0=s) for c, s in zip(cfgs, starts)]
     for b, a in zip(batch, alone):
         _assert_same_run(b, a, rel=1e-11)
     assert [t.stop_reason for _, t in batch] == ["stop_risk", "epoch_budget", "epoch_budget"]
     assert 0 < batch[0][1].epochs_run <= 28  # the risk need not fall monotonically
-
-
-def test_stacked_linearization_trains_without_network_passes(monkeypatch):
-    # Every step, also after a run stops and the model is cut to the others,
-    # reads the features cached at the training points.
-    import grwlab.models as models
-
-    data = _small_blobs(sizes=(3, 2), d=3)
-    arch = models.Architecture(3, (16,), beta=0.3)
-    starts = np.column_stack([models.nn_init(arch, s).flat for s in (1, 2, 3)])
-    lin = models.linearize(arch, models.ModelParams(starts, models.layout_for(arch)), data.X)
-    calls = []
-    original = models.nn_forward_batch
-    monkeypatch.setattr(models, "nn_forward_batch", lambda *a, **k: calls.append(1) or original(*a, **k))
-    cfgs = [_cfg(eta=0.2, epochs=60, scheme=parse_scheme("gdro:0.1"), stop_risk=sr, record_every=7)
-            for sr in (0.13, 0.0, 0.0)]
-    runs = train(lin, data, cfgs, theta0=starts)
-    assert [t.stop_reason for _, t in runs] == ["stop_risk", "epoch_budget", "epoch_budget"]
-    assert runs[0][1].epochs_run < 60
-    assert calls == []
 
 
 def test_stop_mask_freezes_a_run_while_the_others_go_on():
