@@ -109,7 +109,10 @@ class ExperimentConfig:
         if not self.schemes:
             raise InvalidArgumentError("need at least one scheme")
         if self.eta != "auto":
-            parse_number(self.eta, float, "config key 'eta'")
+            eta = parse_number(self.eta, float, "config key 'eta'")
+            if not 0 < eta < np.inf:
+                raise InvalidArgumentError(
+                    f"config key 'eta': {self.eta!r} is not 'auto' or a positive finite float")
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, float) and np.isnan(value):
@@ -406,9 +409,9 @@ class _WeightLogger:
 
     A bounded ring buffer holds the weights of the last ``keep`` updates at
     full epoch resolution, which is what the settlement check needs; the
-    thinned trace still records the whole trajectory.  A logger compares
-    equal only to itself, so in a batch it sees exactly the runs it was
-    given; once they stop, its buffer stops growing.
+    thinned trace still records the whole trajectory.  The trainer calls it
+    once per step of the run it was given; once that run stops, its buffer
+    stops growing.
     """
 
     def __init__(self, inner, keep: int = 5000):
@@ -490,9 +493,10 @@ def run_fig1(cfg: ExperimentConfig) -> dict:
         gap = float(np.linalg.norm(final - oracle))
         report.check(f"risk_below_1e-10[{scheme_text}]", risk < 1e-10, risk, "< 1e-10")
         report.check(f"oracle_gap_below_1e-3[{scheme_text}]", gap < 1e-3, gap, "< 1e-3")
+    comparison = compare_runs(traces, finals)
     for i in range(len(finals)):
         for j in range(i + 1, len(finals)):
-            gap = float(np.linalg.norm(finals[i] - finals[j]))
+            gap = comparison["pairwise_gap"][i][j]
             report.check(
                 f"pairwise_gap_below_2e-3[{cfg.schemes[i]}|{cfg.schemes[j]}]",
                 gap < 2e-3, gap, "< 2e-3",
@@ -554,7 +558,7 @@ def run_fig1(cfg: ExperimentConfig) -> dict:
     )
     report.artifact(out_dir / "panel_weight_gaps.svg")
     report.artifact(out_dir / "panel_losses.svg")
-    report.metric("comparison", compare_runs(traces, finals))
+    report.metric("comparison", comparison)
     return report.finish(out_dir)
 
 
@@ -779,8 +783,7 @@ def run_ntk_convergence(cfg: ExperimentConfig) -> dict:
     limit_norm = float(np.linalg.norm(limit))
     report.metric("limit_fro_norm", limit_norm)
 
-    def cell(item):
-        width, seed = item
+    def cell(width, seed):
         arch = Architecture(d0, (width,) * cfg.nn_depth, beta=cfg.nn_beta, activation="erf")
         params = nn_init(arch, seed)
         _, feats = nn_grad_batch(arch, params, points)
@@ -791,8 +794,7 @@ def run_ntk_convergence(cfg: ExperimentConfig) -> dict:
 
     medians = []
     for width in cfg.widths:
-        items = [(width, 10_000 * width + s) for s in cfg.seeds]
-        out = [cell(item) for item in items]
+        out = [cell(width, 10_000 * width + s) for s in cfg.seeds]
         errs = sorted(e for e, _ in out)
         med = float(np.median(errs))
         medians.append(med)
@@ -964,7 +966,7 @@ def run_compare(cfg: ExperimentConfig) -> dict:
             raise InvalidArgumentError("model input_dim does not match the dataset")
         model = WideNet(model_spec)
         theta0 = nn_init(model_spec, cfg.data_seed).flat
-    eta = _resolve_eta(cfg, data, mu=cfg.mu) if cfg.eta == "auto" else float(cfg.eta)
+    eta = _resolve_eta(cfg, data, mu=cfg.mu)
     chash = config_hash(cfg)
 
     runs = _train_runs(data, cfg.schemes, loss, eta, cfg.epochs, cfg.record_every,

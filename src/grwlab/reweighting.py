@@ -8,8 +8,8 @@ is renormalized after each step so that drift stays below 1e-12 even over
 
 A scheme's ``update`` takes the per-sample losses of one run (n,) or of a
 block of r runs (n x r, one column per run) and returns weights of the same
-shape, so runs that share a scheme share one call per step.  Schemes are
-values: two schemes with the same spec compare equal.
+shape.  The trainer steps each run on its own n x 1 column; the paired
+study in ``experiments`` steps its seeds as one block.
 """
 
 from __future__ import annotations
@@ -231,19 +231,7 @@ def _sliding(op, hist: np.ndarray, window: int, fill: float) -> np.ndarray:
     return op(suffix[:count], prefix[window - 1 : window - 1 + count])
 
 
-class _Scheme:
-    """Schemes are immutable values named by their spec; equal specs are equal."""
-
-    name: str
-
-    def __eq__(self, other):
-        return type(other) is type(self) and other.name == self.name
-
-    def __hash__(self):
-        return hash((type(self), self.name))
-
-
-class StaticScheme(_Scheme):
+class StaticScheme:
     """Weights fixed for the whole run (ERM or importance weighting)."""
 
     def __init__(self, name: str, kind: str):
@@ -259,7 +247,7 @@ class StaticScheme(_Scheme):
         return state
 
 
-class GroupDroScheme(_Scheme):
+class GroupDroScheme:
     """Exponentiated-gradient group weights recomputed from full-batch risks."""
 
     def __init__(self, nu: float):
@@ -280,7 +268,7 @@ class GroupDroScheme(_Scheme):
         return WeightState(q=q, gdro_g=new_g)
 
 
-class CvarScheme(_Scheme):
+class CvarScheme:
     """Uniform weight on the worst alpha-fraction of sample losses each epoch."""
 
     def __init__(self, alpha: float):

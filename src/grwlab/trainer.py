@@ -21,10 +21,11 @@ them that share the model, the data, the loss, eta, epochs and record_every;
 scheme, mu, stop_risk, seed, record_params, theta0, theta_ref and
 ref_direction may differ from run to run.  The parameters of the runs form
 one p x R array with a column per run, and losses and weights are n x R, so
-each step is one array program: one vjp, one loss evaluation and one
-``update`` call per distinct scheme.  A run that stops leaves the working
-set: its parameters, scheme state and trace no longer change while the
-others go on.  A single run is the R = 1 case of the same loop.
+each step is one vjp and one loss evaluation for all runs.  Each run keeps
+its own scheme state, which its scheme's ``update`` advances on that run's
+n x 1 column of losses.  A run that stops leaves the working set: its
+parameters, scheme state and trace no longer change while the others go on.
+A single run is the R = 1 case of the same loop.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .errors import DivergedError, InvalidArgumentError
 from .linalg import as_matrix, as_vector, gram, require_full_rank
 from .losses import LossKind, loss_kernels, require_labels
 from .models import warn_outside_unit_ball
-from .reweighting import GroupInfo, group_means, repeat_state, take_runs
+from .reweighting import GroupInfo, repeat_state
 
 
 @dataclass
@@ -115,30 +116,6 @@ def _per_run(value, runs: int, name: str) -> list:
     return [value] * runs
 
 
-class _SchemeBlock:
-    """The runs that share one scheme: columns lo:hi of the working set."""
-
-    def __init__(self, scheme, lo: int, hi: int, groups: GroupInfo):
-        self.scheme, self.lo, self.hi = scheme, lo, hi
-        self.state = repeat_state(scheme.init_state(groups), hi - lo)
-
-    def update(self, q: np.ndarray, losses: np.ndarray, groups: GroupInfo) -> None:
-        """Advance the state on this block's columns of losses; write its q."""
-        state = self.scheme.update(self.state, losses[:, self.lo : self.hi], groups)
-        if state is not self.state:
-            self.state = state
-            q[:, self.lo : self.hi] = state.q
-
-    def keep(self, keep: np.ndarray) -> bool:
-        """Drop the columns of stopped runs; False when none are left."""
-        mine = keep[self.lo : self.hi]
-        if not mine.all():
-            self.state = take_runs(self.state, mine)
-        self.lo = int(keep[: self.lo].sum())
-        self.hi = self.lo + int(mine.sum())
-        return self.hi > self.lo
-
-
 def train(model, data, cfg, theta0=None, theta_ref=None, ref_direction=None):
     """Run full-batch reweighted GD.
 
@@ -187,24 +164,18 @@ def train(model, data, cfg, theta0=None, theta_ref=None, ref_direction=None):
                          n_groups=groups.n_groups) for r, c in enumerate(cfgs)]
     finals: list = [None] * runs
 
-    # Working set: column j of every array below belongs to run ids[j].  The
-    # runs are ordered so that those sharing a scheme are adjacent.
-    members: dict = {}
-    for r, c in enumerate(cfgs):
-        members.setdefault(c.scheme, []).append(r)
-    ids = np.array([r for cols in members.values() for r in cols])
-    blocks, lo = [], 0
-    for scheme, cols in members.items():
-        blocks.append(_SchemeBlock(scheme, lo, lo + len(cols), groups))
-        lo += len(cols)
-    origin = start[:, ids]
+    # Working set: column j of every array and list below belongs to run ids[j].
+    ids = np.arange(runs)
+    schemes = [c.scheme for c in cfgs]
+    states = [repeat_state(s.init_state(groups), 1) for s in schemes]
+    origin = start
     theta = origin.copy()
-    mu = np.array([cfgs[r].mu for r in ids])
+    mu = np.array([c.mu for c in cfgs])
     penalized = bool(mu.any())
     # Per-run scalars that are read every step stay Python floats: with a
     # handful of runs a list comparison costs less than a numpy call.
-    stop_risk = [cfgs[r].stop_risk for r in ids]
-    q = np.hstack([block.state.q for block in blocks])
+    stop_risk = [c.stop_risk for c in cfgs]
+    q = np.hstack([state.q for state in states])
     ycol = ys[:, None]
     n, eta, epochs, record_every = groups.n, head.eta, head.epochs, head.record_every
 
@@ -213,14 +184,10 @@ def train(model, data, cfg, theta0=None, theta_ref=None, ref_direction=None):
         trace, th, qj, lj = traces[r], theta[:, j], q[:, j], losses[:, j]
         trace.epochs.append(t)
         trace.risk.append(risk)
-        if math.isfinite(risk):
-            trace.weighted_risk.append(float(qj @ lj))
-            trace.group_risks.append(group_means(lj, groups))
-        else:
-            # Diverged rows keep their non-finite values verbatim.
-            trace.weighted_risk.append(risk)
-            sums = np.bincount(groups.labels, weights=lj, minlength=groups.n_groups)
-            trace.group_risks.append(sums / groups.sizes)
+        # Diverged rows keep their non-finite values verbatim.
+        trace.weighted_risk.append(float(qj @ lj) if math.isfinite(risk) else risk)
+        sums = np.bincount(groups.labels, weights=lj, minlength=groups.n_groups)
+        trace.group_risks.append(sums / groups.sizes)
         trace.q_group.append(np.bincount(groups.labels, weights=qj, minlength=groups.n_groups))
         trace.q_snapshots.append(qj.copy())
         trace.theta_norm.append(float(np.linalg.norm(th - origin[:, j])))
@@ -249,8 +216,11 @@ def train(model, data, cfg, theta0=None, theta_ref=None, ref_direction=None):
                 trace.stop_reason, trace.epochs_run = "diverged", t
                 raise DivergedError(f"run {ids[j]}: non-finite risk at epoch {t}",
                                     trace=trace, params=theta[:, j].copy())
-            for block in blocks:
-                block.update(q, losses, groups)
+            for j, (scheme, state) in enumerate(zip(schemes, states)):
+                new = scheme.update(state, losses[:, j : j + 1], groups)
+                if new is not state:
+                    states[j] = new
+                    q[:, j : j + 1] = new.q
             reached = [risk <= stop for risk, stop in zip(risks, stop_risk)]
             done = [True] * len(risks) if t >= epochs else reached
             stopping = any(done)
@@ -270,7 +240,8 @@ def train(model, data, cfg, theta0=None, theta_ref=None, ref_direction=None):
             step = pullback(q * grad_fn(yhat, ycol))
             if stopping:
                 keep = ~np.array(done)
-                blocks = [b for b in blocks if b.keep(keep)]
+                schemes = [s for s, d in zip(schemes, done) if not d]
+                states = [s for s, d in zip(states, done) if not d]
                 ids, theta, origin, step = ids[keep], theta[:, keep], origin[:, keep], step[:, keep]
                 q, mu = q[:, keep], mu[keep]
                 penalized = bool(mu.any())

@@ -91,15 +91,21 @@ def test_config_rejects_nan_in_every_float_key():
             make_config("fig1", **{key: float("nan")})
 
 
+# Small enough that a config which got past the checks would finish quickly.
+_SMALL_APPROX = "widths = 8,16\nseeds = 0,1\nepochs = 20\nreg_tracking_check = 0"
+
+
 @pytest.mark.parametrize("argv,config,name", [
     (["fig1"], "epochs = abc", "epochs"),
     (["fig1"], "eta = abc", "eta"),
+    (["approx-scaling"], "eta = -1\n" + _SMALL_APPROX, "eta"),
+    (["approx-scaling"], "eta = 0\n" + _SMALL_APPROX, "eta"),
     (["approx-scaling"], "widths = 64,x", "widths"),
     (["compare", "--synthetic"], "model = mlp:4:64xq:0.5:erf", "model spec"),
     (["compare", "--synthetic"], "loss = polytailed:1:b", "loss spec"),
     (["oracle", "ridge", "--synthetic", "--scheme", "gdro:x"], None, "scheme spec"),
     (["fig1", "--synthetic"], "synth_noise = nan", "synth_noise"),
-], ids=["epochs", "eta", "widths", "model", "loss", "scheme", "synth_noise"])
+], ids=["epochs", "eta", "eta-negative", "eta-zero", "widths", "model", "loss", "scheme", "synth_noise"])
 def test_cli_unparseable_numbers_exit_2(tmp_path, capsys, argv, config, name):
     if config is not None:
         path = tmp_path / "c.cfg"

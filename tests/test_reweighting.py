@@ -289,11 +289,3 @@ def test_cvar_block_breaks_ties_toward_lowest_index_in_every_column():
         expected = np.zeros(60)
         expected[chosen] = 1.0 / m
         np.testing.assert_allclose(q[:, r], expected, rtol=1e-15, atol=0)
-
-
-def test_schemes_are_values():
-    assert parse_scheme("gdro:0.1") == parse_scheme("gdro:0.1")
-    assert hash(parse_scheme("cvar:0.5")) == hash(CvarScheme(0.5))
-    assert parse_scheme("erm") != parse_scheme("iw")
-    assert parse_scheme("gdro:0.1") != parse_scheme("gdro:0.2")
-    assert len({parse_scheme(s) for s in ("erm", "erm", "iw", "gdro:0.1", "gdro:0.1")}) == 3
