@@ -18,6 +18,7 @@ import json
 import time
 import warnings
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -36,7 +37,7 @@ from .data_io import (
     synth_groups,
 )
 from .errors import DivergedError, InvalidArgumentError, UnsupportedError, parse_number
-from .losses import Logistic, PolyTailed, Squared, loss_grad, loss_name, loss_value, parse_loss
+from .losses import Logistic, PolyTailed, Squared, loss_kernels, loss_name, loss_value, parse_loss
 from .models import (
     Architecture,
     LinearModel,
@@ -273,6 +274,7 @@ class Report:
             "assertions": [],
             "metrics": {},
             "artifacts": [],
+            "phases_s": {},
         }
         self._t0 = time.perf_counter()
 
@@ -287,6 +289,14 @@ class Report:
 
     def artifact(self, path) -> None:
         self.doc["artifacts"].append(str(path))
+
+    @contextmanager
+    def phase(self, name: str):
+        """Time the enclosed block into ``phases_s``, which is kept apart from
+        ``metrics`` so that metrics compare across reruns."""
+        t0 = time.perf_counter()
+        yield
+        self.doc["phases_s"][name] = round(time.perf_counter() - t0, 3)
 
     def finish(self, out_dir: Path) -> dict:
         self.doc["elapsed_s"] = round(time.perf_counter() - self._t0, 3)
@@ -831,7 +841,8 @@ def _train_pair_shared_weights(arch, theta0, data, scheme, eta, epochs, stop_ris
 
     The training and test points travel as one batch: each epoch makes one
     network forward pass for every seed, whose pullback takes the weighted
-    loss gradient padded with zeros at the test points.  The linearizations
+    loss gradient at the n training points, the leading columns of the
+    batch, and skips the test points' columns.  The linearizations
     train in function space (Lee et al. 2019): with F the features at the
     starts, theta_lin - theta0 = F_train @ coef at every step, so their
     outputs are f0 + K @ coef with the tangent kernel K = F^T F_train, and
@@ -845,8 +856,8 @@ def _train_pair_shared_weights(arch, theta0, data, scheme, eta, epochs, stop_ris
     kernel = np.swapaxes(feats, 1, 2) @ feats[:, :, :n]  # S x (n + T) x n
     theta_nn, coef = theta0.copy(), np.zeros((n, seeds))
     state = repeat_state(scheme.init_state(data.groups), seeds)
-    loss, y = Squared(), data.Y[:, None]
-    v = np.zeros((points.shape[1], seeds))
+    value_fn, grad_fn = loss_kernels(Squared())
+    y = linalg.as_vector(data.Y, "targets")[:, None]
     ids = np.arange(seeds)  # seed of each working column
     sup_gap = np.zeros(seeds)
     risk = np.full(seeds, np.nan)
@@ -854,20 +865,19 @@ def _train_pair_shared_weights(arch, theta0, data, scheme, eta, epochs, stop_ris
         out_nn, pullback_nn = net.vjp(theta_nn, points)
         out_lin = f0 + np.einsum("smn,ns->ms", kernel, coef)
         sup_gap[ids] = np.maximum(sup_gap[ids], np.abs(out_nn[n:] - out_lin[n:]).max(axis=0))
-        losses_nn = loss_value(loss, out_nn[:n], y)
-        risk[ids] = losses_nn.mean(axis=0)
+        losses_nn = value_fn(out_nn[:n], y)
+        risk[ids] = np.add.reduce(losses_nn) / n
         if not np.all(np.isfinite(risk[ids])):
             raise DivergedError(f"paired run diverged at epoch {t}")
         done = risk[ids] <= stop_risk if t < epochs else np.ones(len(ids), dtype=bool)
         if done.all():
             break
         state = scheme.update(state, losses_nn, data.groups)
-        v[:n] = state.q * loss_grad(loss, out_nn[:n], y)
-        step_nn = pullback_nn(v)
-        step_lin = state.q * loss_grad(loss, out_lin[:n], y)
+        step_nn = pullback_nn(state.q * grad_fn(out_nn[:n], y))
+        step_lin = state.q * grad_fn(out_lin[:n], y)
         if done.any():
             keep = ~done
-            ids, state, v = ids[keep], take_runs(state, keep), v[:, keep]
+            ids, state = ids[keep], take_runs(state, keep)
             theta_nn, coef, f0, kernel = theta_nn[:, keep], coef[:, keep], f0[:, keep], kernel[keep]
             step_nn, step_lin = step_nn[:, keep], step_lin[:, keep]
         theta_nn = theta_nn - eta * step_nn
@@ -896,10 +906,11 @@ def run_approx_scaling(cfg: ExperimentConfig) -> dict:
         arch = Architecture(d0, (width,) * cfg.nn_depth, beta=cfg.nn_beta,
                             activation=cfg.nn_activation)
         theta0 = np.column_stack([nn_init(arch, 77_000 + 10_000 * width + s).flat for s in cfg.seeds])
-        gaps, risks = _train_pair_shared_weights(
-            arch, theta0, data, parse_scheme(scheme_text), eta, cfg.epochs, cfg.stop_risk,
-            test_points,
-        )
+        with report.phase(f"paired[width={width}]"):
+            gaps, risks = _train_pair_shared_weights(
+                arch, theta0, data, parse_scheme(scheme_text), eta, cfg.epochs, cfg.stop_risk,
+                test_points,
+            )
         med = float(np.median(gaps))
         medians.append(med)
         report.metric(f"median_sup_gap[width={width}]", med)
@@ -919,11 +930,12 @@ def run_approx_scaling(cfg: ExperimentConfig) -> dict:
         theta0 = nn_init(arch, cfg.data_seed).flat
         net = WideNet(arch)
         mus = [cfg.reg_tracking_mu, cfg.reg_tracking_mu / 10.0]
-        (erm_final, _), *regs = _train_runs(
-            data, ["erm", scheme_text, scheme_text], Squared(), eta, cfg.epochs,
-            cfg.record_every, stop_risk=[cfg.stop_risk, 0.0, 0.0], mu=[0.0, *mus],
-            theta0=theta0, model=net,
-        )
+        with report.phase("reg_tracking"):
+            (erm_final, _), *regs = _train_runs(
+                data, ["erm", scheme_text, scheme_text], Squared(), eta, cfg.epochs,
+                cfg.record_every, stop_risk=[cfg.stop_risk, 0.0, 0.0], mu=[0.0, *mus],
+                theta0=theta0, model=net,
+            )
         ref_out = net.predict(erm_final, test_points)
         gaps_mu = [float(np.abs(net.predict(final, test_points) - ref_out).max()) for final, _ in regs]
         risks_mu = [trace.risk[-1] for _, trace in regs]
@@ -933,13 +945,14 @@ def run_approx_scaling(cfg: ExperimentConfig) -> dict:
         report.check("reg_tracking_gap_shrinks_with_risk", gaps_mu[1] < gaps_mu[0],
                      gaps_mu, "gap(mu/10) < gap(mu)")
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_panel_csv(out_dir / "gap_scaling.csv", "width", list(cfg.widths),
-                     [("median_sup_gap", medians)], report)
-    svg_line_chart(out_dir / "gap_scaling.svg",
-                   [("median sup gap", list(cfg.widths), medians)],
-                   title="linearization gap vs width", xlabel="width", ylabel="sup gap",
-                   logx=True, logy=True)
+    with report.phase("export"):
+        out_dir.mkdir(parents=True, exist_ok=True)
+        _write_panel_csv(out_dir / "gap_scaling.csv", "width", list(cfg.widths),
+                         [("median_sup_gap", medians)], report)
+        svg_line_chart(out_dir / "gap_scaling.svg",
+                       [("median sup gap", list(cfg.widths), medians)],
+                       title="linearization gap vs width", xlabel="width", ylabel="sup gap",
+                       logx=True, logy=True)
     report.artifact(out_dir / "gap_scaling.svg")
     return report.finish(out_dir)
 

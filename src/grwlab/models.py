@@ -40,10 +40,16 @@ def _erf(z):
 
 def _erf_prime(z):
     # Flush the underflow region to exact zero: exp(-z^2) below 1e-300 would
-    # otherwise produce subnormals, which cost 10-100x on the hot path.
-    z2 = np.square(z)
-    out = (2.0 / np.sqrt(np.pi)) * np.exp(-np.minimum(z2, 690.0))
-    return np.where(z2 > 690.0, 0.0, out)
+    # otherwise produce subnormals, which cost 10-100x on the hot path.  One
+    # float buffer, in the order of 2/sqrt(pi) * exp(-min(z^2, 690)).
+    out = np.square(z)
+    flushed = out > 690.0
+    np.minimum(out, 690.0, out=out)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    out *= 2.0 / np.sqrt(np.pi)
+    np.copyto(out, 0.0, where=flushed)
+    return out
 
 
 def _tanh_prime(z):
@@ -202,7 +208,9 @@ def nn_forward_batch(arch: Architecture, params: ModelParams, xs,
     preacts, acts = [], []
     a = xs
     for l in range(arch.depth + 1):
-        h = params.weight(l) @ a / np.sqrt(dims[l]) + arch.beta * params.bias(l)[..., None]
+        h = params.weight(l) @ a
+        h /= np.sqrt(dims[l])
+        h += arch.beta * params.bias(l)[..., None]
         preacts.append(h)
         if l < arch.depth:
             a = act(h)
@@ -243,15 +251,31 @@ def nn_grad_batch(arch: Architecture, params: ModelParams, xs) -> tuple[np.ndarr
     return values, jac
 
 
+def _leading(cols: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The leading columns of ``cols`` that the k cotangents in v cover."""
+    k, m = v.shape[0], cols.shape[-1]
+    if k > m:
+        raise InvalidArgumentError(f"{k} cotangents for {m} outputs")
+    return cols[..., :k]
+
+
 def nn_pullback(arch: Architecture, params: ModelParams, xs: np.ndarray, cache: ForwardCache,
                 v: np.ndarray) -> np.ndarray:
     """J @ v for the batch behind ``cache``, by backpropagating the output
-    cotangents v, (m,) or (m, R), through that forward pass; J is never
-    formed.  The result has the shape of ``params.flat``."""
+    cotangents v through that forward pass; J is never formed.
+
+    v, (k,) or (k, R), holds cotangents for the leading k <= m columns of the
+    batch; the trailing columns count as zero and cost nothing, since every
+    backward product runs over the leading k columns only.  The result has
+    the shape of ``params.flat``.  The cache is only read.
+    """
     _, act_prime = ACTIVATIONS[arch.activation]
     dims = arch.layer_dims
     layout = params.layout
     out = np.empty(params.flat.shape, dtype=np.float64)
+    xs = _leading(xs, v)
+    k = xs.shape[1]
+    ones = np.ones(k)
 
     def flat(block):  # (d_out, d_in) -> (d_out * d_in,); (R, d_out, d_in) -> (d_out * d_in, R)
         return block.ravel() if block.ndim < 3 else block.reshape(block.shape[0], -1).T
@@ -259,14 +283,17 @@ def nn_pullback(arch: Architecture, params: ModelParams, xs: np.ndarray, cache: 
     # alpha^{l+1} = v-weighted d h^{L+1} / d h^{l+1}, one column per input.
     alpha = v.T[..., None, :]
     for l in range(arch.depth, -1, -1):
-        a_prev = xs if l == 0 else cache.acts[l - 1]
+        a_prev = xs if l == 0 else cache.acts[l - 1][..., :k]
         shape = layout.weight_shapes[l]
         off_w, off_b = layout.weight_offsets[l], layout.bias_offsets[l]
-        out[off_w : off_w + shape[0] * shape[1]] = flat(alpha @ np.swapaxes(a_prev, -1, -2)) / np.sqrt(dims[l])
-        out[off_b : off_b + shape[0]] = arch.beta * alpha.sum(axis=-1).T
+        np.divide(flat(alpha @ np.swapaxes(a_prev, -1, -2)), np.sqrt(dims[l]),
+                  out=out[off_w : off_w + shape[0] * shape[1]])
+        np.multiply(arch.beta, (alpha @ ones).T, out=out[off_b : off_b + shape[0]])
         if l > 0:
-            alpha = act_prime(cache.preacts[l - 1]) * (
-                np.swapaxes(params.weight(l), -1, -2) @ alpha / np.sqrt(dims[l]))
+            back = np.swapaxes(params.weight(l), -1, -2) @ alpha
+            back /= np.sqrt(dims[l])
+            back *= act_prime(cache.preacts[l - 1][..., :k])
+            alpha = back
     return out
 
 
@@ -305,12 +332,15 @@ def parse_model(text: str):
 #   predict(theta, xs)    -> outputs at the columns of xs;
 #   jacobian(theta, xs)   -> the p x m matrix of output gradients;
 #   vjp(theta, xs)        -> (outputs, pullback) from one forward pass, where
-#                            pullback(v) = jacobian(theta, xs) @ v.
+#                            pullback(v) = jacobian(theta, xs)[:, :k] @ v.
 #
+# v holds cotangents for the leading k <= m columns of xs, so a caller whose
+# cotangents vanish at trailing columns (test points evaluated in the same
+# pass) passes only the leading k rows; k > m raises InvalidArgumentError.
 # vjp is the training step's only model call.  It expects xs validated
 # already (train() checks the data once on entry), so it skips the checks.
-# vjp also takes a p x R stack of runs: outputs and cotangents are then
-# m x R, and the pullback returns p x R.  The models keep no per-run state,
+# vjp also takes a p x R stack of runs: outputs are then m x R, cotangents
+# k x R, and the pullback returns p x R.  The models keep no per-run state,
 # so the runs of a stack share one model.
 
 
@@ -336,7 +366,7 @@ class LinearModel:
         return xs
 
     def vjp(self, theta: np.ndarray, xs: np.ndarray):
-        return xs.T @ theta, lambda v: xs @ v
+        return xs.T @ theta, lambda v: _leading(xs, v) @ v
 
 
 class WideNet:
@@ -417,7 +447,7 @@ class LinearizedNet:
         f0, feats = self._f0_and_features(xs)
         theta0 = self.theta0 if theta.ndim == 1 else self.theta0[:, None]
         f0 = f0 if theta.ndim == 1 else f0[:, None]
-        return f0 + feats.T @ (theta - theta0), lambda v: feats @ v
+        return f0 + feats.T @ (theta - theta0), lambda v: _leading(feats, v) @ v
 
 
 def linearize(arch: Architecture, params0: ModelParams, points) -> LinearizedNet:

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -349,6 +350,23 @@ def test_paired_training_one_forward_pass_per_epoch_and_matches_two_pass_loop(mo
     assert got[1][0] == pytest.approx(ref[1], rel=1e-10)
 
 
+def test_paired_training_pulls_back_only_the_training_columns(monkeypatch):
+    # The test points ride in the forward batch but carry no cotangents.
+    import grwlab.models as models
+    from grwlab.experiments import _train_pair_shared_weights
+    from grwlab.reweighting import parse_scheme as ps
+
+    arch, theta0, data, pts = _paired_inputs()
+    rows = []
+    original = models.nn_pullback
+    monkeypatch.setattr(models, "nn_pullback",
+                        lambda arch, params, xs, cache, v: rows.append((xs.shape[1], v.shape))
+                        or original(arch, params, xs, cache, v))
+    _train_pair_shared_weights(arch, np.column_stack([theta0, theta0]), data, ps("gdro:0.1"), 0.25,
+                               5, 0.0, pts)
+    assert rows == [(data.n + pts.shape[1], (data.n, 2))] * 5
+
+
 def test_paired_training_batched_seeds_match_each_seed_alone():
     from grwlab.experiments import _train_pair_shared_weights
     from grwlab.models import nn_init
@@ -368,6 +386,23 @@ def test_paired_training_batched_seeds_match_each_seed_alone():
         assert gaps[s] == pytest.approx(gap[0], rel=1e-12)
         assert final[s] == pytest.approx(risk[0], rel=1e-12)
     assert np.all(final <= stop)
+
+
+def test_approx_scaling_report_times_its_phases(tmp_path):
+    from grwlab.experiments import run_approx_scaling
+
+    cfg = make_config("approx-scaling", synthetic=True, out=str(tmp_path), widths=(8, 16),
+                      seeds=(0, 1), epochs=20, record_every=10)
+    rep = run_approx_scaling(cfg)
+    doc = json.loads((tmp_path / "approx-scaling" / "report.json").read_text())
+    phases = doc["phases_s"]
+    assert set(phases) == {"paired[width=8]", "paired[width=16]", "reg_tracking", "export"}
+    assert all(math.isfinite(t) and t >= 0 for t in phases.values())
+    # Timings stay out of the metrics, whose keys are the same as ever.
+    assert set(doc["metrics"]) == {
+        "provenance", "eta", "median_sup_gap[width=8]", "final_risks[width=8]",
+        "median_sup_gap[width=16]", "final_risks[width=16]", "log_log_slope", "reg_tracking"}
+    assert rep["phases_s"] == phases
 
 
 def test_feature_gram_equals_empirical_kernel():

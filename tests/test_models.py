@@ -18,6 +18,7 @@ from grwlab.models import (
     nn_grad,
     nn_grad_batch,
     nn_init,
+    nn_pullback,
     parse_model,
 )
 
@@ -280,6 +281,73 @@ def test_vjp_pullback_equals_jacobian_times_v(case):
         assert np.array_equal(pullback(v), ref)
     else:
         assert np.allclose(pullback(v), ref, rtol=0, atol=1e-12 * max(1.0, np.abs(ref).max()))
+
+
+def _stack_of_runs(theta, runs=3):
+    rng = np.random.default_rng(8)
+    return np.column_stack([theta] + [theta + 0.1 * rng.standard_normal(theta.shape)
+                                      for _ in range(runs - 1)])
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["1d", "stack"])
+@pytest.mark.parametrize("case", list(_vjp_cases()), ids=lambda c: c[0])
+def test_pullback_of_leading_cotangents_equals_zero_padded(case, stacked):
+    # Cotangents for the leading k columns stand for zeros at the rest.
+    name, model, theta, xs = case
+    if stacked:
+        theta = _stack_of_runs(theta)
+    m = xs.shape[1]
+    v = np.random.default_rng(5).standard_normal((m,) + theta.shape[1:])
+    _, pullback = model.vjp(theta, xs)
+    for k in sorted({1, m // 2, m}):
+        padded = v.copy()
+        padded[k:] = 0.0
+        ref = pullback(padded)
+        got = pullback(v[:k])
+        assert got.shape == theta.shape
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13 * max(1.0, np.abs(ref).max()))
+
+
+@pytest.mark.parametrize("case", list(_vjp_cases()), ids=lambda c: c[0])
+def test_pullback_rejects_more_cotangents_than_outputs(case):
+    name, model, theta, xs = case
+    _, pullback = model.vjp(theta, xs)
+    with pytest.raises(InvalidArgumentError, match="cotangents"):
+        pullback(np.ones(xs.shape[1] + 1))
+
+
+@pytest.mark.parametrize("activation", ["erf", "tanh"])
+@pytest.mark.parametrize("depth", [1, 2])
+def test_pullback_leaves_the_forward_cache_unchanged(activation, depth):
+    arch = Architecture(3, (12,) * depth, beta=0.3, activation=activation)
+    net = WideNet(arch)
+    rng = np.random.default_rng(depth)
+    thetas = _stack_of_runs(net.init_params(depth) + 0.3 * rng.standard_normal(net.n_params))
+    params = ModelParams(thetas, net.layout)
+    xs = rng.standard_normal((3, 5)) / 4.0
+    _, cache = nn_forward_batch(arch, params, xs)
+    before = [a.copy() for a in cache.preacts + cache.acts]
+    for k in (2, 5):
+        nn_pullback(arch, params, xs, cache, rng.standard_normal((k, 3)))
+        for old, new in zip(before, cache.preacts + cache.acts):
+            np.testing.assert_array_equal(new, old)
+
+
+def test_erf_prime_is_the_flushed_derivative():
+    from grwlab.models import _erf_prime
+
+    edge = math.sqrt(690.0)
+    z = np.concatenate([np.linspace(-30.0, 30.0, 6002),
+                        np.nextafter(edge, [0.0, np.inf]), np.nextafter(-edge, [0.0, -np.inf]),
+                        [edge, -edge]]).reshape(4, -1)
+    z_copy = z.copy()
+    z2 = z * z
+    ref = np.where(z2 > 690.0, 0.0, 2.0 / np.sqrt(np.pi) * np.exp(-np.minimum(z2, 690.0)))
+    out = _erf_prime(z)
+    assert np.array_equal(out, ref)
+    assert np.array_equal(z, z_copy)
+    assert np.all((out == 0.0) | (out >= np.finfo(np.float64).tiny))
+    assert (out == 0.0).any() and (out > 0.0).any()
 
 
 def test_widenet_vjp_is_one_forward_pass(monkeypatch):
