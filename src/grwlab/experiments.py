@@ -293,10 +293,12 @@ class Report:
     @contextmanager
     def phase(self, name: str):
         """Time the enclosed block into ``phases_s``, which is kept apart from
-        ``metrics`` so that metrics compare across reruns."""
+        ``metrics`` so that metrics compare across reruns.  A phase entered
+        more than once adds up its blocks."""
         t0 = time.perf_counter()
         yield
-        self.doc["phases_s"][name] = round(time.perf_counter() - t0, 3)
+        phases = self.doc["phases_s"]
+        phases[name] = round(phases.get(name, 0.0) + time.perf_counter() - t0, 3)
 
     def finish(self, out_dir: Path) -> dict:
         self.doc["elapsed_s"] = round(time.perf_counter() - self._t0, 3)
@@ -471,103 +473,108 @@ def run_fig1(cfg: ExperimentConfig) -> dict:
     span interpolator."""
     report = Report(cfg)
     out_dir = Path(cfg.out) / "fig1"
-    data = load_experiment_dataset(cfg, classification=False)
-    report.metric("provenance", data.provenance)
-    eta = _resolve_eta(cfg, data)
-    report.metric("eta", eta)
-    chash = config_hash(cfg)
-    theta0 = np.zeros(data.dim)
-    oracle = min_norm_interpolator(data.X, data.Y, theta0, data.X.T @ theta0)
-    oracle_norm = float(np.linalg.norm(oracle))
-    report.metric("oracle_norm", oracle_norm)
-    # The datasets and targets are only pinned up to scaling choices, so the
-    # interpolator norm is checked as an order of magnitude, not a value.
-    report.check("oracle_norm_order_one", 0.05 < oracle_norm < 20.0, oracle_norm,
-                 "in (0.05, 20)")
+    with report.phase("data"):
+        data = load_experiment_dataset(cfg, classification=False)
+        report.metric("provenance", data.provenance)
+        eta = _resolve_eta(cfg, data)
+        report.metric("eta", eta)
+        chash = config_hash(cfg)
+        theta0 = np.zeros(data.dim)
+        oracle = min_norm_interpolator(data.X, data.Y, theta0, data.X.T @ theta0)
+        oracle_norm = float(np.linalg.norm(oracle))
+        report.metric("oracle_norm", oracle_norm)
+        # The datasets and targets are only pinned up to scaling choices, so the
+        # interpolator norm is checked as an order of magnitude, not a value.
+        report.check("oracle_norm_order_one", 0.05 < oracle_norm < 20.0, oracle_norm,
+                     "in (0.05, 20)")
 
     # Dynamic schemes keep their trailing weights for the settlement check.
     loggers = [
         _WeightLogger(parse_scheme(s)) if s.startswith(("gdro", "cvar")) else parse_scheme(s)
         for s in cfg.schemes
     ]
-    runs = _train_runs(data, loggers, Squared(), eta, cfg.epochs, cfg.record_every,
-                       stop_risk=cfg.stop_risk, record_params=True, theta_ref=oracle,
-                       cfg_hash=chash)
+    with report.phase("train"):
+        runs = _train_runs(data, loggers, Squared(), eta, cfg.epochs, cfg.record_every,
+                           stop_risk=cfg.stop_risk, record_params=True, theta_ref=oracle,
+                           cfg_hash=chash)
     finals = [final for final, _ in runs]
     traces = [trace for _, trace in runs]
-    for scheme_text, trace in zip(cfg.schemes, traces):
-        _export_run(out_dir, _safe_name(scheme_text), trace, report)
+    with report.phase("export"):
+        for scheme_text, trace in zip(cfg.schemes, traces):
+            _export_run(out_dir, _safe_name(scheme_text), trace, report)
 
-    for scheme_text, final, trace in zip(cfg.schemes, finals, traces):
-        risk = trace.risk[-1]
-        gap = float(np.linalg.norm(final - oracle))
-        report.check(f"risk_below_1e-10[{scheme_text}]", risk < 1e-10, risk, "< 1e-10")
-        report.check(f"oracle_gap_below_1e-3[{scheme_text}]", gap < 1e-3, gap, "< 1e-3")
-    comparison = compare_runs(traces, finals)
-    for i in range(len(finals)):
-        for j in range(i + 1, len(finals)):
-            gap = comparison["pairwise_gap"][i][j]
-            report.check(
-                f"pairwise_gap_below_2e-3[{cfg.schemes[i]}|{cfg.schemes[j]}]",
-                gap < 2e-3, gap, "< 2e-3",
-            )
+    with report.phase("checks"):
+        for scheme_text, final, trace in zip(cfg.schemes, finals, traces):
+            risk = trace.risk[-1]
+            gap = float(np.linalg.norm(final - oracle))
+            report.check(f"risk_below_1e-10[{scheme_text}]", risk < 1e-10, risk, "< 1e-10")
+            report.check(f"oracle_gap_below_1e-3[{scheme_text}]", gap < 1e-3, gap, "< 1e-3")
+        comparison = compare_runs(traces, finals)
+        for i in range(len(finals)):
+            for j in range(i + 1, len(finals)):
+                gap = comparison["pairwise_gap"][i][j]
+                report.check(
+                    f"pairwise_gap_below_2e-3[{cfg.schemes[i]}|{cfg.schemes[j]}]",
+                    gap < 2e-3, gap, "< 2e-3",
+                )
 
-    # Span invariant: parameter displacement never leaves span{x_i}.
-    worst = 0.0
-    for trace in traces:
-        for theta in trace.theta_snapshots:
-            disp = theta - trace.theta0
-            norm = float(np.linalg.norm(disp))
-            if norm > 0:
-                worst = max(worst, linalg.span_residual(disp, data.X) / norm)
-    report.check("span_residual_below_1e-8", worst <= 1e-8, worst, "<= 1e-8 relative")
-    report.metric("max_relative_span_residual", worst)
+        # Span invariant: parameter displacement never leaves span{x_i}.
+        worst = 0.0
+        for trace in traces:
+            for theta in trace.theta_snapshots:
+                disp = theta - trace.theta0
+                norm = float(np.linalg.norm(disp))
+                if norm > 0:
+                    worst = max(worst, linalg.span_residual(disp, data.X) / norm)
+        report.check("span_residual_below_1e-8", worst <= 1e-8, worst, "<= 1e-8 relative")
+        report.metric("max_relative_span_residual", worst)
 
-    # Weight convergence diagnostic for the dynamic schemes, at full epoch
-    # resolution over the trailing buffer.
-    for scheme_text, logger in zip(cfg.schemes, loggers):
-        if not isinstance(logger, _WeightLogger):
-            continue
-        hist = np.stack(logger.q_tail).reshape(len(logger.q_tail), -1)
-        window = min(1000, hist.shape[0])
-        ok, q_star, t_eps = check_assumption1(hist, window=window, tol=1e-4)
-        report.check(f"weights_settle_positive[{scheme_text}]", ok, q_star,
-                     "tail oscillation <= 1e-4, min weight > 0")
-        report.metric(f"q_star[{scheme_text}]", q_star)
-        report.metric(f"t_eps[{scheme_text}]", t_eps)
+        # Weight convergence diagnostic for the dynamic schemes, at full epoch
+        # resolution over the trailing buffer.
+        for scheme_text, logger in zip(cfg.schemes, loggers):
+            if not isinstance(logger, _WeightLogger):
+                continue
+            hist = np.stack(logger.q_tail).reshape(len(logger.q_tail), -1)
+            window = min(1000, hist.shape[0])
+            ok, q_star, t_eps = check_assumption1(hist, window=window, tol=1e-4)
+            report.check(f"weights_settle_positive[{scheme_text}]", ok, q_star,
+                         "tail oscillation <= 1e-4, min weight > 0")
+            report.metric(f"q_star[{scheme_text}]", q_star)
+            report.metric(f"t_eps[{scheme_text}]", t_eps)
 
     # Panel data: gaps to the first scheme, first-scheme norm, losses, group weights.
-    steps = min(len(t) for t in traces)
-    epochs_axis = traces[0].epochs[:steps]
-    gap_series = []
-    for scheme_text, trace in zip(cfg.schemes[1:], traces[1:]):
-        gaps = [
-            float(np.linalg.norm(trace.theta_snapshots[i] - traces[0].theta_snapshots[i]))
-            for i in range(steps)
-        ]
-        gap_series.append((f"{cfg.schemes[0]} vs {scheme_text}", epochs_axis, gaps))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_panel_csv(out_dir / "panel_weight_gaps.csv", "epoch", epochs_axis,
-                     [(name, ys) for name, _, ys in gap_series], report)
-    _write_panel_csv(out_dir / "panel_model_norm.csv", "epoch", epochs_axis,
-                     [(f"norm[{cfg.schemes[0]}]", traces[0].theta_norm[:steps])], report)
-    _write_panel_csv(out_dir / "panel_losses.csv", "epoch", epochs_axis,
-                     [(f"risk[{s}]", t.risk[:steps]) for s, t in zip(cfg.schemes, traces)], report)
-    gdro_traces = [(s, t) for s, t in zip(cfg.schemes, traces) if s.startswith("gdro")]
-    if gdro_traces:
-        name, tr = gdro_traces[0]
-        cols = [(f"g_{k + 1}", [float(qg[k]) for qg in tr.q_group[:steps]])
-                for k in range(tr.n_groups)]
-        _write_panel_csv(out_dir / "panel_group_weights.csv", "epoch", epochs_axis, cols, report)
-    svg_line_chart(out_dir / "panel_weight_gaps.svg", gap_series,
-                   title="parameter gap to first scheme", xlabel="epoch", ylabel="L2 gap", logy=True)
-    svg_line_chart(
-        out_dir / "panel_losses.svg",
-        [(f"risk[{s}]", epochs_axis, t.risk[:steps]) for s, t in zip(cfg.schemes, traces)],
-        title="training risk", xlabel="epoch", ylabel="risk", logy=True,
-    )
-    report.artifact(out_dir / "panel_weight_gaps.svg")
-    report.artifact(out_dir / "panel_losses.svg")
+    with report.phase("export"):
+        steps = min(len(t) for t in traces)
+        epochs_axis = traces[0].epochs[:steps]
+        gap_series = []
+        for scheme_text, trace in zip(cfg.schemes[1:], traces[1:]):
+            gaps = [
+                float(np.linalg.norm(trace.theta_snapshots[i] - traces[0].theta_snapshots[i]))
+                for i in range(steps)
+            ]
+            gap_series.append((f"{cfg.schemes[0]} vs {scheme_text}", epochs_axis, gaps))
+        out_dir.mkdir(parents=True, exist_ok=True)
+        _write_panel_csv(out_dir / "panel_weight_gaps.csv", "epoch", epochs_axis,
+                         [(name, ys) for name, _, ys in gap_series], report)
+        _write_panel_csv(out_dir / "panel_model_norm.csv", "epoch", epochs_axis,
+                         [(f"norm[{cfg.schemes[0]}]", traces[0].theta_norm[:steps])], report)
+        _write_panel_csv(out_dir / "panel_losses.csv", "epoch", epochs_axis,
+                         [(f"risk[{s}]", t.risk[:steps]) for s, t in zip(cfg.schemes, traces)], report)
+        gdro_traces = [(s, t) for s, t in zip(cfg.schemes, traces) if s.startswith("gdro")]
+        if gdro_traces:
+            name, tr = gdro_traces[0]
+            cols = [(f"g_{k + 1}", [float(qg[k]) for qg in tr.q_group[:steps]])
+                    for k in range(tr.n_groups)]
+            _write_panel_csv(out_dir / "panel_group_weights.csv", "epoch", epochs_axis, cols, report)
+        svg_line_chart(out_dir / "panel_weight_gaps.svg", gap_series,
+                       title="parameter gap to first scheme", xlabel="epoch", ylabel="L2 gap", logy=True)
+        svg_line_chart(
+            out_dir / "panel_losses.svg",
+            [(f"risk[{s}]", epochs_axis, t.risk[:steps]) for s, t in zip(cfg.schemes, traces)],
+            title="training risk", xlabel="epoch", ylabel="risk", logy=True,
+        )
+        report.artifact(out_dir / "panel_weight_gaps.svg")
+        report.artifact(out_dir / "panel_losses.svg")
     report.metric("comparison", comparison)
     return report.finish(out_dir)
 
@@ -592,72 +599,77 @@ def run_fig2(cfg: ExperimentConfig) -> dict:
     """Small vs large ridge penalty around the shared start."""
     report = Report(cfg)
     out_dir = Path(cfg.out) / "fig2"
-    data = load_experiment_dataset(cfg, classification=False)
-    report.metric("provenance", data.provenance)
-    chash = config_hash(cfg)
-    theta0 = np.zeros(data.dim)
-    f0 = data.X.T @ theta0
+    with report.phase("data"):
+        data = load_experiment_dataset(cfg, classification=False)
+        report.metric("provenance", data.provenance)
+        chash = config_hash(cfg)
+        theta0 = np.zeros(data.dim)
+        f0 = data.X.T @ theta0
 
     regimes = {}
     for mu in (cfg.mu_small, cfg.mu_large):
-        eta = _resolve_eta(cfg, data, mu=mu)
-        runs = _train_runs(data, cfg.schemes, Squared(), eta, cfg.epochs, cfg.record_every,
-                           mu=mu, cfg_hash=chash)
+        with report.phase("train"):
+            eta = _resolve_eta(cfg, data, mu=mu)
+            runs = _train_runs(data, cfg.schemes, Squared(), eta, cfg.epochs, cfg.record_every,
+                               mu=mu, cfg_hash=chash)
         finals = [final for final, _ in runs]
         traces = [trace for _, trace in runs]
-        for scheme_text, trace in zip(cfg.schemes, traces):
-            _export_run(out_dir, f"mu{mu:g}_{_safe_name(scheme_text)}", trace, report)
-        gaps = [
-            float(np.linalg.norm(finals[i] - finals[j]))
-            for i in range(len(finals))
-            for j in range(i + 1, len(finals))
-        ]
-        regimes[mu] = {
-            "risks": [t.risk[-1] for t in traces],
-            "max_pairwise_gap": max(gaps),
-            "finals": finals,
-            "initial_risk": traces[0].risk[0],
-        }
-        report.metric(f"mu={mu:g}", {k: v for k, v in regimes[mu].items() if k != "finals"})
+        with report.phase("export"):
+            for scheme_text, trace in zip(cfg.schemes, traces):
+                _export_run(out_dir, f"mu{mu:g}_{_safe_name(scheme_text)}", trace, report)
+        with report.phase("checks"):
+            gaps = [
+                float(np.linalg.norm(finals[i] - finals[j]))
+                for i in range(len(finals))
+                for j in range(i + 1, len(finals))
+            ]
+            regimes[mu] = {
+                "risks": [t.risk[-1] for t in traces],
+                "max_pairwise_gap": max(gaps),
+                "finals": finals,
+                "initial_risk": traces[0].risk[0],
+            }
+            report.metric(f"mu={mu:g}", {k: v for k, v in regimes[mu].items() if k != "finals"})
 
-        # Fixed-point check against the closed form for the static schemes.
-        for scheme_text, final in zip(cfg.schemes, finals):
-            if scheme_text in ("erm", "iw"):
-                scheme = parse_scheme(scheme_text)
-                q = scheme.init_state(data.groups).q
-                ridge = ridge_closed_form(data.X, data.Y, q, mu, theta0, f0)
-                gap = float(np.linalg.norm(final - ridge))
-                report.check(
-                    f"gd_limit_matches_ridge_oracle[mu={mu:g},{scheme_text}]",
-                    gap < 1e-6, gap, "< 1e-6",
-                )
-                # The trace's risk at the optimum itself, where a converged
-                # run ends: the measured floor for small_mu_risk_below_1e-6.
-                report.metric(
-                    f"ridge_oracle_risk[mu={mu:g},{scheme_text}]",
-                    float(loss_value(Squared(), data.X.T @ ridge, data.Y).mean()),
-                )
+            # Fixed-point check against the closed form for the static schemes.
+            for scheme_text, final in zip(cfg.schemes, finals):
+                if scheme_text in ("erm", "iw"):
+                    scheme = parse_scheme(scheme_text)
+                    q = scheme.init_state(data.groups).q
+                    ridge = ridge_closed_form(data.X, data.Y, q, mu, theta0, f0)
+                    gap = float(np.linalg.norm(final - ridge))
+                    report.check(
+                        f"gd_limit_matches_ridge_oracle[mu={mu:g},{scheme_text}]",
+                        gap < 1e-6, gap, "< 1e-6",
+                    )
+                    # The trace's risk at the optimum itself, where a converged
+                    # run ends: the measured floor for small_mu_risk_below_1e-6.
+                    report.metric(
+                        f"ridge_oracle_risk[mu={mu:g},{scheme_text}]",
+                        float(loss_value(Squared(), data.X.T @ ridge, data.Y).mean()),
+                    )
 
-    small, large = regimes[cfg.mu_small], regimes[cfg.mu_large]
-    report.check(
-        "small_mu_risk_below_1e-6",
-        max(small["risks"]) < 1e-6, max(small["risks"]), "< 1e-6",
-    )
-    report.check(
-        "small_mu_gaps_below_1e-2",
-        small["max_pairwise_gap"] < 1e-2, small["max_pairwise_gap"], "< 1e-2",
-    )
-    report.check(
-        "large_mu_risk_above_1e-2",
-        min(large["risks"]) > 1e-2, min(large["risks"]), "> 1e-2",
-    )
-    ratio = (
-        large["max_pairwise_gap"] / small["max_pairwise_gap"]
-        if small["max_pairwise_gap"] > 0
-        else float("inf")
-    )
-    report.check("large_mu_gap_ratio_above_10x", ratio > 10.0, ratio, "> 10x small-mu gaps")
-    report.metric("gap_ratio_large_over_small", ratio)
+    with report.phase("checks"):
+        small, large = regimes[cfg.mu_small], regimes[cfg.mu_large]
+        report.check(
+            "small_mu_risk_below_1e-6",
+            max(small["risks"]) < 1e-6, max(small["risks"]), "< 1e-6",
+        )
+        report.check(
+            "small_mu_gaps_below_1e-2",
+            small["max_pairwise_gap"] < 1e-2, small["max_pairwise_gap"], "< 1e-2",
+        )
+        report.check(
+            "large_mu_risk_above_1e-2",
+            min(large["risks"]) > 1e-2, min(large["risks"]), "> 1e-2",
+        )
+        ratio = (
+            large["max_pairwise_gap"] / small["max_pairwise_gap"]
+            if small["max_pairwise_gap"] > 0
+            else float("inf")
+        )
+        report.check("large_mu_gap_ratio_above_10x", ratio > 10.0, ratio, "> 10x small-mu gaps")
+        report.metric("gap_ratio_large_over_small", ratio)
     return report.finish(out_dir)
 
 
@@ -684,79 +696,84 @@ def run_fig3(cfg: ExperimentConfig) -> dict:
     disagreement under the power-law-tailed loss, same budget."""
     report = Report(cfg)
     out_dir = Path(cfg.out) / "fig3"
-    data = load_experiment_dataset(cfg, classification=True)
-    report.metric("provenance", data.provenance)
-    chash = config_hash(cfg)
-    eta = float(cfg.eta) if cfg.eta != "auto" else 1.0
-    mm = max_margin_direction(data.X, data.Y)
-    report.metric("oracle_margin", mm.margin)
+    with report.phase("data"):
+        data = load_experiment_dataset(cfg, classification=True)
+        report.metric("provenance", data.provenance)
+        chash = config_hash(cfg)
+        eta = float(cfg.eta) if cfg.eta != "auto" else 1.0
+        mm = max_margin_direction(data.X, data.Y)
+        report.metric("oracle_margin", mm.margin)
 
     losses = (Logistic(), PolyTailed(1.0, 0.0))
     poly_name = loss_name(PolyTailed(1.0, 0.0))
     runs: dict = {}
 
     for loss in losses:
-        pairs = _train_runs(data, cfg.schemes, loss, eta, cfg.epochs, cfg.record_every,
-                            stop_risk=cfg.stop_risk, ref_direction=mm.direction,
-                            record_params=True, cfg_hash=chash)
-        for scheme_text, (final, trace) in zip(cfg.schemes, pairs):
-            _export_run(out_dir, f"{loss_name(loss).split(':')[0]}_{_safe_name(scheme_text)}",
-                        trace, report)
-            runs[(loss_name(loss), scheme_text)] = (final, trace)
+        with report.phase("train"):
+            pairs = _train_runs(data, cfg.schemes, loss, eta, cfg.epochs, cfg.record_every,
+                                stop_risk=cfg.stop_risk, ref_direction=mm.direction,
+                                record_params=True, cfg_hash=chash)
+        with report.phase("export"):
+            for scheme_text, (final, trace) in zip(cfg.schemes, pairs):
+                _export_run(out_dir, f"{loss_name(loss).split(':')[0]}_{_safe_name(scheme_text)}",
+                            trace, report)
+                runs[(loss_name(loss), scheme_text)] = (final, trace)
 
     def unit(v):
         return v / np.linalg.norm(v)
 
-    for scheme_text in cfg.schemes:
-        final, trace = runs[("logistic", scheme_text)]
-        cos = float(unit(final) @ mm.direction)
-        report.metric(f"logistic_oracle_cosine[{scheme_text}]", cos)
-        if cfg.dataset == "probe":
-            # Clean margin geometry: the hard-margin limit is reachable
-            # within the budget, so assert it outright.
-            report.check(f"logistic_cosine_above_0.999[{scheme_text}]", cos > 0.999, cos, "> 0.999")
-        norms = trace.theta_norm
-        tail = max(2, len(norms) // 10)
-        increasing = all(
-            norms[i + 1] > norms[i] - 1e-12 for i in range(len(norms) - tail, len(norms) - 1)
+    with report.phase("checks"):
+        for scheme_text in cfg.schemes:
+            final, trace = runs[("logistic", scheme_text)]
+            cos = float(unit(final) @ mm.direction)
+            report.metric(f"logistic_oracle_cosine[{scheme_text}]", cos)
+            if cfg.dataset == "probe":
+                # Clean margin geometry: the hard-margin limit is reachable
+                # within the budget, so assert it outright.
+                report.check(f"logistic_cosine_above_0.999[{scheme_text}]", cos > 0.999, cos, "> 0.999")
+            norms = trace.theta_norm
+            tail = max(2, len(norms) // 10)
+            increasing = all(
+                norms[i + 1] > norms[i] - 1e-12 for i in range(len(norms) - tail, len(norms) - 1)
+            )
+            report.check(f"norm_increasing_final_10pct[{scheme_text}]", increasing, norms[-1],
+                         "nondecreasing tail")
+
+        # Normalized-direction gap trajectories for the ERM-vs-IW pair.
+        gap_curves = {}
+        for name in ("logistic", poly_name):
+            epochs_axis, gaps = _direction_gap_curve(runs[(name, "erm")][1], runs[(name, "iw")][1])
+            gap_curves[name] = (epochs_axis, gaps)
+            report.metric(f"direction_gap_erm_iw[{name}]", gaps[-1] if gaps else float("nan"))
+        g_log, g_poly = gap_curves["logistic"][1], gap_curves[poly_name][1]
+        half_log, half_poly = g_log[len(g_log) // 2], g_poly[len(g_poly) // 2]
+        log_growth = (g_log[-1] - half_log) / max(g_log[-1], 1e-30)
+        poly_growth = (g_poly[-1] - half_poly) / max(g_poly[-1], 1e-30)
+        report.check("logistic_gap_plateaus", log_growth < 0.35, log_growth,
+                     "relative growth over the second half < 0.35")
+        report.metric("polytailed_gap_second_half_growth", poly_growth)
+        ratio = g_poly[-1] / g_log[-1] if g_log[-1] > 0 else float("inf")
+        report.check("polytailed_gap_at_least_2x_logistic", ratio >= 2.0, ratio, ">= 2x")
+        report.metric("gap_ratio_poly_over_logistic", ratio)
+
+        # Double-precision saturation flags: exact zero risk means the gradients
+        # underflowed and training halted making progress.
+        for key, (final, trace) in runs.items():
+            report.metric(f"saturated[{key[0]}|{key[1]}]", bool(trace.risk[-1] == 0.0))
+
+    with report.phase("export"):
+        svg_line_chart(
+            out_dir / "losses.svg",
+            [(f"{ln}|{s}", runs[(ln, s)][1].epochs, runs[(ln, s)][1].risk) for (ln, s) in runs],
+            title="training risk", xlabel="epoch", ylabel="risk", logy=True,
         )
-        report.check(f"norm_increasing_final_10pct[{scheme_text}]", increasing, norms[-1],
-                     "nondecreasing tail")
-
-    # Normalized-direction gap trajectories for the ERM-vs-IW pair.
-    gap_curves = {}
-    for name in ("logistic", poly_name):
-        epochs_axis, gaps = _direction_gap_curve(runs[(name, "erm")][1], runs[(name, "iw")][1])
-        gap_curves[name] = (epochs_axis, gaps)
-        report.metric(f"direction_gap_erm_iw[{name}]", gaps[-1] if gaps else float("nan"))
-    g_log, g_poly = gap_curves["logistic"][1], gap_curves[poly_name][1]
-    half_log, half_poly = g_log[len(g_log) // 2], g_poly[len(g_poly) // 2]
-    log_growth = (g_log[-1] - half_log) / max(g_log[-1], 1e-30)
-    poly_growth = (g_poly[-1] - half_poly) / max(g_poly[-1], 1e-30)
-    report.check("logistic_gap_plateaus", log_growth < 0.35, log_growth,
-                 "relative growth over the second half < 0.35")
-    report.metric("polytailed_gap_second_half_growth", poly_growth)
-    ratio = g_poly[-1] / g_log[-1] if g_log[-1] > 0 else float("inf")
-    report.check("polytailed_gap_at_least_2x_logistic", ratio >= 2.0, ratio, ">= 2x")
-    report.metric("gap_ratio_poly_over_logistic", ratio)
-
-    # Double-precision saturation flags: exact zero risk means the gradients
-    # underflowed and training halted making progress.
-    for key, (final, trace) in runs.items():
-        report.metric(f"saturated[{key[0]}|{key[1]}]", bool(trace.risk[-1] == 0.0))
-
-    svg_line_chart(
-        out_dir / "losses.svg",
-        [(f"{ln}|{s}", runs[(ln, s)][1].epochs, runs[(ln, s)][1].risk) for (ln, s) in runs],
-        title="training risk", xlabel="epoch", ylabel="risk", logy=True,
-    )
-    svg_line_chart(
-        out_dir / "direction_gaps.svg",
-        [(name, *curve) for name, curve in gap_curves.items()],
-        title="normalized direction gap (erm vs iw)", xlabel="epoch", ylabel="gap",
-    )
-    report.artifact(out_dir / "losses.svg")
-    report.artifact(out_dir / "direction_gaps.svg")
+        svg_line_chart(
+            out_dir / "direction_gaps.svg",
+            [(name, *curve) for name, curve in gap_curves.items()],
+            title="normalized direction gap (erm vs iw)", xlabel="epoch", ylabel="gap",
+        )
+        report.artifact(out_dir / "losses.svg")
+        report.artifact(out_dir / "direction_gaps.svg")
     return report.finish(out_dir)
 
 
@@ -856,7 +873,7 @@ def _train_pair_shared_weights(arch, theta0, data, scheme, eta, epochs, stop_ris
     kernel = np.swapaxes(feats, 1, 2) @ feats[:, :, :n]  # S x (n + T) x n
     theta_nn, coef = theta0.copy(), np.zeros((n, seeds))
     state = repeat_state(scheme.init_state(data.groups), seeds)
-    value_fn, grad_fn = loss_kernels(Squared())
+    loss_fn = loss_kernels(Squared())
     y = linalg.as_vector(data.Y, "targets")[:, None]
     ids = np.arange(seeds)  # seed of each working column
     sup_gap = np.zeros(seeds)
@@ -865,7 +882,7 @@ def _train_pair_shared_weights(arch, theta0, data, scheme, eta, epochs, stop_ris
         out_nn, pullback_nn = net.vjp(theta_nn, points)
         out_lin = f0 + np.einsum("smn,ns->ms", kernel, coef)
         sup_gap[ids] = np.maximum(sup_gap[ids], np.abs(out_nn[n:] - out_lin[n:]).max(axis=0))
-        losses_nn = value_fn(out_nn[:n], y)
+        losses_nn, dloss_nn = loss_fn(out_nn[:n], y)
         risk[ids] = np.add.reduce(losses_nn) / n
         if not np.all(np.isfinite(risk[ids])):
             raise DivergedError(f"paired run diverged at epoch {t}")
@@ -873,8 +890,8 @@ def _train_pair_shared_weights(arch, theta0, data, scheme, eta, epochs, stop_ris
         if done.all():
             break
         state = scheme.update(state, losses_nn, data.groups)
-        step_nn = pullback_nn(state.q * grad_fn(out_nn[:n], y))
-        step_lin = state.q * grad_fn(out_lin[:n], y)
+        step_nn = pullback_nn(state.q * dloss_nn)
+        step_lin = state.q * loss_fn(out_lin[:n], y)[1]
         if done.any():
             keep = ~done
             ids, state = ids[keep], take_runs(state, keep)

@@ -89,62 +89,58 @@ def _logistic_value(m: np.ndarray) -> np.ndarray:
 
 
 def _squared(yhat, y):
-    return 0.5 * (yhat - y) ** 2
-
-
-def _squared_grad(yhat, y):
-    return yhat - y
+    r = yhat - y
+    return 0.5 * r**2, r
 
 
 def _logistic(yhat, y):
-    return _logistic_value(yhat * y)
-
-
-def _logistic_grad(yhat, y):
-    return -y * expit(-(yhat * y))
+    m = yhat * y
+    return _logistic_value(m), -y * expit(-m)
 
 
 def loss_kernels(kind: LossKind):
-    """(value, grad) functions of (yhat, y) float64 arrays, without checks.
+    """The value-and-gradient kernel of a loss: one function of float64
+    arrays (yhat, y) returning (loss, dloss/dyhat), without checks.
 
     For callers that validated the labels once up front with
     ``require_labels``; ``loss_value`` and ``loss_grad`` are the checked
-    entry points and compute the same numbers.
+    entry points and each return their half of the same kernel.  Both halves
+    share the work they have in common: the residual for the squared loss,
+    the margin m for the logistic one, and m, the branch mask and the power
+    base for the polynomially-tailed one.
     """
     if isinstance(kind, Squared):
-        return _squared, _squared_grad
+        return _squared
     if isinstance(kind, Logistic):
-        return _logistic, _logistic_grad
+        return _logistic
     alpha, beta = kind.alpha, kind.beta
     shift = 1.0 - _logistic_value(np.asarray(beta))
 
-    def value(yhat, y):
+    def value_and_grad(yhat, y):
         m = yhat * y
-        left = _logistic_value(m) + shift
-        right = np.power(np.maximum(m - (beta - 1.0), 1.0), -alpha)
-        return np.where(m < beta, left, right)
-
-    def grad(yhat, y):
-        m = yhat * y
-        left = -y * expit(-m)
+        below = m < beta
         base = np.maximum(m - (beta - 1.0), 1.0)
-        right = -y * alpha * np.power(base, -(alpha + 1.0))
-        return np.where(m < beta, left, right)
+        value = np.where(below, _logistic_value(m) + shift, np.power(base, -alpha))
+        # -dloss/dm on each branch.  Labels are exactly -1 or +1, so taking
+        # the factor -y out of the np.where changes no bit.
+        slope = np.where(below, expit(-m), alpha * np.power(base, -(alpha + 1.0)))
+        return value, -y * slope
 
-    return value, grad
+    return value_and_grad
+
+
+def _checked(kind: LossKind, yhat, y, half: int):
+    y = np.asarray(y, dtype=np.float64)
+    require_labels(kind, y)
+    out = loss_kernels(kind)(np.asarray(yhat, dtype=np.float64), y)[half]
+    return out if out.ndim else float(out)
 
 
 def loss_value(kind: LossKind, yhat, y):
     """Pointwise loss; scalar in, scalar out; arrays broadcast elementwise."""
-    y = np.asarray(y, dtype=np.float64)
-    require_labels(kind, y)
-    out = loss_kernels(kind)[0](np.asarray(yhat, dtype=np.float64), y)
-    return out if out.ndim else float(out)
+    return _checked(kind, yhat, y, 0)
 
 
 def loss_grad(kind: LossKind, yhat, y):
     """Derivative of loss_value with respect to yhat."""
-    y = np.asarray(y, dtype=np.float64)
-    require_labels(kind, y)
-    out = loss_kernels(kind)[1](np.asarray(yhat, dtype=np.float64), y)
-    return out if out.ndim else float(out)
+    return _checked(kind, yhat, y, 1)

@@ -2,9 +2,12 @@
 
 Static schemes (uniform ERM weights, group-balancing importance weights) and
 dynamic ones (exponentiated-gradient group weights, worst-alpha-fraction CVaR
-weights).  Every update returns weights on the probability simplex; the sum
-is renormalized after each step so that drift stays below 1e-12 even over
-10^7 epochs.
+weights).  Every update returns weights on the probability simplex.  Group
+DRO keeps its group weights in log space, shifted so that the largest is 0:
+each step adds nu times the group risks to these logits and rebuilds g and q
+from them.  Nothing is carried over from the last step's g or q, so rounding
+drift cannot build up, and a group whose weight underflows to 0 keeps a
+finite logit and regains weight once its risk leads again.
 
 A scheme's ``update`` takes the per-sample losses of one run (n,) or of a
 block of r runs (n x r, one column per run) and returns weights of the same
@@ -71,24 +74,36 @@ def group_means(values, groups: GroupInfo) -> np.ndarray:
 class WeightState:
     """Simplex weights over samples, plus group weights for Group DRO runs.
 
-    For a block of r runs, q is n x r and gdro_g is K x r.
+    A Group DRO state holds its group weights g and their logits: log g
+    shifted so that the largest is 0, from which each update works.  A state
+    built from g alone takes its logits from g.  For a block of r runs, q is
+    n x r and gdro_g and gdro_logits are K x r.
     """
 
     q: np.ndarray
     gdro_g: np.ndarray | None = None
+    gdro_logits: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.gdro_g is not None and self.gdro_logits is None:
+            with np.errstate(divide="ignore"):  # a zero weight is a logit of -inf
+                logits = np.log(self.gdro_g)
+            object.__setattr__(self, "gdro_logits", logits - np.maximum.reduce(logits))
+
+
+def _map_state(state: WeightState, fn) -> WeightState:
+    return WeightState(*(None if a is None else fn(a)
+                         for a in (state.q, state.gdro_g, state.gdro_logits)))
 
 
 def repeat_state(state: WeightState, runs: int) -> WeightState:
     """The joint state of ``runs`` runs that start at one run's state."""
-    g = state.gdro_g
-    return WeightState(q=np.repeat(state.q[:, None], runs, axis=1),
-                       gdro_g=None if g is None else np.repeat(g[:, None], runs, axis=1))
+    return _map_state(state, lambda a: np.repeat(a[:, None], runs, axis=1))
 
 
 def take_runs(state: WeightState, runs) -> WeightState:
     """The joint state restricted to some of its runs (columns)."""
-    g = state.gdro_g
-    return WeightState(q=state.q[:, runs], gdro_g=None if g is None else g[:, runs])
+    return _map_state(state, lambda a: a[:, runs])
 
 
 def _renormalized(q: np.ndarray) -> np.ndarray:
@@ -124,35 +139,34 @@ def _group_to_sample(g: np.ndarray, groups: GroupInfo) -> np.ndarray:
     return _renormalized(q)
 
 
-def _gdro_core(g: np.ndarray, risks: np.ndarray, nu: float, groups: GroupInfo) -> tuple[np.ndarray, np.ndarray]:
-    # Subtracting the largest exponent makes the update exactly invariant to
-    # adding a constant to all group risks.  Columns are runs, and the
-    # reductions run down each column.
-    logits = np.log(g) + nu * risks
+def _gdro_core(logits: np.ndarray, risks: np.ndarray, nu: float, groups: GroupInfo) -> WeightState:
+    # Subtracting the largest logit makes the update exactly invariant to
+    # adding a constant to all group risks, and keeps every exponent <= 0.
+    # Columns are runs, and the reductions run down each column.  q sums to
+    # sum(g) = 1 up to rounding, so it needs no renormalization of its own.
+    logits = logits + nu * risks
     logits -= np.maximum.reduce(logits)
-    new_g = np.exp(logits)
-    new_g /= np.add.reduce(new_g)
-    q = groups.mean_map @ new_g
-    q /= np.add.reduce(q)
-    return q, new_g
+    g = np.exp(logits)
+    g /= np.add.reduce(g)
+    return WeightState(q=groups.mean_map @ g, gdro_g=g, gdro_logits=logits)
 
 
 def gdro_step(state: WeightState, group_risks, nu: float, groups: GroupInfo) -> WeightState:
     """One exponentiated-gradient update of the group weights.
 
     g_k <- g_k * exp(nu * risk_k), renormalized onto the simplex, and the
-    sample weights become q_i = g_k / n_k for sample i in group k.
+    sample weights become q_i = g_k / n_k for sample i in group k.  The
+    update runs on the state's logits: log g_k + nu * risk_k, shifted so that
+    the largest is 0.
     """
     if not (nu > 0):
         raise InvalidArgumentError("nu must be positive")
     risks = as_vector(group_risks, "group risks")
     if risks.shape[0] != groups.n_groups:
         raise InvalidArgumentError("group risk length does not match the number of groups")
-    g = state.gdro_g
-    if g is None:
+    if state.gdro_logits is None:
         raise InvalidArgumentError("state has no group weights; initialize with gdro_init")
-    q, new_g = _gdro_core(g, risks, nu, groups)
-    return WeightState(q=q, gdro_g=new_g)
+    return _gdro_core(state.gdro_logits, risks, nu, groups)
 
 
 def cvar_weights(per_sample_losses, alpha: float) -> WeightState:
@@ -263,9 +277,7 @@ class GroupDroScheme:
         # Hot path of the training loop: the update of gdro_step on the group
         # means, without the argument checks.  The caller has checked that
         # the risk, and so every group risk, is finite.
-        risks = groups.mean_map.T @ per_sample_losses
-        q, new_g = _gdro_core(state.gdro_g, risks, self.nu, groups)
-        return WeightState(q=q, gdro_g=new_g)
+        return _gdro_core(state.gdro_logits, groups.mean_map.T @ per_sample_losses, self.nu, groups)
 
 
 class CvarScheme:

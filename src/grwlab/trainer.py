@@ -14,14 +14,15 @@ The step is a vector-Jacobian product: one call to ``model.vjp`` runs a
 single forward pass for the outputs, and its pullback backpropagates
 q * dloss from that pass.  J itself is never formed.  The data are validated
 once, when ``train`` is entered (finite inputs, the unit-ball warning, +-1
-labels for the classification losses); the step runs unchecked kernels.
+labels for the classification losses); the step runs the loss's unchecked
+value-and-gradient kernel, which gives the losses and dloss in one call.
 
 Runs go in lock step.  ``train`` takes one TrainConfig or a list of R of
 them that share the model, the data, the loss, eta, epochs and record_every;
 scheme, mu, stop_risk, seed, record_params, theta0, theta_ref and
 ref_direction may differ from run to run.  The parameters of the runs form
 one p x R array with a column per run, and losses and weights are n x R, so
-each step is one vjp and one loss evaluation for all runs.  Each run keeps
+each step is one vjp and one loss kernel call for all runs.  Each run keeps
 its own scheme state, which its scheme's ``update`` advances on that run's
 n x 1 column of losses.  A run that stops leaves the working set: its
 parameters, scheme state and trace no longer change while the others go on.
@@ -151,7 +152,7 @@ def train(model, data, cfg, theta0=None, theta_ref=None, ref_direction=None):
     require_labels(head.loss, ys)
     groups: GroupInfo = data.groups
     warn_outside_unit_ball(xs)
-    value_fn, grad_fn = loss_kernels(head.loss)
+    loss_fn = loss_kernels(head.loss)
     start = np.column_stack([
         model.init_params(c.seed) if t0 is None else np.asarray(t0, dtype=np.float64)
         for c, t0 in zip(cfgs, _per_run(theta0, runs, "theta0"))
@@ -207,7 +208,7 @@ def train(model, data, cfg, theta0=None, theta_ref=None, ref_direction=None):
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
             yhat, pullback = model.vjp(theta, xs)
-            losses = value_fn(yhat, ycol)
+            losses, dloss = loss_fn(yhat, ycol)
             risks = (np.add.reduce(losses) / n).tolist()
             if not all(map(math.isfinite, risks)):
                 j = next(j for j, risk in enumerate(risks) if not math.isfinite(risk))
@@ -237,7 +238,7 @@ def train(model, data, cfg, theta0=None, theta_ref=None, ref_direction=None):
                     traces[r].epochs_run = t
                 if all(done):
                     break
-            step = pullback(q * grad_fn(yhat, ycol))
+            step = pullback(q * dloss)
             if stopping:
                 keep = ~np.array(done)
                 schemes = [s for s, d in zip(schemes, done) if not d]
@@ -247,8 +248,9 @@ def train(model, data, cfg, theta0=None, theta_ref=None, ref_direction=None):
                 penalized = bool(mu.any())
                 stop_risk = [stop for stop, d in zip(stop_risk, done) if not d]
             if penalized:
-                step = step + mu * (theta - origin)
-            theta = theta - eta * step
+                step += mu * (theta - origin)
+            step *= eta
+            theta -= step
             t += 1
     pairs = list(zip(finals, traces))
     return pairs[0] if single else pairs

@@ -163,10 +163,10 @@ def test_criterion_4_regularization_threshold(tmp_path):
           f"gap_ratio={ratio['value']:.2f} (target >10)", elapsed)
     assert elapsed < 120.0
     assert large_risk["passed"], large_risk
-    # Unit-ball inputs and simplex weights bound the weighted-Gram spectrum
-    # by 1, which caps the achievable risk ratio between the two penalty
-    # settings far below what these two thresholds jointly require; the
-    # checks below fail on any dataset this package can legally build.
+    # The checks below fail on the shipped config, and the cause is measured:
+    # at mu_small = 0.1 the ridge optimum itself has risk 1.34e-2 for ERM
+    # (the report's ridge_oracle_risk[mu=0.1,erm]), and a run that converges
+    # ends there, above the 1e-6 target.
     assert small_risk["passed"], small_risk
     assert small_gaps["passed"], small_gaps
     assert ratio["passed"], ratio

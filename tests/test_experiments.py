@@ -16,6 +16,7 @@ from grwlab.experiments import (
     run_compare,
     run_fig1,
     run_fig2,
+    run_fig3,
     run_ntk_convergence,
     svg_line_chart,
 )
@@ -403,6 +404,32 @@ def test_approx_scaling_report_times_its_phases(tmp_path):
         "provenance", "eta", "median_sup_gap[width=8]", "final_risks[width=8]",
         "median_sup_gap[width=16]", "final_risks[width=16]", "log_log_slope", "reg_tracking"}
     assert rep["phases_s"] == phases
+
+
+@pytest.mark.parametrize("experiment", ["fig1", "fig2", "fig3"])
+def test_figure_reports_time_their_phases(tmp_path, experiment):
+    run = {"fig1": run_fig1, "fig2": run_fig2, "fig3": run_fig3}[experiment]
+    cfg = make_config(experiment, synthetic=True, out=str(tmp_path), epochs=200, record_every=50)
+    rep = run(cfg)
+    doc = json.loads((tmp_path / experiment / "report.json").read_text())
+    phases = doc["phases_s"]
+    assert set(phases) == {"data", "train", "checks", "export"}
+    assert all(math.isfinite(t) and t >= 0 for t in phases.values())
+    assert rep["phases_s"] == phases
+    # Timings stay out of the metrics, whose keys are the same as ever.
+    schemes = cfg.schemes
+    expected = {
+        "fig1": {"provenance", "eta", "oracle_norm", "max_relative_span_residual", "comparison",
+                 "q_star[gdro:0.001]", "t_eps[gdro:0.001]"},
+        "fig2": {"provenance", "mu=0.1", "mu=10", "gap_ratio_large_over_small",
+                 *(f"ridge_oracle_risk[mu={mu},{s}]" for mu in ("0.1", "10") for s in ("erm", "iw"))},
+        "fig3": {"provenance", "oracle_margin", "direction_gap_erm_iw[logistic]",
+                 "direction_gap_erm_iw[polytailed:1:0]", "gap_ratio_poly_over_logistic",
+                 "polytailed_gap_second_half_growth",
+                 *(f"logistic_oracle_cosine[{s}]" for s in schemes),
+                 *(f"saturated[{loss}|{s}]" for loss in ("logistic", "polytailed:1:0") for s in schemes)},
+    }[experiment]
+    assert set(doc["metrics"]) == expected
 
 
 def test_feature_gram_equals_empirical_kernel():

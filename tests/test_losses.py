@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from grwlab.errors import InvalidArgumentError
 from grwlab.losses import (
@@ -9,6 +10,7 @@ from grwlab.losses import (
     PolyTailed,
     Squared,
     loss_grad,
+    loss_kernels,
     loss_name,
     loss_value,
     parse_loss,
@@ -125,3 +127,50 @@ def test_vectorized_matches_scalar():
         vec = loss_value(kind, yhat, y)
         for i in range(17):
             assert vec[i] == loss_value(kind, float(yhat[i]), float(y[i]))
+
+
+def _kernel_inputs(kind, seed):
+    # Margins m = yhat * y up to |m| = 700, a dense band around 0 and exact 0.
+    rng = np.random.default_rng(seed)
+    m = np.concatenate([rng.uniform(-700.0, 700.0, 4000), rng.uniform(-4.0, 4.0, 4000),
+                        [-700.0, -1.0, 0.0, 1.0, 700.0]])
+    if isinstance(kind, Squared):
+        return m, rng.uniform(-3.0, 3.0, m.shape)
+    y = rng.choice([-1.0, 1.0], m.shape)
+    return m * y, y
+
+
+def _logistic_formula(m):
+    return np.log1p(np.exp(-np.abs(m))) + np.maximum(0.0, -m)
+
+
+@pytest.mark.parametrize("kind", [Squared(), Logistic()])
+def test_fused_kernel_is_bit_identical_to_the_formulas(kind):
+    yhat, y = _kernel_inputs(kind, 31)
+    value, grad = loss_kernels(kind)(yhat, y)
+    if isinstance(kind, Squared):
+        want_value, want_grad = 0.5 * (yhat - y) ** 2, yhat - y
+    else:
+        want_value, want_grad = _logistic_formula(yhat * y), -y * expit(-(yhat * y))
+    np.testing.assert_array_equal(value, want_value)
+    np.testing.assert_array_equal(grad, want_grad)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 4.0, 16.0])
+@pytest.mark.parametrize("beta", [-1.5, 0.0, 0.5, 2.0])
+def test_fused_polytailed_kernel_matches_the_formulas(alpha, beta):
+    kind = PolyTailed(alpha, beta)
+    yhat, y = _kernel_inputs(kind, 32)
+    # Both sides of beta, right next to it too.
+    yhat = np.concatenate([yhat, beta + np.array([-1e-9, 0.0, 1e-9]), [beta - 0.5, beta + 0.5]])
+    y = np.concatenate([y, np.ones(5)])
+    value, grad = loss_kernels(kind)(yhat, y)
+    m = yhat * y
+    below = m < beta
+    base = m - (beta - 1.0)
+    shift = 1.0 - _logistic_formula(np.float64(beta))
+    assert below.any() and (~below).any()
+    np.testing.assert_array_equal(value[below], _logistic_formula(m[below]) + shift)
+    np.testing.assert_array_equal(value[~below], base[~below] ** -alpha)
+    np.testing.assert_array_equal(grad[below], -y[below] * expit(-m[below]))
+    np.testing.assert_array_equal(grad[~below], -y[~below] * alpha * base[~below] ** -(alpha + 1.0))

@@ -1,6 +1,10 @@
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grwlab.errors import InvalidArgumentError
 from grwlab.reweighting import (
@@ -17,6 +21,7 @@ from grwlab.reweighting import (
     group_means,
     iw_weights,
     parse_scheme,
+    repeat_state,
 )
 
 SIMPLEX_TOL = 1e-12
@@ -289,3 +294,76 @@ def test_cvar_block_breaks_ties_toward_lowest_index_in_every_column():
         expected = np.zeros(60)
         expected[chosen] = 1.0 / m
         np.testing.assert_allclose(q[:, r], expected, rtol=1e-15, atol=0)
+
+
+def _lockout_losses(steps: int = 4000) -> list[np.ndarray]:
+    # Groups (3, 1): group 1's loss leads by 1 for the first half of the
+    # steps, group 0's for the second half.
+    lead1 = np.array([0.0, 0.0, 0.0, 1.0])
+    return [lead1 if t < steps // 2 else 1.0 - lead1 for t in range(steps)]
+
+
+def test_gdro_group_whose_weight_underflows_regains_it():
+    # With nu = 1, group 0's weight exp(-t) / (1 + exp(-t)) underflows to 0
+    # near step 745.  The exact update is back at [0.5, 0.5] after step 3999,
+    # once group 0's loss has led for as many steps as group 1's did.
+    groups = GroupInfo([0, 0, 0, 1])
+    scheme = GroupDroScheme(1.0)
+    state = scheme.init_state(groups)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t, losses in enumerate(_lockout_losses()):
+            state = scheme.update(state, losses, groups)
+            if t == 1999:
+                assert state.gdro_g[0] == 0.0
+                assert np.all(np.isfinite(state.gdro_logits))
+    np.testing.assert_allclose(state.gdro_g, [0.5, 0.5], rtol=0, atol=1e-12)
+    _assert_simplex(state.q)
+
+
+def test_gdro_block_of_three_runs_matches_each_run_through_an_underflow():
+    groups = GroupInfo([0, 0, 0, 1])
+    scheme = GroupDroScheme(1.0)
+    rng = np.random.default_rng(21)
+    seqs = [_lockout_losses(), [1.0 - l for l in _lockout_losses()],
+            list(3.0 * rng.random((4000, 4)))]
+    block = repeat_state(scheme.init_state(groups), 3)
+    solos = [scheme.init_state(groups) for _ in seqs]
+    for t in range(4000):
+        block = scheme.update(block, np.column_stack([seq[t] for seq in seqs]), groups)
+        solos = [scheme.update(s, seq[t], groups) for s, seq in zip(solos, seqs)]
+    for r, solo in enumerate(solos):
+        for name in ("q", "gdro_g", "gdro_logits"):
+            np.testing.assert_allclose(getattr(block, name)[:, r], getattr(solo, name),
+                                       rtol=1e-15, atol=1e-15)
+
+
+@st.composite
+def _risk_sequences(draw):
+    sizes = draw(st.lists(st.integers(1, 3), min_size=2, max_size=4))
+    nu = draw(st.floats(1e-3, 10.0))
+    # Risks up to 200 give steps with nu * (risk gap) up to 2e3.
+    risk = st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 200.0))
+    risks = draw(st.lists(st.lists(risk, min_size=len(sizes), max_size=len(sizes)),
+                          min_size=1, max_size=30))
+    return sizes, nu, risks
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(_risk_sequences())
+def test_gdro_log_state_stays_finite_and_steps_match_mpmath(case):
+    sizes, nu, risks = case
+    groups = GroupInfo(np.repeat(np.arange(len(sizes)), sizes))
+    state = gdro_init(groups)
+    for r in risks:
+        logits = state.gdro_logits
+        state = gdro_step(state, np.array(r), nu, groups)
+        _assert_simplex(state.q)
+        assert np.all(np.isfinite(state.gdro_logits)) and state.gdro_logits.max() == 0.0
+        with mpmath.workdps(40):
+            unnorm = [mpmath.exp(mpmath.mpf(float(a)) + mpmath.mpf(nu) * mpmath.mpf(b))
+                      for a, b in zip(logits, r)]
+            ref = np.array([float(u / mpmath.fsum(unnorm)) for u in unnorm])
+        normal = ref >= np.finfo(np.float64).tiny
+        np.testing.assert_allclose(state.gdro_g[normal], ref[normal], rtol=1e-10, atol=0)
+        np.testing.assert_allclose(state.gdro_g, ref, rtol=0, atol=1e-12)
