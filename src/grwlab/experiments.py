@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import platform
 import time
 import warnings
 from collections import deque
@@ -23,6 +25,7 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import linalg
 from .data_io import (
@@ -265,6 +268,45 @@ def _resolve_eta(cfg: ExperimentConfig, data: Dataset, mu: float = 0.0) -> float
 # report plumbing
 
 
+# The source checkout holding this package (src layout), if it is one.
+_CHECKOUT = Path(__file__).resolve().parents[2]
+
+
+def git_sha(root: Path = _CHECKOUT) -> str | None:
+    """The commit checked out at ``root``, read from ``root/.git`` without
+    running git; None outside a git checkout or when HEAD cannot be read."""
+    git = root / ".git"
+    try:
+        head = (git / "HEAD").read_text().strip()
+        if not head.startswith("ref: "):
+            return head
+        ref = head[len("ref: "):]
+        loose = git / ref
+        if loose.is_file():
+            return loose.read_text().strip()
+        for line in (git / "packed-refs").read_text().splitlines():
+            sha, _, name = line.partition(" ")
+            if name == ref:
+                return sha
+    except OSError:
+        pass
+    return None
+
+
+def environment() -> dict:
+    """What a report ran on: Python, numpy and SciPy versions, numpy's BLAS,
+    the CPU count and the git SHA.  It starts no process."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": f"{blas['name']} {blas['version']}",
+        "cpu_count": os.cpu_count(),
+        "git_sha": git_sha(),
+    }
+
+
 class Report:
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
@@ -275,6 +317,7 @@ class Report:
             "metrics": {},
             "artifacts": [],
             "phases_s": {},
+            "environment": environment(),
         }
         self._t0 = time.perf_counter()
 

@@ -151,6 +151,13 @@ def _gdro_core(logits: np.ndarray, risks: np.ndarray, nu: float, groups: GroupIn
     return WeightState(q=groups.mean_map @ g, gdro_g=g, gdro_logits=logits)
 
 
+def _check_nu(nu: float) -> None:
+    # An infinite step size would surface as a divergence of the training
+    # run instead of as the invalid input it is.
+    if not (nu > 0) or not math.isfinite(nu):
+        raise InvalidArgumentError(f"nu must be a positive finite float, got {nu!r}")
+
+
 def gdro_step(state: WeightState, group_risks, nu: float, groups: GroupInfo) -> WeightState:
     """One exponentiated-gradient update of the group weights.
 
@@ -159,8 +166,7 @@ def gdro_step(state: WeightState, group_risks, nu: float, groups: GroupInfo) -> 
     update runs on the state's logits: log g_k + nu * risk_k, shifted so that
     the largest is 0.
     """
-    if not (nu > 0):
-        raise InvalidArgumentError("nu must be positive")
+    _check_nu(nu)
     risks = as_vector(group_risks, "group risks")
     if risks.shape[0] != groups.n_groups:
         raise InvalidArgumentError("group risk length does not match the number of groups")
@@ -246,7 +252,10 @@ def _sliding(op, hist: np.ndarray, window: int, fill: float) -> np.ndarray:
 
 
 class StaticScheme:
-    """Weights fixed for the whole run (ERM or importance weighting)."""
+    """Weights fixed for the whole run (ERM or importance weighting).
+
+    ``update`` returns its state unchanged, so ``train`` skips the call.
+    """
 
     def __init__(self, name: str, kind: str):
         self.name = name
@@ -265,8 +274,7 @@ class GroupDroScheme:
     """Exponentiated-gradient group weights recomputed from full-batch risks."""
 
     def __init__(self, nu: float):
-        if not (nu > 0):
-            raise InvalidArgumentError("nu must be positive")
+        _check_nu(nu)
         self.nu = nu
         self.name = f"gdro:{nu:g}"
 

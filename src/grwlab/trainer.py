@@ -24,7 +24,8 @@ ref_direction may differ from run to run.  The parameters of the runs form
 one p x R array with a column per run, and losses and weights are n x R, so
 each step is one vjp and one loss kernel call for all runs.  Each run keeps
 its own scheme state, which its scheme's ``update`` advances on that run's
-n x 1 column of losses.  A run that stops leaves the working set: its
+n x 1 column of losses; a ``StaticScheme`` run keeps its weights, so its
+``update`` is not called.  A run that stops leaves the working set: its
 parameters, scheme state and trace no longer change while the others go on.
 A single run is the R = 1 case of the same loop.
 """
@@ -40,7 +41,7 @@ from .errors import DivergedError, InvalidArgumentError
 from .linalg import as_matrix, as_vector, gram, require_full_rank
 from .losses import LossKind, loss_kernels, require_labels
 from .models import warn_outside_unit_ball
-from .reweighting import GroupInfo, repeat_state
+from .reweighting import GroupInfo, StaticScheme, repeat_state
 
 
 @dataclass
@@ -117,6 +118,11 @@ def _per_run(value, runs: int, name: str) -> list:
     return [value] * runs
 
 
+def _dynamic_columns(schemes: list) -> list[int]:
+    """Columns whose scheme moves the weights; a StaticScheme's never change."""
+    return [j for j, s in enumerate(schemes) if not isinstance(s, StaticScheme)]
+
+
 def train(model, data, cfg, theta0=None, theta_ref=None, ref_direction=None):
     """Run full-batch reweighted GD.
 
@@ -169,6 +175,7 @@ def train(model, data, cfg, theta0=None, theta_ref=None, ref_direction=None):
     ids = np.arange(runs)
     schemes = [c.scheme for c in cfgs]
     states = [repeat_state(s.init_state(groups), 1) for s in schemes]
+    dynamic = _dynamic_columns(schemes)
     origin = start
     theta = origin.copy()
     mu = np.array([c.mu for c in cfgs])
@@ -217,9 +224,9 @@ def train(model, data, cfg, theta0=None, theta_ref=None, ref_direction=None):
                 trace.stop_reason, trace.epochs_run = "diverged", t
                 raise DivergedError(f"run {ids[j]}: non-finite risk at epoch {t}",
                                     trace=trace, params=theta[:, j].copy())
-            for j, (scheme, state) in enumerate(zip(schemes, states)):
-                new = scheme.update(state, losses[:, j : j + 1], groups)
-                if new is not state:
+            for j in dynamic:
+                new = schemes[j].update(states[j], losses[:, j : j + 1], groups)
+                if new is not states[j]:
                     states[j] = new
                     q[:, j : j + 1] = new.q
             reached = [risk <= stop for risk, stop in zip(risks, stop_risk)]
@@ -243,6 +250,7 @@ def train(model, data, cfg, theta0=None, theta_ref=None, ref_direction=None):
                 keep = ~np.array(done)
                 schemes = [s for s, d in zip(schemes, done) if not d]
                 states = [s for s, d in zip(states, done) if not d]
+                dynamic = _dynamic_columns(schemes)
                 ids, theta, origin, step = ids[keep], theta[:, keep], origin[:, keep], step[:, keep]
                 q, mu = q[:, keep], mu[keep]
                 penalized = bool(mu.any())

@@ -107,7 +107,9 @@ _SMALL_APPROX = "widths = 8,16\nseeds = 0,1\nepochs = 20\nreg_tracking_check = 0
     (["compare", "--synthetic"], "loss = polytailed:1:b", "loss spec"),
     (["oracle", "ridge", "--synthetic", "--scheme", "gdro:x"], None, "scheme spec"),
     (["fig1", "--synthetic"], "synth_noise = nan", "synth_noise"),
-], ids=["epochs", "eta", "eta-negative", "eta-zero", "widths", "model", "loss", "scheme", "synth_noise"])
+    (["fig1", "--synthetic"], "schemes = erm, gdro:inf", "nu must be a positive finite float"),
+], ids=["epochs", "eta", "eta-negative", "eta-zero", "widths", "model", "loss", "scheme", "synth_noise",
+        "gdro-inf"])
 def test_cli_unparseable_numbers_exit_2(tmp_path, capsys, argv, config, name):
     if config is not None:
         path = tmp_path / "c.cfg"
@@ -430,6 +432,72 @@ def test_figure_reports_time_their_phases(tmp_path, experiment):
                  *(f"saturated[{loss}|{s}]" for loss in ("logistic", "polytailed:1:0") for s in schemes)},
     }[experiment]
     assert set(doc["metrics"]) == expected
+
+
+_SMALL_RUNS = {
+    "fig1": dict(epochs=200, record_every=50),
+    "fig2": dict(epochs=200, record_every=50),
+    "fig3": dict(epochs=200, record_every=50),
+    "ntk-convergence": dict(),
+    "approx-scaling": dict(widths=(8, 16), seeds=(0, 1), epochs=20, record_every=10),
+    "compare": dict(epochs=500, record_every=100, schemes=("erm",), permute_check=False),
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(_SMALL_RUNS))
+def test_every_report_records_its_environment(tmp_path, experiment):
+    from grwlab.experiments import run_experiment
+
+    cfg = make_config(experiment, synthetic=True, out=str(tmp_path), **_SMALL_RUNS[experiment])
+    rep = run_experiment(cfg)
+    doc = json.loads((tmp_path / experiment / "report.json").read_text())
+    env = doc["environment"]
+    assert set(env) == {"python", "numpy", "scipy", "blas", "cpu_count", "git_sha"}
+    assert env["numpy"] == np.__version__ and env["python"].count(".") == 2
+    assert env["blas"] and env["cpu_count"] >= 1
+    assert env["git_sha"] is None or (len(env["git_sha"]) == 40 and int(env["git_sha"], 16) >= 0)
+    assert rep["environment"] == env
+    # The block sits beside the metrics, not in them.
+    assert not set(env) & set(doc["metrics"]) and "environment" not in doc["metrics"]
+    assert set(doc) == {"experiment", "config_hash", "assertions", "metrics", "artifacts",
+                        "phases_s", "environment", "elapsed_s", "passed"}
+
+
+def test_git_sha_reads_loose_packed_and_detached_heads(tmp_path):
+    from grwlab.experiments import git_sha
+
+    sha = "0123456789abcdef0123456789abcdef01234567"
+    git = tmp_path / ".git"
+    assert git_sha(tmp_path) is None
+    (git / "refs" / "heads").mkdir(parents=True)
+    (git / "HEAD").write_text("ref: refs/heads/main\n")
+    assert git_sha(tmp_path) is None
+    (git / "packed-refs").write_text(f"# pack-refs with: peeled\n{sha} refs/heads/main\n")
+    assert git_sha(tmp_path) == sha
+    other = sha[::-1]
+    (git / "refs" / "heads" / "main").write_text(other + "\n")
+    assert git_sha(tmp_path) == other
+    (git / "HEAD").write_text(sha + "\n")
+    assert git_sha(tmp_path) == sha
+
+
+def test_environment_block_is_cheap_and_starts_no_process(monkeypatch):
+    import subprocess
+    import time
+
+    from grwlab.experiments import environment
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a process was started")
+
+    monkeypatch.setattr(subprocess, "Popen", refuse)
+    times = []
+    for _ in range(10):
+        t0 = time.perf_counter()
+        environment()
+        times.append(time.perf_counter() - t0)
+    # It runs inside every experiment's timed span.
+    assert min(times) < 1e-3
 
 
 def test_feature_gram_equals_empirical_kernel():

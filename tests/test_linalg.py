@@ -199,3 +199,36 @@ def test_solve_spd_residual_on_random_systems():
 def test_solve_spd_rejects_indefinite():
     with pytest.raises(NotPositiveDefiniteError):
         la.solve_spd(np.array([[1.0, 0.0], [0.0, -1.0]]), np.array([1.0, 1.0]))
+
+
+def test_solve_spd_reads_only_the_lower_triangle():
+    a = np.array([[4.0, 1.0], [1.0, 3.0]])
+    b = np.array([1.0, 2.0])
+    junk = np.array([[4.0, 100.0], [1.0, 3.0]])
+    np.testing.assert_array_equal(la.solve_spd(junk, b), la.solve_spd(a, b))
+
+
+@pytest.mark.parametrize("n", [1, 2, 6, 24, 48, 64, 96])
+def test_solves_match_scipy_cho_solve(n):
+    # scipy.linalg is the reference here only: the package solves through
+    # numpy and does not import scipy.linalg.
+    from scipy.linalg import cho_factor, cho_solve
+
+    rng = np.random.default_rng(100 + n)
+    for _ in range(5):
+        m = rng.standard_normal((n, n))
+        a = m @ m.T / n + 0.5 * np.eye(n)
+        b = rng.standard_normal(n)
+        ref = cho_solve(cho_factor(a, lower=True), b)
+        np.testing.assert_allclose(la.solve_spd(a, b), ref, rtol=1e-10, atol=1e-10 * np.abs(ref).max())
+
+        x = rng.standard_normal((n + 8, n)) / np.sqrt(n + 8)
+        g = x.T @ x
+        factor = cho_factor(g, lower=True)
+        r = rng.standard_normal(n)
+        ref = x @ cho_solve(factor, r)
+        np.testing.assert_allclose(la.min_norm_span_solve(x, r), ref, rtol=1e-10,
+                                   atol=1e-10 * np.abs(ref).max())
+        v = rng.standard_normal(n + 8)
+        ref = float(np.linalg.norm(v - x @ cho_solve(factor, x.T @ v)))
+        assert la.span_residual(v, x) == pytest.approx(ref, rel=1e-10)

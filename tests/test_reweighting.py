@@ -219,6 +219,21 @@ def test_parse_scheme():
         parse_scheme("cvar:1.5")
 
 
+@pytest.mark.parametrize("nu", [float("inf"), float("nan"), 0.0, -1.0])
+def test_gdro_requires_a_positive_finite_step_size(nu):
+    groups = GroupInfo([0, 1])
+    with pytest.raises(InvalidArgumentError, match="positive finite"):
+        GroupDroScheme(nu)
+    with pytest.raises(InvalidArgumentError, match="positive finite"):
+        gdro_step(gdro_init(groups), np.array([1.0, 2.0]), nu, groups)
+
+
+@pytest.mark.parametrize("spec", ["gdro:inf", "gdro:1e400", "gdro:-inf", "gdro:nan"])
+def test_parse_scheme_rejects_non_finite_gdro_step_size(spec):
+    with pytest.raises(InvalidArgumentError, match="positive finite"):
+        parse_scheme(spec)
+
+
 def test_group_info_validation():
     with pytest.raises(InvalidArgumentError):
         GroupInfo([0, 2])  # group 1 empty

@@ -399,3 +399,30 @@ def test_batch_rejects_mismatched_shared_settings():
 def test_config_rejects_nan(field):
     with pytest.raises(InvalidArgumentError, match=field):
         _cfg(**{field: float("nan")})
+
+
+def test_static_runs_never_call_update(monkeypatch):
+    from grwlab.reweighting import StaticScheme
+
+    data = _small_blobs()
+    model = LinearModel(data.dim)
+
+    def batch():
+        cfgs = [_cfg(eta=0.5, epochs=300, scheme=parse_scheme(s), stop_risk=sr, record_every=20)
+                for s, sr in (("erm", 1e-3), ("iw", 0.0), ("gdro:0.05", 1e-6), ("erm", 0.0))]
+        return train(model, data, cfgs, theta0=np.zeros(data.dim))
+
+    expected = batch()
+
+    def refuse(self, state, per_sample_losses, groups):
+        raise AssertionError("StaticScheme.update was called")
+
+    monkeypatch.setattr(StaticScheme, "update", refuse)
+    got = batch()
+    # Runs 0 and 2 leave the batch at epochs 76 and 285, so the columns of
+    # the runs after them move.
+    assert [t.stop_reason for _, t in got] == ["stop_risk", "epoch_budget", "stop_risk", "epoch_budget"]
+    for (fg, tg), (fe, te) in zip(got, expected):
+        np.testing.assert_array_equal(fg, fe)
+        assert tg.epochs == te.epochs and tg.risk == te.risk
+        np.testing.assert_array_equal(np.array(tg.q_snapshots), np.array(te.q_snapshots))

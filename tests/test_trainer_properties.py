@@ -1,0 +1,94 @@
+"""Property: a lock-step batch is its solo runs, column by column.
+
+Hypothesis draws the group sizes, the loss, a list of up to four schemes that
+mixes static and dynamic ones, and a stop risk per run, so that runs leave
+the batch at different epochs and the columns of the runs after them move.
+"""
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from grwlab.data_io import synth_groups
+from grwlab.losses import Logistic, PolyTailed, Squared
+from grwlab.models import LinearModel
+from grwlab.reweighting import parse_scheme
+from grwlab.trainer import TrainConfig, train
+
+EPOCHS = 60
+LOSSES = {"squared": Squared(), "logistic": Logistic(), "polytailed": PolyTailed(1.0, 0.0)}
+SCHEMES = ("erm", "iw", "gdro:0.1", "gdro:2", "cvar:0.5", "cvar:1")
+
+
+@st.composite
+def _batches(draw):
+    sizes = draw(st.lists(st.integers(1, 4), min_size=2, max_size=3))
+    loss = draw(st.sampled_from(sorted(LOSSES)))
+    specs = draw(st.lists(st.sampled_from(SCHEMES), min_size=1, max_size=4))
+    # Each run stops at the risk its solo run has at one of these epochs; the
+    # risk need not fall monotonically, so it may stop earlier.
+    stops = draw(st.lists(st.integers(0, EPOCHS + 1), min_size=len(specs), max_size=len(specs)))
+    mus = draw(st.lists(st.sampled_from([0.0, 0.05]), min_size=len(specs), max_size=len(specs)))
+    record_every = draw(st.integers(1, 9))
+    seed = draw(st.integers(0, 2**16))
+    return sizes, loss, specs, stops, mus, record_every, seed
+
+
+def _assert_simplex(q):
+    assert np.all(q >= 0)
+    np.testing.assert_allclose(q.sum(), 1.0, rtol=0, atol=1e-12)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(_batches())
+def test_batch_equals_its_solo_runs(case):
+    sizes, loss, specs, stops, mus, record_every, seed = case
+    rng = np.random.default_rng(seed)
+    d = 5
+    means = rng.standard_normal((len(sizes), d))
+    means = 0.4 * means / np.linalg.norm(means, axis=1, keepdims=True)
+    data = synth_groups(d, sizes, means, 0.3, seed, classification=loss != "squared")
+    model = LinearModel(d)
+    starts = [0.1 * rng.standard_normal(d) for _ in specs]
+
+    def cfg(spec, mu, stop_risk):
+        return TrainConfig(eta=0.5, epochs=EPOCHS, loss=LOSSES[loss], scheme=parse_scheme(spec),
+                           mu=mu, stop_risk=stop_risk, record_every=record_every,
+                           record_params=True)
+
+    # The stop risks come from full-length probes recorded at every epoch:
+    # halfway between the risk at the drawn epoch and the next higher risk
+    # of the probe.  A batch matches its solo runs only to rounding, so a
+    # stop risk within rounding of some risk would make the stop epoch a
+    # coin toss; such draws are discarded.
+    stop_risks = []
+    for spec, mu, stop, start in zip(specs, mus, stops, starts):
+        probe = train(model, data, TrainConfig(eta=0.5, epochs=EPOCHS, loss=LOSSES[loss],
+                                               scheme=parse_scheme(spec), mu=mu, stop_risk=0.0),
+                      theta0=start)[1]
+        if stop > EPOCHS:
+            stop_risks.append(0.0)
+            continue
+        risks = np.array(probe.risk)
+        above = risks[risks > risks[stop]]
+        stop_risk = 0.5 * (risks[stop] + above.min()) if above.size else 2.0 * risks[stop]
+        assume(np.abs(risks - stop_risk).min() > 1e-9 * stop_risk)
+        stop_risks.append(stop_risk)
+
+    cfgs = [cfg(s, mu, sr) for s, mu, sr in zip(specs, mus, stop_risks)]
+    batch = train(model, data, cfgs, theta0=starts)
+    alone = [train(model, data, c, theta0=s) for c, s in zip(cfgs, starts)]
+    assert len(batch) == len(specs)
+    for (fb, tb), (fa, ta) in zip(batch, alone):
+        assert tb.scheme == ta.scheme and tb.epochs == ta.epochs
+        assert (tb.stop_reason, tb.epochs_run) == (ta.stop_reason, ta.epochs_run)
+        np.testing.assert_allclose(tb.risk, ta.risk, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(tb.weighted_risk, ta.weighted_risk, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(np.array(tb.q_snapshots), np.array(ta.q_snapshots),
+                                   rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(np.array(tb.theta_snapshots), np.array(ta.theta_snapshots),
+                                   rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(fb, fa, rtol=1e-12, atol=1e-15)
+        for q, q_group in zip(tb.q_snapshots, tb.q_group):
+            _assert_simplex(q)
+            _assert_simplex(q_group)
