@@ -22,7 +22,6 @@ from .errors import (
     GrwLabError,
     InvalidArgumentError,
     NoConvergenceError,
-    NotPositiveDefiniteError,
     NotSeparableError,
     RankDeficientError,
     TraceIoError,

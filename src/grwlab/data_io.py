@@ -225,23 +225,17 @@ def synth_groups(
     )
 
 
-def margin_probe_set(
-    d: int = 24,
-    seed: int = 7,
-    depth: float = 0.8,
-    spread: float = 0.15,
-    deep_depth: float = 0.9,
-    jitter: float = 0.01,
-) -> Dataset:
+def margin_probe_set(d: int = 24, seed: int = 7) -> Dataset:
     """Six-point separable set with groups (5, 1) and clean margin geometry.
 
-    The majority group sits around ``-depth * u`` with a symmetric cross of
-    offsets in two orthogonal directions plus one deeper point; the minority
-    point sits at ``+u`` with the largest norm.  The margin-critical points
-    are then a symmetric subset of the majority group, which keeps every
-    reweighting scheme's within-support weights uniform, so normalized
-    iterates align with the hard-margin direction quickly instead of on the
-    usual O(1/log t) schedule.  A small jitter keeps the instance generic.
+    The majority group sits around ``-0.8 u`` with a symmetric cross of
+    offsets 0.15 in two orthogonal directions plus one deeper point at
+    ``-0.9 u``; the minority point sits at ``+u`` with the largest norm.  The
+    margin-critical points are then a symmetric subset of the majority group,
+    which keeps every reweighting scheme's within-support weights uniform, so
+    normalized iterates align with the hard-margin direction quickly instead
+    of on the usual O(1/log t) schedule.  Gaussian noise of scale
+    0.01 / sqrt(d) keeps the instance generic.
     """
     if d < 3:
         raise InvalidArgumentError("need d >= 3 for the probe construction")
@@ -249,14 +243,14 @@ def margin_probe_set(
     basis, _ = np.linalg.qr(rng.standard_normal((d, 3)))
     u, v1, v2 = basis.T
     cols = [
-        -depth * u + spread * v1,
-        -depth * u - spread * v1,
-        -depth * u + spread * v2,
-        -depth * u - spread * v2,
-        -deep_depth * u,
-        1.0 * u,
+        -0.8 * u + 0.15 * v1,
+        -0.8 * u - 0.15 * v1,
+        -0.8 * u + 0.15 * v2,
+        -0.8 * u - 0.15 * v2,
+        -0.9 * u,
+        u,
     ]
-    x = np.stack(cols, axis=1) + jitter * rng.standard_normal((d, 6)) / np.sqrt(d)
+    x = np.stack(cols, axis=1) + 0.01 * rng.standard_normal((d, 6)) / np.sqrt(d)
     x = _scaled_into_ball(x)
     return Dataset(
         X=x,

@@ -25,10 +25,6 @@ class RankDeficientError(GrwLabError):
     """Columns that must be linearly independent are not (within tolerance)."""
 
 
-class NotPositiveDefiniteError(GrwLabError):
-    """A matrix passed to an SPD solve has a non-positive pivot."""
-
-
 class NoConvergenceError(GrwLabError):
     """An iterative routine hit its iteration cap before converging."""
 

@@ -21,7 +21,7 @@ import time
 import warnings
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -101,8 +101,6 @@ class ExperimentConfig:
     sign_width: int = 128
     sign_mu: float = 1e-3
     sign_epochs: int = 20_000
-    sign_quantile: float = 0.5
-    sign_points: int = 64
     permute_check: bool = True
 
     def __post_init__(self):
@@ -134,8 +132,6 @@ _DEFAULTS = {
     "compare": dict(epochs=200_000, record_every=2000),
 }
 
-_TUPLE_INT = {"schemes", "seeds", "synth_sizes", "widths", "approx_sizes"}
-_BOOLS = {"synthetic", "reg_tracking_check", "sign_check", "permute_check"}
 _BOOL_TEXT = {"1": True, "true": True, "yes": True, "on": True,
               "0": False, "false": False, "no": False, "off": False}
 
@@ -152,23 +148,23 @@ def make_config(experiment: str, **overrides) -> ExperimentConfig:
 
 
 def _coerce(key: str, value: str):
-    value = value.strip()
-    if key in ("schemes",):
-        return tuple(v.strip() for v in value.split(",") if v.strip())
-    what = f"config key {key!r}"
-    if key in _TUPLE_INT:
-        return tuple(parse_number(v, int, what) for v in value.split(",") if v.strip())
-    if key in _BOOLS:
+    """Parse ``value`` by the type that ExperimentConfig declares for ``key``."""
+    field_types = ExperimentConfig.__dataclass_fields__
+    if key not in field_types:
+        raise InvalidArgumentError(f"unknown config key {key!r}")
+    kind, value, what = field_types[key].type, value.strip(), f"config key {key!r}"
+    if kind == "bool":
         if value.lower() not in _BOOL_TEXT:
             raise InvalidArgumentError(
                 f"config key {key!r} needs a boolean (1/0, true/false, yes/no, on/off), "
                 f"got {value!r}"
             )
         return _BOOL_TEXT[value.lower()]
-    field_types = ExperimentConfig.__dataclass_fields__
-    if key not in field_types:
-        raise InvalidArgumentError(f"unknown config key {key!r}")
-    convert = {"int": int, "float": float}.get(field_types[key].type)
+    if kind == "tuple[str, ...]":
+        return tuple(v.strip() for v in value.split(",") if v.strip())
+    if kind == "tuple[int, ...]":
+        return tuple(parse_number(v, int, what) for v in value.split(",") if v.strip())
+    convert = {"int": int, "float": float}.get(kind)
     return value if convert is None else parse_number(value, convert, what)
 
 
@@ -187,10 +183,7 @@ def parse_config_file(path, experiment: str | None = None, **overrides) -> Exper
             warnings.warn(f"config key {key!r} is ignored: {_RETIRED_KEYS[key]}",
                           DeprecationWarning, stacklevel=2)
             continue
-        if key == "experiment":
-            values[key] = value.strip()
-        else:
-            values[key] = _coerce(key, value)
+        values[key] = _coerce(key, value)
     exp = experiment or values.pop("experiment", None)
     if exp is None:
         raise InvalidArgumentError("config must name an experiment")
@@ -200,7 +193,9 @@ def parse_config_file(path, experiment: str | None = None, **overrides) -> Exper
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
-    blob = json.dumps(asdict(cfg), sort_keys=True, default=list)
+    """Hash of the study a config describes; ``out``, where it is written,
+    is left out, so one study gets one hash in every output directory."""
+    blob = json.dumps(asdict(replace(cfg, out="")), sort_keys=True, default=list)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
@@ -365,6 +360,7 @@ def _safe_name(scheme: str) -> str:
 
 
 def _export_run(out_dir: Path, tag: str, trace, report: Report) -> None:
+    trace.config_hash = report.doc["config_hash"]
     out_dir.mkdir(parents=True, exist_ok=True)
     for fmt in ("csv", "json"):
         path = out_dir / f"{tag}_trace.{fmt}"
@@ -487,7 +483,7 @@ class _WeightLogger:
 
 def _train_runs(data, schemes, loss, eta, epochs, record_every, stop_risk=0.0, mu=0.0,
                 theta0=None, model=None, record_params=False, theta_ref=None,
-                ref_direction=None, cfg_hash=""):
+                ref_direction=None):
     """Train one run per scheme (spec text or scheme object) in lock step.
 
     ``stop_risk`` and ``mu`` are one value for every run or a list with one
@@ -504,11 +500,8 @@ def _train_runs(data, schemes, loss, eta, epochs, record_every, stop_risk=0.0, m
         for scheme, sr, m in zip(schemes, stop_risks, mus)
     ]
     theta0 = np.zeros(model.n_params) if theta0 is None else theta0
-    pairs = train(model, data, cfgs, theta0=theta0, theta_ref=theta_ref,
-                  ref_direction=ref_direction)
-    for _, trace in pairs:
-        trace.config_hash = cfg_hash
-    return pairs
+    return train(model, data, cfgs, theta0=theta0, theta_ref=theta_ref,
+                 ref_direction=ref_direction)
 
 
 def run_fig1(cfg: ExperimentConfig) -> dict:
@@ -521,7 +514,6 @@ def run_fig1(cfg: ExperimentConfig) -> dict:
         report.metric("provenance", data.provenance)
         eta = _resolve_eta(cfg, data)
         report.metric("eta", eta)
-        chash = config_hash(cfg)
         theta0 = np.zeros(data.dim)
         oracle = min_norm_interpolator(data.X, data.Y, theta0, data.X.T @ theta0)
         oracle_norm = float(np.linalg.norm(oracle))
@@ -538,8 +530,7 @@ def run_fig1(cfg: ExperimentConfig) -> dict:
     ]
     with report.phase("train"):
         runs = _train_runs(data, loggers, Squared(), eta, cfg.epochs, cfg.record_every,
-                           stop_risk=cfg.stop_risk, record_params=True, theta_ref=oracle,
-                           cfg_hash=chash)
+                           stop_risk=cfg.stop_risk, record_params=True, theta_ref=oracle)
     finals = [final for final, _ in runs]
     traces = [trace for _, trace in runs]
     with report.phase("export"):
@@ -645,7 +636,6 @@ def run_fig2(cfg: ExperimentConfig) -> dict:
     with report.phase("data"):
         data = load_experiment_dataset(cfg, classification=False)
         report.metric("provenance", data.provenance)
-        chash = config_hash(cfg)
         theta0 = np.zeros(data.dim)
         f0 = data.X.T @ theta0
 
@@ -654,7 +644,7 @@ def run_fig2(cfg: ExperimentConfig) -> dict:
         with report.phase("train"):
             eta = _resolve_eta(cfg, data, mu=mu)
             runs = _train_runs(data, cfg.schemes, Squared(), eta, cfg.epochs, cfg.record_every,
-                               mu=mu, cfg_hash=chash)
+                               mu=mu)
         finals = [final for final, _ in runs]
         traces = [trace for _, trace in runs]
         with report.phase("export"):
@@ -742,7 +732,6 @@ def run_fig3(cfg: ExperimentConfig) -> dict:
     with report.phase("data"):
         data = load_experiment_dataset(cfg, classification=True)
         report.metric("provenance", data.provenance)
-        chash = config_hash(cfg)
         eta = float(cfg.eta) if cfg.eta != "auto" else 1.0
         mm = max_margin_direction(data.X, data.Y)
         report.metric("oracle_margin", mm.margin)
@@ -755,7 +744,7 @@ def run_fig3(cfg: ExperimentConfig) -> dict:
         with report.phase("train"):
             pairs = _train_runs(data, cfg.schemes, loss, eta, cfg.epochs, cfg.record_every,
                                 stop_risk=cfg.stop_risk, ref_direction=mm.direction,
-                                record_params=True, cfg_hash=chash)
+                                record_params=True)
         with report.phase("export"):
             for scheme_text, (final, trace) in zip(cfg.schemes, pairs):
                 _export_run(out_dir, f"{loss_name(loss).split(':')[0]}_{_safe_name(scheme_text)}",
@@ -1040,11 +1029,9 @@ def run_compare(cfg: ExperimentConfig) -> dict:
         model = WideNet(model_spec)
         theta0 = nn_init(model_spec, cfg.data_seed).flat
     eta = _resolve_eta(cfg, data, mu=cfg.mu)
-    chash = config_hash(cfg)
 
     runs = _train_runs(data, cfg.schemes, loss, eta, cfg.epochs, cfg.record_every,
-                       stop_risk=cfg.stop_risk, mu=cfg.mu, theta0=theta0, model=model,
-                       cfg_hash=chash)
+                       stop_risk=cfg.stop_risk, mu=cfg.mu, theta0=theta0, model=model)
     finals = [final for final, _ in runs]
     traces = [trace for _, trace in runs]
     for scheme_text, trace in zip(cfg.schemes, traces):
@@ -1059,7 +1046,7 @@ def run_compare(cfg: ExperimentConfig) -> dict:
         permuted = data.permuted(order)
         [(perm_final, _)] = _train_runs(
             permuted, cfg.schemes[:1], loss, eta, cfg.epochs, cfg.record_every,
-            stop_risk=cfg.stop_risk, mu=cfg.mu, theta0=theta0, model=model, cfg_hash=chash,
+            stop_risk=cfg.stop_risk, mu=cfg.mu, theta0=theta0, model=model,
         )
         gap = float(np.linalg.norm(finals[0] - perm_final))
         report.check("sample_order_invariance_below_1e-9", gap <= 1e-9, gap, "<= 1e-9")
@@ -1071,7 +1058,8 @@ def run_compare(cfg: ExperimentConfig) -> dict:
 
 def _sign_agreement_study(cfg: ExperimentConfig, report: Report) -> None:
     """Regularized wide-net logistic classifier vs the feature-space
-    hard-margin rule, on confidently-classified test points."""
+    hard-margin rule, on confidently-classified test points: the half of 64
+    random points in the unit ball farthest from the rule's boundary."""
     data = load_experiment_dataset(cfg, classification=True)
     d0 = data.dim
     arch = Architecture(d0, (cfg.sign_width,) * cfg.nn_depth, beta=cfg.nn_beta,
@@ -1086,10 +1074,10 @@ def _sign_agreement_study(cfg: ExperimentConfig, report: Report) -> None:
         mu=cfg.sign_mu, theta0=theta0_params.flat, model=net,
     )
     report.metric("sign_study_final_risk", trace.risk[-1])
-    pts = _unit_ball_points(d0, cfg.sign_points, cfg.data_seed + 5)
+    pts = _unit_ball_points(d0, 64, cfg.data_seed + 5)
     f0_pts, feats_pts = nn_grad_batch(arch, theta0_params, pts)
     f_mm = feats_pts.T @ mm.direction
-    threshold = float(np.quantile(np.abs(f_mm), cfg.sign_quantile))
+    threshold = float(np.median(np.abs(f_mm)))
     confident = np.abs(f_mm) > threshold
     net_out = net.predict(final, pts) - f0_pts
     agree = np.sign(net_out[confident]) == np.sign(f_mm[confident])

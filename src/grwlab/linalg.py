@@ -1,16 +1,15 @@
 """Dense real linear algebra on small and medium matrices.
 
 This is the substrate for every oracle and safeguard in the package: Gram
-matrices, extreme eigenvalues, span projections and SPD solves.  Matrices are
-plain row-major float64 ``numpy`` arrays (2-D), vectors are 1-D arrays; every
-entry must be finite.  All functions are pure and never mutate their inputs,
-so they are safe to call concurrently.
+matrices, extreme eigenvalues, the rank test and span solves and projections.
+Matrices are plain row-major float64 ``numpy`` arrays (2-D), vectors are 1-D
+arrays; every entry must be finite.  All functions are pure and never mutate
+their inputs, so they are safe to call concurrently.
 
 The factorizations are LAPACK's, through numpy only: symmetric eigenvalues
-from ``numpy.linalg.eigvalsh``, the positive-definiteness test from
-``numpy.linalg.cholesky`` and the solves from ``numpy.linalg.solve``.  All
-are direct, finite algorithms, so no result here depends on an iteration cap
-or a stopping tolerance.  ``scipy.linalg`` is not imported: it would add
+from ``numpy.linalg.eigvalsh`` and the solves from ``numpy.linalg.solve``.
+Both are direct, finite algorithms, so no result here depends on an
+iteration cap or a stopping tolerance.  ``scipy.linalg`` is not imported: it would add
 about 6 MiB of resident memory and 0.1 s to every process for one solve.
 
 Everything runs in 64-bit floats.  No extended precision is used anywhere:
@@ -22,11 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (
-    InvalidArgumentError,
-    NotPositiveDefiniteError,
-    RankDeficientError,
-)
+from .errors import InvalidArgumentError, RankDeficientError
 
 # lambda_min below RANK_TOL * lambda_max counts as rank-deficient.  The
 # interpolation and max-margin results assume linearly independent inputs, so
@@ -86,27 +81,6 @@ def extreme_eigenvalues(s, tol: float = 1e-10) -> tuple[float, float]:
     return float(eig[-1]), float(eig[0])
 
 
-def solve_spd(a, b) -> np.ndarray:
-    """Solve A x = b for symmetric positive definite A, by LAPACK through numpy.
-
-    Only the lower triangle of A is read.  ``numpy.linalg.cholesky`` tests
-    that A is positive definite, and a non-positive pivot raises
-    NotPositiveDefiniteError; the solve itself is ``numpy.linalg.solve`` on A
-    rebuilt from its lower triangle.
-    """
-    a = as_matrix(a, "SPD matrix")
-    if a.shape[0] != a.shape[1]:
-        raise InvalidArgumentError(f"SPD matrix must be square, got shape {a.shape}")
-    b = as_vector(b, "right-hand side")
-    if b.shape[0] != a.shape[0]:
-        raise InvalidArgumentError("right-hand side length does not match matrix size")
-    try:
-        np.linalg.cholesky(a)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(str(exc)) from exc
-    return np.linalg.solve(np.tril(a) + np.tril(a, -1).T, b)
-
-
 def require_full_rank(g, what: str = "columns") -> tuple[float, float]:
     """(lambda_max, lambda_min) of the Gram matrix g of some columns; raises
     RankDeficientError unless lambda_min >= RANK_TOL * lambda_max > 0."""
@@ -137,7 +111,4 @@ def span_residual(v, x) -> float:
     x = as_matrix(x, "input matrix")
     if v.shape[0] != x.shape[0]:
         raise InvalidArgumentError("vector length does not match the column dimension")
-    g = gram(x)
-    require_full_rank(g)
-    coef = np.linalg.solve(g, x.T @ v)
-    return float(np.linalg.norm(v - x @ coef))
+    return float(np.linalg.norm(v - min_norm_span_solve(x, x.T @ v)))

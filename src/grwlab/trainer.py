@@ -19,9 +19,9 @@ value-and-gradient kernel, which gives the losses and dloss in one call.
 
 Runs go in lock step.  ``train`` takes one TrainConfig or a list of R of
 them that share the model, the data, the loss, eta, epochs and record_every;
-scheme, mu, stop_risk, seed, record_params, theta0, theta_ref and
-ref_direction may differ from run to run.  The parameters of the runs form
-one p x R array with a column per run, and losses and weights are n x R, so
+scheme, mu, stop_risk, record_params, theta0, theta_ref and ref_direction
+may differ from run to run.  The parameters of the runs form one p x R
+array with a column per run, and losses and weights are n x R, so
 each step is one vjp and one loss kernel call for all runs.  Each run keeps
 its own scheme state, which its scheme's ``update`` advances on that run's
 n x 1 column of losses; a ``StaticScheme`` run keeps its weights, so its
@@ -56,7 +56,6 @@ class TrainConfig:
     stop_risk: float = 1e-12
     record_every: int = 1
     record_params: bool = False
-    seed: int = 0
 
     def __post_init__(self):
         if not (self.eta > 0) or not math.isfinite(self.eta):
@@ -131,7 +130,7 @@ def train(model, data, cfg, theta0=None, theta_ref=None, ref_direction=None):
     order, trained in lock step.  For a list, theta0, theta_ref and
     ref_direction are each either one value shared by every run or a list
     with one value per run; theta0 may also be a p x R array.  theta0=None
-    starts each run at model.init_params(seed).
+    starts each run at model.init_params().
 
     Each run stops once its unweighted risk drops to its stop_risk, or after
     epochs updates; its final epoch is always recorded.  A non-finite risk in
@@ -160,8 +159,8 @@ def train(model, data, cfg, theta0=None, theta_ref=None, ref_direction=None):
     warn_outside_unit_ball(xs)
     loss_fn = loss_kernels(head.loss)
     start = np.column_stack([
-        model.init_params(c.seed) if t0 is None else np.asarray(t0, dtype=np.float64)
-        for c, t0 in zip(cfgs, _per_run(theta0, runs, "theta0"))
+        model.init_params() if t0 is None else np.asarray(t0, dtype=np.float64)
+        for t0 in _per_run(theta0, runs, "theta0")
     ])
     if start.shape[1] != runs:
         raise InvalidArgumentError(f"starting parameters of shape {start.shape} for {runs} runs")

@@ -149,11 +149,16 @@ def test_shipped_configs_parse():
     cfg_dir = Path(__file__).resolve().parents[1] / "configs"
     files = sorted(cfg_dir.glob("*.cfg"))
     assert len(files) >= 6
+    # Each shipped file describes its experiment's defaults, the ones the
+    # acceptance suite runs; compare's file adds one scheme to show CVaR.
+    declared = {"compare": dict(schemes=("erm", "iw", "gdro:0.01", "cvar:0.5"))}
     seen = set()
     for path in files:
         cfg = parse_config_file(path)
         seen.add(cfg.experiment)
         assert config_hash(cfg)
+        assert path.stem == cfg.experiment
+        assert cfg == make_config(cfg.experiment, **declared.get(cfg.experiment, {})), path.name
     assert seen == {"fig1", "fig2", "fig3", "ntk-convergence", "approx-scaling", "compare"}
 
 
@@ -163,6 +168,8 @@ def test_config_hash_stable_and_sensitive():
     c = make_config("fig1", synthetic=True, epochs=77)
     assert config_hash(a) == config_hash(b)
     assert config_hash(a) != config_hash(c)
+    # Where a study is written does not change what it is.
+    assert config_hash(make_config("fig1", synthetic=True, out="a")) == config_hash(a)
 
 
 def test_dataset_knob(tmp_path, monkeypatch):
@@ -213,6 +220,9 @@ def test_fig1_artifacts_and_determinism(tmp_path):
     for name in ("erm_trace.csv", "iw_trace.csv", "gdro-0.001_trace.csv"):
         assert (tmp_path / "a" / "fig1" / name).read_bytes() == \
                (tmp_path / "b" / "fig1" / name).read_bytes()
+        mirror = name.replace(".csv", ".json")
+        assert (tmp_path / "a" / "fig1" / mirror).read_bytes() == \
+               (tmp_path / "b" / "fig1" / mirror).read_bytes()
 
 
 def test_fig1_batched_traces_match_sequential_runs(tmp_path):

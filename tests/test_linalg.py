@@ -2,11 +2,7 @@ import numpy as np
 import pytest
 
 from grwlab import linalg as la
-from grwlab.errors import (
-    InvalidArgumentError,
-    NotPositiveDefiniteError,
-    RankDeficientError,
-)
+from grwlab.errors import InvalidArgumentError, RankDeficientError
 
 
 def test_gram_identity_columns():
@@ -180,34 +176,6 @@ def test_span_residual_constructed_distance():
     assert la.span_residual(v, x) == pytest.approx(0.5, abs=1e-9)
 
 
-def test_solve_spd_identity_and_diagonal():
-    assert np.allclose(la.solve_spd(np.eye(3), np.array([1.0, 2.0, 3.0])), [1.0, 2.0, 3.0])
-    assert np.allclose(la.solve_spd(np.array([[4.0]]), np.array([8.0])), [2.0])
-
-
-def test_solve_spd_residual_on_random_systems():
-    rng = np.random.default_rng(11)
-    for _ in range(100):
-        n = int(rng.integers(1, 9))
-        a = rng.standard_normal((n, n))
-        a = a @ a.T + np.eye(n)
-        b = rng.standard_normal(n)
-        x = la.solve_spd(a, b)
-        assert np.linalg.norm(a @ x - b) <= 1e-9 * max(1.0, np.linalg.norm(b))
-
-
-def test_solve_spd_rejects_indefinite():
-    with pytest.raises(NotPositiveDefiniteError):
-        la.solve_spd(np.array([[1.0, 0.0], [0.0, -1.0]]), np.array([1.0, 1.0]))
-
-
-def test_solve_spd_reads_only_the_lower_triangle():
-    a = np.array([[4.0, 1.0], [1.0, 3.0]])
-    b = np.array([1.0, 2.0])
-    junk = np.array([[4.0, 100.0], [1.0, 3.0]])
-    np.testing.assert_array_equal(la.solve_spd(junk, b), la.solve_spd(a, b))
-
-
 @pytest.mark.parametrize("n", [1, 2, 6, 24, 48, 64, 96])
 def test_solves_match_scipy_cho_solve(n):
     # scipy.linalg is the reference here only: the package solves through
@@ -216,12 +184,6 @@ def test_solves_match_scipy_cho_solve(n):
 
     rng = np.random.default_rng(100 + n)
     for _ in range(5):
-        m = rng.standard_normal((n, n))
-        a = m @ m.T / n + 0.5 * np.eye(n)
-        b = rng.standard_normal(n)
-        ref = cho_solve(cho_factor(a, lower=True), b)
-        np.testing.assert_allclose(la.solve_spd(a, b), ref, rtol=1e-10, atol=1e-10 * np.abs(ref).max())
-
         x = rng.standard_normal((n + 8, n)) / np.sqrt(n + 8)
         g = x.T @ x
         factor = cho_factor(g, lower=True)

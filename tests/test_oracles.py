@@ -280,7 +280,6 @@ called_linalg = {
     "as_vector": lambda: linalg.as_vector(y),
     "gram": lambda: linalg.gram(x),
     "extreme_eigenvalues": lambda: linalg.extreme_eigenvalues(g),
-    "solve_spd": lambda: linalg.solve_spd(g, y),
     "require_full_rank": lambda: linalg.require_full_rank(g),
     "min_norm_span_solve": lambda: linalg.min_norm_span_solve(x, y),
     "span_residual": lambda: linalg.span_residual(np.ones(4), x),
