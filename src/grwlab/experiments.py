@@ -63,6 +63,10 @@ from .trainer import TrainConfig, compare_runs, safe_learning_rate, train
 EXPERIMENTS = ("fig1", "fig2", "fig3", "ntk-convergence", "approx-scaling", "compare")
 
 
+# Keys that end up as a TrainConfig's mu.
+_PENALTY_KEYS = ("mu", "mu_small", "mu_large", "reg_tracking_mu", "sign_mu")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Flat experiment description; every field maps to one config-file key."""
@@ -119,6 +123,12 @@ class ExperimentConfig:
             value = getattr(self, f.name)
             if isinstance(value, float) and np.isnan(value):
                 raise InvalidArgumentError(f"config key {f.name!r} is NaN")
+        # Checked up front, so that a bad penalty fails before any training:
+        # an infinite one would otherwise surface as a divergence.
+        for key in _PENALTY_KEYS:
+            value = getattr(self, key)
+            if not 0 <= value < np.inf:
+                raise InvalidArgumentError(f"config key {key!r}: {value!r} is not a finite float >= 0")
 
 
 _DEFAULTS = {
@@ -831,16 +841,17 @@ def run_ntk_convergence(cfg: ExperimentConfig) -> dict:
     if cfg.nn_activation != "erf":
         raise UnsupportedError("analytic limit exists only for erf")
     d0 = cfg.approx_d0
-    points = _unit_ball_points(d0, cfg.ntk_points, cfg.data_seed)
-    spec = KernelSpec(depth=cfg.nn_depth, beta=cfg.nn_beta, activation="erf")
-    limit = np.array(
-        [
-            [ntk_limiting_kernel(spec, points[:, i], points[:, j]) for j in range(cfg.ntk_points)]
-            for i in range(cfg.ntk_points)
-        ]
-    )
-    limit_norm = float(np.linalg.norm(limit))
-    report.metric("limit_fro_norm", limit_norm)
+    with report.phase("data"):
+        points = _unit_ball_points(d0, cfg.ntk_points, cfg.data_seed)
+        spec = KernelSpec(depth=cfg.nn_depth, beta=cfg.nn_beta, activation="erf")
+        limit = np.array(
+            [
+                [ntk_limiting_kernel(spec, points[:, i], points[:, j]) for j in range(cfg.ntk_points)]
+                for i in range(cfg.ntk_points)
+            ]
+        )
+        limit_norm = float(np.linalg.norm(limit))
+        report.metric("limit_fro_norm", limit_norm)
 
     def cell(width, seed):
         arch = Architecture(d0, (width,) * cfg.nn_depth, beta=cfg.nn_beta, activation="erf")
@@ -851,24 +862,27 @@ def run_ntk_convergence(cfg: ExperimentConfig) -> dict:
         lam_max, lam_min = linalg.extreme_eigenvalues(emp, 1e-10)
         return err, lam_min
 
+    with report.phase("kernels"):
+        cells = [[cell(width, 10_000 * width + s) for s in cfg.seeds] for width in cfg.widths]
     medians = []
-    for width in cfg.widths:
-        out = [cell(width, 10_000 * width + s) for s in cfg.seeds]
-        errs = sorted(e for e, _ in out)
-        med = float(np.median(errs))
-        medians.append(med)
-        report.metric(f"median_rel_fro_error[width={width}]", med)
-        min_eig = min(l for _, l in out)
-        report.check(f"empirical_gram_psd[width={width}]", min_eig >= -1e-8, min_eig, ">= -1e-8")
-    for a, b, wa, wb in zip(medians, medians[1:], cfg.widths, cfg.widths[1:]):
-        report.check(f"median_error_decreases[{wa}->{wb}]", b < a, (a, b), "strictly decreasing")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_panel_csv(out_dir / "kernel_error.csv", "width", list(cfg.widths),
-                     [("median_rel_fro_error", medians)], report)
-    svg_line_chart(out_dir / "kernel_error.svg",
-                   [("median error", list(cfg.widths), medians)],
-                   title="kernel convergence", xlabel="width", ylabel="rel. Frobenius error",
-                   logx=True, logy=True)
+    with report.phase("checks"):
+        for width, out in zip(cfg.widths, cells):
+            errs = sorted(e for e, _ in out)
+            med = float(np.median(errs))
+            medians.append(med)
+            report.metric(f"median_rel_fro_error[width={width}]", med)
+            min_eig = min(l for _, l in out)
+            report.check(f"empirical_gram_psd[width={width}]", min_eig >= -1e-8, min_eig, ">= -1e-8")
+        for a, b, wa, wb in zip(medians, medians[1:], cfg.widths, cfg.widths[1:]):
+            report.check(f"median_error_decreases[{wa}->{wb}]", b < a, (a, b), "strictly decreasing")
+    with report.phase("export"):
+        out_dir.mkdir(parents=True, exist_ok=True)
+        _write_panel_csv(out_dir / "kernel_error.csv", "width", list(cfg.widths),
+                         [("median_rel_fro_error", medians)], report)
+        svg_line_chart(out_dir / "kernel_error.svg",
+                       [("median error", list(cfg.widths), medians)],
+                       title="kernel convergence", xlabel="width", ylabel="rel. Frobenius error",
+                       logx=True, logy=True)
     report.artifact(out_dir / "kernel_error.svg")
     return report.finish(out_dir)
 
@@ -903,7 +917,9 @@ def _train_pair_shared_weights(arch, theta0, data, scheme, eta, epochs, stop_ris
     points = linalg.as_matrix(np.hstack([data.X, test_points]), "training and test points")
     f0, feats = nn_grad_batch(arch, ModelParams(theta0, net.layout), points)
     kernel = np.swapaxes(feats, 1, 2) @ feats[:, :, :n]  # S x (n + T) x n
-    theta_nn, coef = theta0.copy(), np.zeros((n, seeds))
+    # Column-major, the order of the pullback's result: each seed's weights
+    # are then one block, which the net reads as views.
+    theta_nn, coef = np.array(theta0, order="F"), np.zeros((n, seeds))
     state = repeat_state(scheme.init_state(data.groups), seeds)
     loss_fn = loss_kernels(Squared())
     y = linalg.as_vector(data.Y, "targets")[:, None]
@@ -929,7 +945,8 @@ def _train_pair_shared_weights(arch, theta0, data, scheme, eta, epochs, stop_ris
             ids, state = ids[keep], take_runs(state, keep)
             theta_nn, coef, f0, kernel = theta_nn[:, keep], coef[:, keep], f0[:, keep], kernel[keep]
             step_nn, step_lin = step_nn[:, keep], step_lin[:, keep]
-        theta_nn = theta_nn - eta * step_nn
+        step_nn *= eta
+        theta_nn -= step_nn
         coef = coef - eta * step_lin
     return sup_gap, risk
 
@@ -1015,28 +1032,32 @@ def run_compare(cfg: ExperimentConfig) -> dict:
     gap report."""
     report = Report(cfg)
     out_dir = Path(cfg.out) / "compare"
-    loss = parse_loss(cfg.loss)
-    classification = not isinstance(loss, Squared)
-    data = load_experiment_dataset(cfg, classification=classification)
-    report.metric("provenance", data.provenance)
-    model_spec = parse_model(cfg.model)
-    if model_spec == "linear":
-        model = LinearModel(data.dim)
-        theta0 = np.zeros(data.dim)
-    else:
-        if model_spec.input_dim != data.dim:
-            raise InvalidArgumentError("model input_dim does not match the dataset")
-        model = WideNet(model_spec)
-        theta0 = nn_init(model_spec, cfg.data_seed).flat
-    eta = _resolve_eta(cfg, data, mu=cfg.mu)
+    with report.phase("data"):
+        loss = parse_loss(cfg.loss)
+        classification = not isinstance(loss, Squared)
+        data = load_experiment_dataset(cfg, classification=classification)
+        report.metric("provenance", data.provenance)
+        model_spec = parse_model(cfg.model)
+        if model_spec == "linear":
+            model = LinearModel(data.dim)
+            theta0 = np.zeros(data.dim)
+        else:
+            if model_spec.input_dim != data.dim:
+                raise InvalidArgumentError("model input_dim does not match the dataset")
+            model = WideNet(model_spec)
+            theta0 = nn_init(model_spec, cfg.data_seed).flat
+        eta = _resolve_eta(cfg, data, mu=cfg.mu)
 
-    runs = _train_runs(data, cfg.schemes, loss, eta, cfg.epochs, cfg.record_every,
-                       stop_risk=cfg.stop_risk, mu=cfg.mu, theta0=theta0, model=model)
+    with report.phase("train"):
+        runs = _train_runs(data, cfg.schemes, loss, eta, cfg.epochs, cfg.record_every,
+                           stop_risk=cfg.stop_risk, mu=cfg.mu, theta0=theta0, model=model)
     finals = [final for final, _ in runs]
     traces = [trace for _, trace in runs]
-    for scheme_text, trace in zip(cfg.schemes, traces):
-        _export_run(out_dir, _safe_name(scheme_text), trace, report)
-    report.metric("comparison", compare_runs(traces, finals))
+    with report.phase("export"):
+        for scheme_text, trace in zip(cfg.schemes, traces):
+            _export_run(out_dir, _safe_name(scheme_text), trace, report)
+    with report.phase("checks"):
+        report.metric("comparison", compare_runs(traces, finals))
 
     if cfg.permute_check:
         # Full-batch sums are order-invariant up to float association, so a
@@ -1044,12 +1065,14 @@ def run_compare(cfg: ExperimentConfig) -> dict:
         rng = np.random.default_rng(cfg.data_seed + 99)
         order = rng.permutation(data.n)
         permuted = data.permuted(order)
-        [(perm_final, _)] = _train_runs(
-            permuted, cfg.schemes[:1], loss, eta, cfg.epochs, cfg.record_every,
-            stop_risk=cfg.stop_risk, mu=cfg.mu, theta0=theta0, model=model,
-        )
-        gap = float(np.linalg.norm(finals[0] - perm_final))
-        report.check("sample_order_invariance_below_1e-9", gap <= 1e-9, gap, "<= 1e-9")
+        with report.phase("train"):
+            [(perm_final, _)] = _train_runs(
+                permuted, cfg.schemes[:1], loss, eta, cfg.epochs, cfg.record_every,
+                stop_risk=cfg.stop_risk, mu=cfg.mu, theta0=theta0, model=model,
+            )
+        with report.phase("checks"):
+            gap = float(np.linalg.norm(finals[0] - perm_final))
+            report.check("sample_order_invariance_below_1e-9", gap <= 1e-9, gap, "<= 1e-9")
 
     if cfg.sign_check:
         _sign_agreement_study(cfg, report)
@@ -1060,30 +1083,33 @@ def _sign_agreement_study(cfg: ExperimentConfig, report: Report) -> None:
     """Regularized wide-net logistic classifier vs the feature-space
     hard-margin rule, on confidently-classified test points: the half of 64
     random points in the unit ball farthest from the rule's boundary."""
-    data = load_experiment_dataset(cfg, classification=True)
-    d0 = data.dim
-    arch = Architecture(d0, (cfg.sign_width,) * cfg.nn_depth, beta=cfg.nn_beta,
-                        activation=cfg.nn_activation)
-    theta0_params = nn_init(arch, cfg.data_seed)
-    _, feats_train = nn_grad_batch(arch, theta0_params, data.X)
-    mm = max_margin_direction(feats_train, data.Y)
-    net = WideNet(arch)
-    eta = float(cfg.eta) if cfg.eta != "auto" else 0.5
-    [(final, trace)] = _train_runs(
-        data, cfg.schemes[:1], Logistic(), eta, cfg.sign_epochs, cfg.record_every,
-        mu=cfg.sign_mu, theta0=theta0_params.flat, model=net,
-    )
-    report.metric("sign_study_final_risk", trace.risk[-1])
-    pts = _unit_ball_points(d0, 64, cfg.data_seed + 5)
-    f0_pts, feats_pts = nn_grad_batch(arch, theta0_params, pts)
-    f_mm = feats_pts.T @ mm.direction
-    threshold = float(np.median(np.abs(f_mm)))
-    confident = np.abs(f_mm) > threshold
-    net_out = net.predict(final, pts) - f0_pts
-    agree = np.sign(net_out[confident]) == np.sign(f_mm[confident])
-    rate = float(np.mean(agree)) if agree.size else float("nan")
-    report.check("sign_agreement_on_confident_points", bool(np.all(agree)), rate, "= 100%")
-    report.metric("sign_study_confident_points", int(confident.sum()))
+    with report.phase("data"):
+        data = load_experiment_dataset(cfg, classification=True)
+        d0 = data.dim
+        arch = Architecture(d0, (cfg.sign_width,) * cfg.nn_depth, beta=cfg.nn_beta,
+                            activation=cfg.nn_activation)
+        theta0_params = nn_init(arch, cfg.data_seed)
+        _, feats_train = nn_grad_batch(arch, theta0_params, data.X)
+        mm = max_margin_direction(feats_train, data.Y)
+        net = WideNet(arch)
+        eta = float(cfg.eta) if cfg.eta != "auto" else 0.5
+    with report.phase("train"):
+        [(final, trace)] = _train_runs(
+            data, cfg.schemes[:1], Logistic(), eta, cfg.sign_epochs, cfg.record_every,
+            mu=cfg.sign_mu, theta0=theta0_params.flat, model=net,
+        )
+    with report.phase("checks"):
+        report.metric("sign_study_final_risk", trace.risk[-1])
+        pts = _unit_ball_points(d0, 64, cfg.data_seed + 5)
+        f0_pts, feats_pts = nn_grad_batch(arch, theta0_params, pts)
+        f_mm = feats_pts.T @ mm.direction
+        threshold = float(np.median(np.abs(f_mm)))
+        confident = np.abs(f_mm) > threshold
+        net_out = net.predict(final, pts) - f0_pts
+        agree = np.sign(net_out[confident]) == np.sign(f_mm[confident])
+        rate = float(np.mean(agree)) if agree.size else float("nan")
+        report.check("sign_agreement_on_confident_points", bool(np.all(agree)), rate, "= 100%")
+        report.metric("sign_study_confident_points", int(confident.sum()))
 
 
 RUNNERS = {

@@ -41,14 +41,19 @@ def _erf(z):
 def _erf_prime(z):
     # Flush the underflow region to exact zero: exp(-z^2) below 1e-300 would
     # otherwise produce subnormals, which cost 10-100x on the hot path.  One
-    # float buffer, in the order of 2/sqrt(pi) * exp(-min(z^2, 690)).
+    # float buffer, in the order of 2/sqrt(pi) * exp(-min(z^2, 690)).  The
+    # clamp and the zero-fill run only when some z^2 exceeds 690, which one
+    # reduction tells; fmax skips NaN, so a NaN entry cannot hide the others.
     out = np.square(z)
-    flushed = out > 690.0
-    np.minimum(out, 690.0, out=out)
+    flush = np.fmax.reduce(out, axis=None) > 690.0
+    if flush:
+        flushed = out > 690.0
+        np.minimum(out, 690.0, out=out)
     np.negative(out, out=out)
     np.exp(out, out=out)
     out *= 2.0 / np.sqrt(np.pi)
-    np.copyto(out, 0.0, where=flushed)
+    if flush:
+        np.copyto(out, 0.0, where=flushed)
     return out
 
 
@@ -125,13 +130,20 @@ class ModelParams:
     layout: ParamLayout
 
     def weight(self, l: int) -> np.ndarray:
-        """W^l as (d_out, d_in), or (R, d_out, d_in) for a p x R stack of runs."""
+        """W^l as (d_out, d_in), or (R, d_out, d_in) for a p x R stack of runs.
+
+        A view into ``flat`` when each run's block is contiguous (a vector or
+        a column-major stack), a copy for a row-major stack.
+        """
         shape = self.layout.weight_shapes[l]
         off = self.layout.weight_offsets[l]
         block = self.flat[off : off + shape[0] * shape[1]]
         if block.ndim == 1:
             return block.reshape(shape)
-        return np.ascontiguousarray(block.T).reshape(-1, *shape)
+        runs = block.T
+        if runs.strides[1] != runs.itemsize:  # row-major: gather each run's block
+            runs = np.ascontiguousarray(runs)
+        return runs.reshape(-1, *shape)
 
     def bias(self, l: int) -> np.ndarray:
         """b^l as (d_out,), or (R, d_out) for a p x R stack of runs."""
@@ -177,7 +189,12 @@ def warn_outside_unit_ball(xs: np.ndarray) -> None:
 # Every network routine below takes either one flat parameter vector (p,) or
 # a p x R stack whose columns are R independent runs.  Stacked layers carry
 # a leading run axis, (R, d_out, m), and go through batched ``np.matmul``;
-# per-input outputs come back as (m,) or (m, R).
+# per-input outputs come back as (m,) or (m, R).  A stack may be stored
+# either way.  Column-major (Fortran order) keeps each run's parameters in
+# one block, so the layers read their weights as views and ``nn_pullback``
+# writes its column-major p x R result run by run; a row-major stack costs
+# one weight copy per ``ModelParams.weight`` call.  Results are the same
+# bits in either order.
 
 
 @dataclass
@@ -267,12 +284,13 @@ def nn_pullback(arch: Architecture, params: ModelParams, xs: np.ndarray, cache: 
     v, (k,) or (k, R), holds cotangents for the leading k <= m columns of the
     batch; the trailing columns count as zero and cost nothing, since every
     backward product runs over the leading k columns only.  The result has
-    the shape of ``params.flat``.  The cache is only read.
+    the shape of ``params.flat``, column-major for a stack.  The cache is
+    only read.
     """
     _, act_prime = ACTIVATIONS[arch.activation]
     dims = arch.layer_dims
     layout = params.layout
-    out = np.empty(params.flat.shape, dtype=np.float64)
+    out = np.empty(params.flat.shape, dtype=np.float64, order="F")
     xs = _leading(xs, v)
     k = xs.shape[1]
     ones = np.ones(k)
@@ -341,7 +359,10 @@ def parse_model(text: str):
 # already (train() checks the data once on entry), so it skips the checks.
 # vjp also takes a p x R stack of runs: outputs are then m x R, cotangents
 # k x R, and the pullback returns p x R.  The models keep no per-run state,
-# so the runs of a stack share one model.
+# so the runs of a stack share one model.  WideNet's pullback returns a
+# column-major stack and reads either order; LinearModel's and
+# LinearizedNet's return row-major ones.  train keeps its parameters in the
+# order the pullback returns.
 
 
 class LinearModel:

@@ -22,11 +22,13 @@ them that share the model, the data, the loss, eta, epochs and record_every;
 scheme, mu, stop_risk, record_params, theta0, theta_ref and ref_direction
 may differ from run to run.  The parameters of the runs form one p x R
 array with a column per run, and losses and weights are n x R, so
-each step is one vjp and one loss kernel call for all runs.  Each run keeps
-its own scheme state, which its scheme's ``update`` advances on that run's
-n x 1 column of losses; a ``StaticScheme`` run keeps its weights, so its
-``update`` is not called.  A run that stops leaves the working set: its
-parameters, scheme state and trace no longer change while the others go on.
+each step is one vjp and one loss kernel call for all runs.  The p x R
+array takes the memory order of the model's first pullback result and keeps
+it.  Each run keeps its own scheme state, which its scheme's ``update``
+advances on that run's n x 1 column of losses; a ``StaticScheme`` run keeps
+its weights, so its ``update`` is not called.  A run that stops leaves the
+working set: its parameters, scheme state and trace no longer change while
+the others go on.
 A single run is the R = 1 case of the same loop.
 """
 
@@ -60,8 +62,10 @@ class TrainConfig:
     def __post_init__(self):
         if not (self.eta > 0) or not math.isfinite(self.eta):
             raise InvalidArgumentError("eta must be a positive finite float")
-        if not (self.mu >= 0):
-            raise InvalidArgumentError(f"mu must be >= 0, got {self.mu!r}")
+        if not (self.mu >= 0) or not math.isfinite(self.mu):
+            # An infinite mu would surface as a divergence (0 * inf is NaN)
+            # instead of as the invalid input it is.
+            raise InvalidArgumentError(f"mu must be a finite float >= 0, got {self.mu!r}")
         if self.epochs < 1:
             raise InvalidArgumentError("epochs must be >= 1")
         if self.record_every < 1:
@@ -245,6 +249,11 @@ def train(model, data, cfg, theta0=None, theta_ref=None, ref_direction=None):
                 if all(done):
                     break
             step = pullback(q * dloss)
+            if t == 0 and step.flags.f_contiguous:
+                # Keep theta in the order of the model's pullback, so that
+                # the update reads both in one order and a WideNet reads its
+                # weights as views.  No copy when R = 1.
+                theta, origin = np.asfortranarray(theta), np.asfortranarray(origin)
             if stopping:
                 keep = ~np.array(done)
                 schemes = [s for s, d in zip(schemes, done) if not d]
@@ -255,7 +264,9 @@ def train(model, data, cfg, theta0=None, theta_ref=None, ref_direction=None):
                 penalized = bool(mu.any())
                 stop_risk = [stop for stop, d in zip(stop_risk, done) if not d]
             if penalized:
-                step += mu * (theta - origin)
+                penalty = np.subtract(theta, origin)
+                penalty *= mu
+                step += penalty
             step *= eta
             theta -= step
             t += 1

@@ -93,6 +93,15 @@ def test_config_rejects_nan_in_every_float_key():
             make_config("fig1", **{key: float("nan")})
 
 
+def test_config_rejects_bad_penalties_up_front():
+    # Each of these keys becomes a TrainConfig's mu; an infinite one would
+    # fail only at the first epoch of its training, as a divergence.
+    for key in ("mu", "mu_small", "mu_large", "reg_tracking_mu", "sign_mu"):
+        for value in (float("inf"), -1.0):
+            with pytest.raises(InvalidArgumentError, match=key):
+                make_config("approx-scaling", **{key: value})
+
+
 # Small enough that a config which got past the checks would finish quickly.
 _SMALL_APPROX = "widths = 8,16\nseeds = 0,1\nepochs = 20\nreg_tracking_check = 0"
 
@@ -418,14 +427,22 @@ def test_approx_scaling_report_times_its_phases(tmp_path):
     assert rep["phases_s"] == phases
 
 
-@pytest.mark.parametrize("experiment", ["fig1", "fig2", "fig3"])
+@pytest.mark.parametrize("experiment", ["fig1", "fig2", "fig3", "compare", "ntk-convergence"])
 def test_figure_reports_time_their_phases(tmp_path, experiment):
-    run = {"fig1": run_fig1, "fig2": run_fig2, "fig3": run_fig3}[experiment]
-    cfg = make_config(experiment, synthetic=True, out=str(tmp_path), epochs=200, record_every=50)
+    run = {"fig1": run_fig1, "fig2": run_fig2, "fig3": run_fig3, "compare": run_compare,
+           "ntk-convergence": run_ntk_convergence}[experiment]
+    small = {
+        "compare": dict(epochs=200, record_every=50, sign_check=True, sign_width=16, sign_epochs=50),
+        "ntk-convergence": dict(widths=(16, 64), seeds=(0, 1)),
+    }.get(experiment, dict(epochs=200, record_every=50))
+    cfg = make_config(experiment, synthetic=True, out=str(tmp_path), **small)
     rep = run(cfg)
     doc = json.loads((tmp_path / experiment / "report.json").read_text())
     phases = doc["phases_s"]
-    assert set(phases) == {"data", "train", "checks", "export"}
+    expected_phases = {"data", "train", "checks", "export"}
+    if experiment == "ntk-convergence":  # no training: the finite-width kernels instead
+        expected_phases = {"data", "kernels", "checks", "export"}
+    assert set(phases) == expected_phases
     assert all(math.isfinite(t) and t >= 0 for t in phases.values())
     assert rep["phases_s"] == phases
     # Timings stay out of the metrics, whose keys are the same as ever.
@@ -440,6 +457,9 @@ def test_figure_reports_time_their_phases(tmp_path, experiment):
                  "polytailed_gap_second_half_growth",
                  *(f"logistic_oracle_cosine[{s}]" for s in schemes),
                  *(f"saturated[{loss}|{s}]" for loss in ("logistic", "polytailed:1:0") for s in schemes)},
+        "compare": {"provenance", "comparison", "sign_study_final_risk", "sign_study_confident_points"},
+        "ntk-convergence": {"limit_fro_norm", "median_rel_fro_error[width=16]",
+                            "median_rel_fro_error[width=64]"},
     }[experiment]
     assert set(doc["metrics"]) == expected
 

@@ -340,14 +340,20 @@ def test_erf_prime_is_the_flushed_derivative():
     z = np.concatenate([np.linspace(-30.0, 30.0, 6002),
                         np.nextafter(edge, [0.0, np.inf]), np.nextafter(-edge, [0.0, -np.inf]),
                         [edge, -edge]]).reshape(4, -1)
-    z_copy = z.copy()
-    z2 = z * z
-    ref = np.where(z2 > 690.0, 0.0, 2.0 / np.sqrt(np.pi) * np.exp(-np.minimum(z2, 690.0)))
-    out = _erf_prime(z)
-    assert np.array_equal(out, ref)
-    assert np.array_equal(z, z_copy)
-    assert np.all((out == 0.0) | (out >= np.finfo(np.float64).tiny))
-    assert (out == 0.0).any() and (out > 0.0).any()
+    # Entirely inside the edge, so nothing needs the flush.
+    inside = np.linspace(-26.0, 26.0, 1000).reshape(2, -1)
+    flushes = []
+    for zs in (z, inside):
+        zs_copy = zs.copy()
+        z2 = zs * zs
+        ref = np.where(z2 > 690.0, 0.0, 2.0 / np.sqrt(np.pi) * np.exp(-np.minimum(z2, 690.0)))
+        out = _erf_prime(zs)
+        assert np.array_equal(out, ref)
+        assert np.array_equal(zs, zs_copy)
+        assert np.all((out == 0.0) | (out >= np.finfo(np.float64).tiny))
+        assert (out > 0.0).any()
+        flushes.append((out == 0.0).any())
+    assert flushes == [True, False]
 
 
 def test_widenet_vjp_is_one_forward_pass(monkeypatch):
@@ -389,6 +395,33 @@ def test_stacked_runs_match_each_run_alone(activation, depth):
         scale = max(1.0, float(np.abs(steps[:, r]).max()))
         np.testing.assert_allclose(steps[:, r], one_pullback(v[:, r]), rtol=0, atol=1e-13 * scale)
         np.testing.assert_allclose(jacs[r], net.jacobian(thetas[:, r], xs), rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+def test_column_major_stack_gives_the_same_bits_through_views(depth):
+    # A column-major stack keeps each run's block contiguous: the weights are
+    # views into it, and outputs and pullbacks equal the row-major stack's.
+    arch = Architecture(3, (12,) * depth, beta=0.3)
+    net = WideNet(arch)
+    rng = np.random.default_rng(7 + depth)
+    rows = np.column_stack([net.init_params(s) + 0.3 * rng.standard_normal(net.n_params)
+                            for s in range(4)])
+    cols = np.asfortranarray(rows)
+    assert not rows.flags.f_contiguous and cols.flags.f_contiguous
+    for l in range(depth + 1):
+        w = ModelParams(cols, net.layout).weight(l)
+        assert np.shares_memory(w, cols)
+        assert not np.shares_memory(ModelParams(rows, net.layout).weight(l), rows)
+        np.testing.assert_array_equal(w, ModelParams(rows, net.layout).weight(l))
+    xs = rng.standard_normal((3, 5))
+    xs /= 1.1 * np.linalg.norm(xs, axis=0).max()
+    v = rng.standard_normal((3, 4))
+    row_values, row_pullback = net.vjp(rows, xs)
+    col_values, col_pullback = net.vjp(cols, xs)
+    np.testing.assert_array_equal(col_values, row_values)
+    row_step, col_step = row_pullback(v), col_pullback(v)
+    np.testing.assert_array_equal(col_step, row_step)
+    assert row_step.flags.f_contiguous and col_step.flags.f_contiguous
 
 
 def test_linearized_net_one_base_point_for_a_stack_of_runs():

@@ -395,10 +395,11 @@ def test_batch_rejects_mismatched_shared_settings():
         train(LinearModel(2), data, [_cfg(), _cfg()], theta0=[np.zeros(2)])
 
 
-@pytest.mark.parametrize("field", ["mu", "stop_risk"])
-def test_config_rejects_nan(field):
+@pytest.mark.parametrize("field,value", [("mu", float("nan")), ("stop_risk", float("nan")),
+                                         ("mu", float("inf"))], ids=["mu", "stop_risk", "mu-inf"])
+def test_config_rejects_nan(field, value):
     with pytest.raises(InvalidArgumentError, match=field):
-        _cfg(**{field: float("nan")})
+        _cfg(**{field: value})
 
 
 def test_static_runs_never_call_update(monkeypatch):

@@ -1,27 +1,32 @@
 """Property: a lock-step batch is its solo runs, column by column.
 
-Hypothesis draws the group sizes, the loss, a list of up to four schemes that
-mixes static and dynamic ones, and a stop risk per run, so that runs leave
-the batch at different epochs and the columns of the runs after them move.
+Hypothesis draws the model, the group sizes, the loss, a list of up to four
+schemes that mixes static and dynamic ones, and a stop risk per run, so that
+runs leave the batch at different epochs and the columns of the runs after
+them move.  A small WideNet's batch trains on a column-major stack (the
+order of its pullback), a linear model's on a row-major one.
 """
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from grwlab.data_io import synth_groups
 from grwlab.losses import Logistic, PolyTailed, Squared
-from grwlab.models import LinearModel
+from grwlab.models import Architecture, LinearModel, WideNet
 from grwlab.reweighting import parse_scheme
 from grwlab.trainer import TrainConfig, train
 
 EPOCHS = 60
 LOSSES = {"squared": Squared(), "logistic": Logistic(), "polytailed": PolyTailed(1.0, 0.0)}
 SCHEMES = ("erm", "iw", "gdro:0.1", "gdro:2", "cvar:0.5", "cvar:1")
+# Hidden layers of the model: none is the linear model, else a width-16 net.
+DEPTHS = (0, 1, 2)
 
 
 @st.composite
 def _batches(draw):
+    depth = draw(st.sampled_from(DEPTHS))
     sizes = draw(st.lists(st.integers(1, 4), min_size=2, max_size=3))
     loss = draw(st.sampled_from(sorted(LOSSES)))
     specs = draw(st.lists(st.sampled_from(SCHEMES), min_size=1, max_size=4))
@@ -31,7 +36,7 @@ def _batches(draw):
     mus = draw(st.lists(st.sampled_from([0.0, 0.05]), min_size=len(specs), max_size=len(specs)))
     record_every = draw(st.integers(1, 9))
     seed = draw(st.integers(0, 2**16))
-    return sizes, loss, specs, stops, mus, record_every, seed
+    return depth, sizes, loss, specs, stops, mus, record_every, seed
 
 
 def _assert_simplex(q):
@@ -41,15 +46,25 @@ def _assert_simplex(q):
 
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(_batches())
+# Wide nets where a penalized run and an unpenalized one go on after the
+# first run leaves at epoch 3.
+@example((1, [3, 2], "squared", ["gdro:0.1", "erm", "cvar:0.5"], [3, 61, 61], [0.0, 0.05, 0.0],
+          4, 11))
+@example((2, [2, 3], "logistic", ["erm", "gdro:2", "iw"], [61, 3, 61], [0.05, 0.0, 0.05],
+          5, 12))
 def test_batch_equals_its_solo_runs(case):
-    sizes, loss, specs, stops, mus, record_every, seed = case
+    depth, sizes, loss, specs, stops, mus, record_every, seed = case
     rng = np.random.default_rng(seed)
     d = 5
     means = rng.standard_normal((len(sizes), d))
     means = 0.4 * means / np.linalg.norm(means, axis=1, keepdims=True)
     data = synth_groups(d, sizes, means, 0.3, seed, classification=loss != "squared")
-    model = LinearModel(d)
-    starts = [0.1 * rng.standard_normal(d) for _ in specs]
+    if depth:
+        model = WideNet(Architecture(d, (16,) * depth, beta=0.1))
+        starts = [model.init_params(seed + r) for r in range(len(specs))]
+    else:
+        model = LinearModel(d)
+        starts = [0.1 * rng.standard_normal(d) for _ in specs]
 
     def cfg(spec, mu, stop_risk):
         return TrainConfig(eta=0.5, epochs=EPOCHS, loss=LOSSES[loss], scheme=parse_scheme(spec),
