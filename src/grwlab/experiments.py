@@ -25,7 +25,6 @@ from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import linalg
 from .data_io import (
@@ -300,7 +299,11 @@ def git_sha(root: Path = _CHECKOUT) -> str | None:
 
 def environment() -> dict:
     """What a report ran on: Python, numpy and SciPy versions, numpy's BLAS,
-    the CPU count and the git SHA.  It starts no process."""
+    the CPU count and the git SHA.  It starts no process.  SciPy is imported
+    here rather than with the module: a bare ``import scipy`` loads none of
+    its subpackages, so a run that needs none of them stays without."""
+    import scipy
+
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
         "python": platform.python_version(),

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import InvalidArgumentError, parse_number
 
@@ -93,11 +92,6 @@ def _squared(yhat, y):
     return 0.5 * r**2, r
 
 
-def _logistic(yhat, y):
-    m = yhat * y
-    return _logistic_value(m), -y * expit(-m)
-
-
 def loss_kernels(kind: LossKind):
     """The value-and-gradient kernel of a loss: one function of float64
     arrays (yhat, y) returning (loss, dloss/dyhat), without checks.
@@ -108,11 +102,21 @@ def loss_kernels(kind: LossKind):
     share the work they have in common: the residual for the squared loss,
     the margin m for the logistic one, and m, the branch mask and the power
     base for the polynomially-tailed one.
+
+    SciPy's ``expit`` is imported here, once per call, for the two
+    classification losses only: a squared-loss run never loads SciPy.
     """
     if isinstance(kind, Squared):
         return _squared
+    from scipy.special import expit
+
     if isinstance(kind, Logistic):
-        return _logistic
+
+        def logistic(yhat, y):
+            m = yhat * y
+            return _logistic_value(m), -y * expit(-m)
+
+        return logistic
     alpha, beta = kind.alpha, kind.beta
     shift = 1.0 - _logistic_value(np.asarray(beta))
 

@@ -26,7 +26,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import InvalidArgumentError, parse_number
 from .linalg import as_matrix, as_vector
@@ -35,6 +34,9 @@ _BALL_TOL = 1e-9
 
 
 def _erf(z):
+    # SciPy is imported on first use: runs without an erf net never load it.
+    from scipy.special import erf
+
     return erf(z)
 
 

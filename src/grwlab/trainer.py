@@ -140,6 +140,11 @@ def train(model, data, cfg, theta0=None, theta_ref=None, ref_direction=None):
     epochs updates; its final epoch is always recorded.  A non-finite risk in
     any run aborts the call by raising DivergedError carrying that run's
     partial trace and last parameters.
+
+    A run's risk in a batch can differ in the last bit from its risk when it
+    is trained alone, because a p x R product rounds differently from a
+    p x 1 one.  So a stop_risk that equals one of the run's risks exactly
+    can stop it one epoch apart in a batch and alone.
     """
     single = isinstance(cfg, TrainConfig)
     cfgs = [cfg] if single else list(cfg)

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -153,8 +157,6 @@ def test_parse_config_file_rejects_unknown_boolean(tmp_path):
 
 
 def test_shipped_configs_parse():
-    from pathlib import Path
-
     cfg_dir = Path(__file__).resolve().parents[1] / "configs"
     files = sorted(cfg_dir.glob("*.cfg"))
     assert len(files) >= 6
@@ -493,6 +495,34 @@ def test_every_report_records_its_environment(tmp_path, experiment):
                         "phases_s", "environment", "elapsed_s", "passed"}
 
 
+_FRESH_ENVIRONMENT_PROBE = """
+import json
+import sys
+from pathlib import Path
+
+from grwlab.experiments import make_config, run_experiment
+
+assert "scipy" not in sys.modules
+out = Path(sys.argv[1])
+run_experiment(make_config("ntk-convergence", out=str(out)))
+doc = json.loads((out / "ntk-convergence" / "report.json").read_text())
+import scipy
+
+assert doc["environment"]["scipy"] == scipy.__version__, doc["environment"]
+"""
+
+
+def test_environment_reports_scipy_version_when_scipy_was_not_loaded(tmp_path):
+    # The package imports SciPy only where it calls it; the report's version
+    # must not depend on whether anything had loaded SciPy before.
+    import grwlab
+
+    env = {**os.environ, "PYTHONPATH": str(Path(grwlab.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", _FRESH_ENVIRONMENT_PROBE, str(tmp_path)],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
 def test_git_sha_reads_loose_packed_and_detached_heads(tmp_path):
     from grwlab.experiments import git_sha
 
@@ -512,7 +542,6 @@ def test_git_sha_reads_loose_packed_and_detached_heads(tmp_path):
 
 
 def test_environment_block_is_cheap_and_starts_no_process(monkeypatch):
-    import subprocess
     import time
 
     from grwlab.experiments import environment
@@ -607,8 +636,6 @@ def test_bench_tracing_targets_resolve(monkeypatch):
     # target it cannot find as missing; a rename must fail here instead.
     import importlib
     import importlib.util
-    import sys
-    from pathlib import Path
 
     path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("bench_tracing", path)

@@ -259,7 +259,11 @@ y, labels = np.array([1.0, -1.0, 1.0]), np.array([1.0, -1.0, 1.0])
 groups = GroupInfo([0, 0, 1])
 theta0 = np.zeros(4)
 spec = oracles.KernelSpec(depth=1, beta=0.1)
-arch = Architecture(4, (8,))
+# An erf net loads scipy.special on its first forward pass (see the next
+# probe); the kernel oracles are checked here on tanh nets, and the
+# closed-form kernel of the erf net needs no SciPy.
+tanh = oracles.KernelSpec(depth=1, beta=0.1, activation="tanh")
+arch = Architecture(4, (8,), activation="tanh")
 called = {
     "min_norm_interpolator": lambda: oracles.min_norm_interpolator(x, y, theta0, x.T @ theta0),
     "ridge_closed_form": lambda: oracles.ridge_closed_form(x, y, np.full(3, 1 / 3), 0.1, theta0,
@@ -267,7 +271,7 @@ called = {
     "max_margin_direction": lambda: oracles.max_margin_direction(x, labels),
     "max_margin_bruteforce": lambda: oracles.max_margin_bruteforce(x, labels),
     "ntk_limiting_kernel": lambda: oracles.ntk_limiting_kernel(spec, x[:, 0], x[:, 1]),
-    "ntk_limiting_kernel_mc": lambda: oracles.ntk_limiting_kernel_mc(spec, x[:, 0], x[:, 1], 1000),
+    "ntk_limiting_kernel_mc": lambda: oracles.ntk_limiting_kernel_mc(tanh, x[:, 0], x[:, 1], 1000),
     "empirical_ntk": lambda: oracles.empirical_ntk(linearize(arch, nn_init(arch, 0), x), 0, 1),
     "robust_risks": lambda: oracles.robust_risks(np.array([0.1, 0.2, 0.3]), groups, 0.5),
 }
@@ -297,20 +301,91 @@ assert [t.epochs_run for _, t in train(LinearModel(4), data, cfgs)] == [3] * 4
 
 loaded = sorted(m for m in ("scipy.linalg", "scipy.optimize") if m in sys.modules)
 assert not loaded, f"imported {loaded}"
+scipy_modules = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not scipy_modules, f"imported {scipy_modules}"
 """
+
+_LAZY_SCIPY_PROBE = """
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+import grwlab.cli
+from grwlab.losses import Logistic, loss_kernels
+from grwlab.models import Architecture, ModelParams, WideNet
+
+with tempfile.TemporaryDirectory() as tmp:
+    cfg = Path(tmp) / "fig1.cfg"
+    cfg.write_text("experiment = fig1\\nschemes = erm, iw\\nloss = squared\\nmodel = linear\\n"
+                   "eta = 0.5\\nepochs = 1000\\nstop_risk = 0\\nrecord_every = 250\\n"
+                   "dataset = blobs\\nsynth_d = 8\\nsynth_sizes = 3,1\\n")
+    code = grwlab.cli.main(["fig1", "--config", str(cfg), "--out", tmp, "--synthetic"])
+    assert code == 0, code
+    assert (Path(tmp) / "fig1" / "report.json").is_file()
+assert "scipy.special" not in sys.modules, "fig1 imported scipy.special"
+
+rng = np.random.default_rng(3)
+
+
+def logistic_kernel():
+    yhat, y = rng.standard_normal(7) * 4, rng.choice([-1.0, 1.0], 7)
+    _, grad = loss_kernels(Logistic())(yhat, y)
+    assert "scipy.special" in sys.modules
+    from scipy.special import expit
+
+    assert np.array_equal(grad, -y * expit(-(yhat * y)))
+
+
+def erf_net():
+    net = WideNet(Architecture(3, (16,), beta=0.1))
+    theta = rng.standard_normal(net.n_params)
+    xs = rng.standard_normal((3, 5)) / 3
+    values = net.predict(theta, xs)
+    assert "scipy.special" in sys.modules
+    from scipy.special import erf
+
+    p = ModelParams(theta, net.layout)
+    h = p.weight(0) @ xs
+    h /= np.sqrt(3)
+    h += 0.1 * p.bias(0)[:, None]
+    out = p.weight(1) @ erf(h)
+    out /= np.sqrt(16)
+    out += 0.1 * p.bias(1)[:, None]
+    assert np.array_equal(values, out[0])
+
+
+# The first of the two loads scipy.special; both give SciPy's bits.
+first, second = (logistic_kernel, erf_net) if sys.argv[1] == "loss" else (erf_net, logistic_kernel)
+first()
+second()
+"""
+
+
+def _run_probe(source: str, *args: str) -> None:
+    import grwlab
+
+    env = {**os.environ, "PYTHONPATH": str(Path(grwlab.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", source, *args], env=env, capture_output=True,
+                          text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_import_path_leaves_out_scipy_linalg_and_optimize():
     # In every process, importing scipy.linalg costs about 6 MiB of resident
-    # memory and 0.1 s, and scipy.optimize about 15 MiB and 0.2 s.  The
-    # package, its exported oracles, its linalg functions and a training
-    # batch need neither.
-    import grwlab
+    # memory and 0.1 s, scipy.optimize about 15 MiB and 0.2 s, and
+    # scipy.special about 0.2 s.  The package, its exported oracles, its
+    # linalg functions and a squared-loss linear batch load no SciPy module.
+    _run_probe(_FOOTPRINT_PROBE)
 
-    env = {**os.environ, "PYTHONPATH": str(Path(grwlab.__file__).resolve().parents[1])}
-    done = subprocess.run([sys.executable, "-c", _FOOTPRINT_PROBE], env=env, capture_output=True,
-                          text=True)
-    assert done.returncode == 0, done.stderr
+
+@pytest.mark.parametrize("first", ["loss", "net"])
+def test_scipy_special_loads_on_first_erf_or_expit(first):
+    # A squared-loss linear fig1 run through the CLI leaves scipy.special
+    # unloaded; the logistic kernel and an erf net each load it on first use
+    # and give the same bits as calling it directly.
+    _run_probe(_LAZY_SCIPY_PROBE, first)
 
 
 def test_max_margin_rejects_inseparable():
