@@ -43,7 +43,6 @@ from .models import (
 from .oracles import (
     KernelSpec,
     MarginSolution,
-    empirical_ntk,
     max_margin_bruteforce,
     max_margin_direction,
     min_norm_interpolator,

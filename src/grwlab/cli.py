@@ -62,24 +62,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _experiment_config(args, experiment: str) -> ExperimentConfig:
-    overrides = {}
-    if args.out:
+    overrides = {"synthetic": True} if args.synthetic else {}
+    if getattr(args, "out", None):  # the oracle commands have no --out
         overrides["out"] = args.out
-    if args.synthetic:
-        overrides["synthetic"] = True
     if args.config:
         return parse_config_file(args.config, experiment=experiment, **overrides)
     return make_config(experiment, **overrides)
 
 
 def _oracle_dataset(args, classification: bool):
-    overrides = {"synthetic": True} if args.synthetic else {}
-    cfg = (
-        parse_config_file(args.config, experiment="compare", **overrides)
-        if args.config
-        else make_config("compare", **overrides)
-    )
-    return load_experiment_dataset(cfg, classification=classification)
+    return load_experiment_dataset(_experiment_config(args, "compare"), classification=classification)
 
 
 def _run_oracle(args) -> int:
@@ -114,8 +106,7 @@ def _run_oracle(args) -> int:
     if args.oracle_command == "ridge":
         data = _oracle_dataset(args, classification=False)
         theta0 = np.zeros(data.dim)
-        scheme = parse_scheme(args.scheme)
-        q = scheme.init_state(data.groups).q
+        q = parse_scheme(args.scheme).init_state(data.groups).q
         theta = ridge_closed_form(data.X, data.Y, q, args.mu, theta0, data.X.T @ theta0)
         delta = theta - theta0
         stat = data.X @ (q * (data.X.T @ delta - data.Y)) + args.mu * delta

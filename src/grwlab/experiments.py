@@ -253,10 +253,6 @@ def load_experiment_dataset(cfg: ExperimentConfig, classification: bool) -> Data
     )
 
 
-def _iw_min_weight(data: Dataset) -> float:
-    return float(iw_weights(data.groups).q.min())
-
-
 def _resolve_eta(cfg: ExperimentConfig, data: Dataset, mu: float = 0.0) -> float:
     """eta='auto' uses the conservative contraction bound (plus a ridge cap)."""
     if cfg.eta != "auto":
@@ -264,7 +260,7 @@ def _resolve_eta(cfg: ExperimentConfig, data: Dataset, mu: float = 0.0) -> float
     if mu > 0:
         a = float(np.sum(data.X**2))
         return 1.0 / (a + mu)
-    q_star = min(1.0 / data.n, _iw_min_weight(data))
+    q_star = min(1.0 / data.n, float(iw_weights(data.groups).q.min()))
     return safe_learning_rate(data.X, q_star)
 
 
@@ -329,11 +325,10 @@ class Report:
         }
         self._t0 = time.perf_counter()
 
-    def check(self, name: str, passed: bool, value=None, target: str = "") -> bool:
+    def check(self, name: str, passed: bool, value=None, target: str = "") -> None:
         self.doc["assertions"].append(
             {"name": name, "passed": bool(passed), "value": value, "target": target}
         )
-        return bool(passed)
 
     def metric(self, name: str, value) -> None:
         self.doc["metrics"][name] = value
@@ -391,17 +386,16 @@ def svg_line_chart(path, series, title="", xlabel="", ylabel="", logy=False, log
     """Minimal polyline chart; series is a list of (name, xs, ys)."""
     width, height = 640, 420
     ml, mr, mt, mb = 74, 16, 34, 48
-    pts = []
+    # Each series' points on the axes' scale: finite, and positive on a log axis.
+    curves = []
     for _, xs, ys in series:
+        curve = []
         for x, y in zip(xs, ys):
             x, y = float(x), float(y)
-            if not (np.isfinite(x) and np.isfinite(y)):
-                continue
-            if (logx and x <= 0) or (logy and y <= 0):
-                continue
-            pts.append((np.log10(x) if logx else x, np.log10(y) if logy else y))
-    if not pts:
-        pts = [(0.0, 0.0), (1.0, 1.0)]
+            if np.isfinite(x) and np.isfinite(y) and not ((logx and x <= 0) or (logy and y <= 0)):
+                curve.append((np.log10(x) if logx else x, np.log10(y) if logy else y))
+        curves.append(curve)
+    pts = [p for curve in curves for p in curve] or [(0.0, 0.0), (1.0, 1.0)]
     xs_all = [p[0] for p in pts]
     ys_all = [p[1] for p in pts]
     x0, x1 = min(xs_all), max(xs_all)
@@ -412,12 +406,10 @@ def svg_line_chart(path, series, title="", xlabel="", ylabel="", logy=False, log
         y1 = y0 + 1.0
 
     def px(x):
-        v = np.log10(x) if logx else x
-        return ml + (v - x0) / (x1 - x0) * (width - ml - mr)
+        return ml + (x - x0) / (x1 - x0) * (width - ml - mr)
 
     def py(y):
-        v = np.log10(y) if logy else y
-        return height - mb - (v - y0) / (y1 - y0) * (height - mt - mb)
+        return height - mb - (y - y0) / (y1 - y0) * (height - mt - mb)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
@@ -445,13 +437,9 @@ def svg_line_chart(path, series, title="", xlabel="", ylabel="", logy=False, log
                     f'<text x="{ml - 6}" y="{ypix:.0f}" text-anchor="end" '
                     f'font-size="10">{label}</text>'
                 )
-    for i, (name, xs, ys) in enumerate(series):
+    for i, ((name, _, _), curve) in enumerate(zip(series, curves)):
         color = _PALETTE[i % len(_PALETTE)]
-        coords = [
-            f"{px(x):.1f},{py(y):.1f}"
-            for x, y in zip(xs, ys)
-            if np.isfinite(x) and np.isfinite(y) and not ((logx and x <= 0) or (logy and y <= 0))
-        ]
+        coords = [f"{px(x):.1f},{py(y):.1f}" for x, y in curve]
         if coords:
             parts.append(
                 f'<polyline points="{" ".join(coords)}" fill="none" stroke="{color}" stroke-width="1.5"/>'
@@ -471,17 +459,17 @@ def svg_line_chart(path, series, title="", xlabel="", ylabel="", logy=False, log
 class _WeightLogger:
     """Scheme decorator keeping the trailing per-epoch weights for diagnostics.
 
-    A bounded ring buffer holds the weights of the last ``keep`` updates at
+    A bounded ring buffer holds the weights of the last 5000 updates at
     full epoch resolution, which is what the settlement check needs; the
     thinned trace still records the whole trajectory.  The trainer calls it
     once per step of the run it was given; once that run stops, its buffer
     stops growing.
     """
 
-    def __init__(self, inner, keep: int = 5000):
+    def __init__(self, inner):
         self.inner = inner
         self.name = inner.name
-        self.q_tail = deque(maxlen=keep)
+        self.q_tail = deque(maxlen=5000)
         self.updates = 0
 
     def init_state(self, groups):
@@ -664,11 +652,8 @@ def run_fig2(cfg: ExperimentConfig) -> dict:
             for scheme_text, trace in zip(cfg.schemes, traces):
                 _export_run(out_dir, f"mu{mu:g}_{_safe_name(scheme_text)}", trace, report)
         with report.phase("checks"):
-            gaps = [
-                float(np.linalg.norm(finals[i] - finals[j]))
-                for i in range(len(finals))
-                for j in range(i + 1, len(finals))
-            ]
+            pairwise = compare_runs(traces, finals)["pairwise_gap"]
+            gaps = [pairwise[i][j] for i in range(len(finals)) for j in range(i + 1, len(finals))]
             regimes[mu] = {
                 "risks": [t.risk[-1] for t in traces],
                 "max_pairwise_gap": max(gaps),
@@ -680,8 +665,7 @@ def run_fig2(cfg: ExperimentConfig) -> dict:
             # Fixed-point check against the closed form for the static schemes.
             for scheme_text, final in zip(cfg.schemes, finals):
                 if scheme_text in ("erm", "iw"):
-                    scheme = parse_scheme(scheme_text)
-                    q = scheme.init_state(data.groups).q
+                    q = parse_scheme(scheme_text).init_state(data.groups).q
                     ridge = ridge_closed_form(data.X, data.Y, q, mu, theta0, f0)
                     gap = float(np.linalg.norm(final - ridge))
                     report.check(
@@ -862,7 +846,7 @@ def run_ntk_convergence(cfg: ExperimentConfig) -> dict:
         _, feats = nn_grad_batch(arch, params, points)
         emp = linalg.gram(feats)
         err = float(np.linalg.norm(emp - limit)) / limit_norm
-        lam_max, lam_min = linalg.extreme_eigenvalues(emp, 1e-10)
+        lam_max, lam_min = linalg.extreme_eigenvalues(emp)
         return err, lam_min
 
     with report.phase("kernels"):

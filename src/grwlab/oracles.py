@@ -24,8 +24,8 @@ from .errors import (
     UnsupportedError,
 )
 from .linalg import as_matrix, as_vector, gram, min_norm_span_solve
-from .models import ACTIVATIONS, LinearizedNet
-from .reweighting import GroupInfo, group_means
+from .models import ACTIVATIONS
+from .reweighting import GroupInfo, cvar_weights, group_means
 
 _MARGIN_TOL = 1e-12
 # Samples whose margin is within this relative distance of the minimum form
@@ -246,6 +246,15 @@ def _erf_pair_expectation(s11: float, s12: float, s22: float) -> float:
     return (2.0 / math.pi) * math.asin(arg)
 
 
+def _input_covariances(spec: KernelSpec, x, xp) -> tuple[float, float, float]:
+    """s11, s12, s22: <x, x>, <x, x'> and <x', x'> over d0, plus beta^2."""
+    x, xp = as_vector(x, "x"), as_vector(xp, "xp")
+    if x.shape != xp.shape:
+        raise InvalidArgumentError("points must have the same dimension")
+    d0, b2 = x.shape[0], spec.beta**2
+    return float(x @ x) / d0 + b2, float(x @ xp) / d0 + b2, float(xp @ xp) / d0 + b2
+
+
 def ntk_limiting_kernel(spec: KernelSpec, x, xp) -> float:
     """Infinite-width tangent kernel of the zero-output-init erf network.
 
@@ -258,15 +267,8 @@ def ntk_limiting_kernel(spec: KernelSpec, x, xp) -> float:
         raise UnsupportedError(
             f"closed form exists only for erf; use ntk_limiting_kernel_mc for {spec.activation!r}"
         )
-    x = as_vector(x, "x")
-    xp = as_vector(xp, "xp")
-    if x.shape != xp.shape:
-        raise InvalidArgumentError("points must have the same dimension")
-    d0 = x.shape[0]
     b2 = spec.beta**2
-    s11 = float(x @ x) / d0 + b2
-    s12 = float(x @ xp) / d0 + b2
-    s22 = float(xp @ xp) / d0 + b2
+    s11, s12, s22 = _input_covariances(spec, x, xp)
     for _ in range(spec.depth - 1):
         new11 = _erf_pair_expectation(s11, s11, s11) + b2
         new12 = _erf_pair_expectation(s11, s12, s22) + b2
@@ -287,13 +289,8 @@ def ntk_limiting_kernel_mc(
     if spec.activation not in ACTIVATIONS:
         raise UnsupportedError(f"unknown activation {spec.activation!r}")
     act = ACTIVATIONS[spec.activation][0]
-    x = as_vector(x, "x")
-    xp = as_vector(xp, "xp")
-    d0 = x.shape[0]
     b2 = spec.beta**2
-    s11 = float(x @ x) / d0 + b2
-    s12 = float(x @ xp) / d0 + b2
-    s22 = float(xp @ xp) / d0 + b2
+    s11, s12, s22 = _input_covariances(spec, x, xp)
     rng = np.random.default_rng(seed)
     chunk = 1_000_000
 
@@ -322,24 +319,9 @@ def ntk_limiting_kernel_mc(
     return e12 + b2
 
 
-def empirical_ntk(lin: LinearizedNet, i: int, j: int) -> float:
-    """Finite-width tangent kernel <grad f(x_i; theta0), grad f(x_j; theta0)>
-    between columns i and j of the linearization points."""
-    return float(lin.features[:, i] @ lin.features[:, j])
-
-
-def top_fraction_mean(losses: np.ndarray, alpha: float) -> float:
-    """Mean of the ceil(alpha*n) largest entries, ties toward lower index."""
-    losses = as_vector(losses, "losses")
-    if not (0.0 < alpha <= 1.0):
-        raise InvalidArgumentError("alpha must be in (0, 1]")
-    m = int(np.ceil(alpha * losses.shape[0]))
-    order = np.argsort(-losses, kind="stable")
-    return float(losses[order[:m]].mean())
-
-
 def robust_risks(per_sample_losses, groups: GroupInfo, alpha: float):
-    """(worst_group, cvar, balanced) summaries of a per-sample loss vector."""
+    """(worst_group, cvar, balanced) summaries of a per-sample loss vector;
+    cvar is the loss under ``cvar_weights``, the CVaR scheme's top-m rule."""
     losses = as_vector(per_sample_losses, "losses")
     means = group_means(losses, groups)
-    return float(means.max()), top_fraction_mean(losses, alpha), float(means.mean())
+    return float(means.max()), float(cvar_weights(losses, alpha).q @ losses), float(means.mean())

@@ -131,12 +131,7 @@ def iw_weights(groups: GroupInfo) -> WeightState:
 def gdro_init(groups: GroupInfo) -> WeightState:
     """Starting state for Group DRO: uniform group weights."""
     g = np.full(groups.n_groups, 1.0 / groups.n_groups)
-    return WeightState(q=_group_to_sample(g, groups), gdro_g=g)
-
-
-def _group_to_sample(g: np.ndarray, groups: GroupInfo) -> np.ndarray:
-    q = g[groups.labels] / groups.sizes[groups.labels]
-    return _renormalized(q)
+    return WeightState(q=groups.mean_map @ g, gdro_g=g)
 
 
 def _gdro_core(logits: np.ndarray, risks: np.ndarray, nu: float, groups: GroupInfo) -> WeightState:
@@ -179,7 +174,9 @@ def cvar_weights(per_sample_losses, alpha: float) -> WeightState:
     """Uniform weight on the ceil(alpha*n) largest losses, zero elsewhere.
 
     Ties at the cutoff are broken toward the lowest sample index, which keeps
-    golden traces deterministic.
+    golden traces deterministic.  This top-m rule lives only in
+    ``_cvar_core``: CvarScheme's updates and the cvar summary of
+    ``oracles.robust_risks`` both take it from there.
     """
     losses = as_vector(per_sample_losses, "per-sample losses")
     if not (0.0 < alpha <= 1.0):
@@ -254,15 +251,15 @@ def _sliding(op, hist: np.ndarray, window: int, fill: float) -> np.ndarray:
 class StaticScheme:
     """Weights fixed for the whole run (ERM or importance weighting).
 
-    ``update`` returns its state unchanged, so ``train`` skips the call.
+    ``kind`` is "erm" or "iw", and is also the scheme's name.  ``update``
+    returns its state unchanged, so ``train`` skips the call.
     """
 
-    def __init__(self, name: str, kind: str):
-        self.name = name
-        self._kind = kind
+    def __init__(self, kind: str):
+        self.name = kind
 
     def init_state(self, groups: GroupInfo) -> WeightState:
-        if self._kind == "erm":
+        if self.name == "erm":
             return erm_weights(groups.n)
         return iw_weights(groups)
 
@@ -308,10 +305,8 @@ class CvarScheme:
 def parse_scheme(text: str):
     """Parse "erm", "iw", "gdro:<nu>" or "cvar:<alpha>"."""
     parts = text.strip().lower().split(":")
-    if parts[0] == "erm" and len(parts) == 1:
-        return StaticScheme("erm", "erm")
-    if parts[0] == "iw" and len(parts) == 1:
-        return StaticScheme("iw", "iw")
+    if parts[0] in ("erm", "iw") and len(parts) == 1:
+        return StaticScheme(parts[0])
     if parts[0] == "gdro" and len(parts) == 2:
         return GroupDroScheme(parse_number(parts[1], float, f"scheme spec {text!r}"))
     if parts[0] == "cvar" and len(parts) == 2:

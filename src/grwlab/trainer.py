@@ -19,8 +19,9 @@ value-and-gradient kernel, which gives the losses and dloss in one call.
 
 Runs go in lock step.  ``train`` takes one TrainConfig or a list of R of
 them that share the model, the data, the loss, eta, epochs and record_every;
-scheme, mu, stop_risk, record_params, theta0, theta_ref and ref_direction
-may differ from run to run.  The parameters of the runs form one p x R
+scheme, mu, stop_risk and record_params may differ from run to run, and so
+may the starts, given as one p x R array.  Every run is measured against the
+same theta_ref and ref_direction.  The parameters of the runs form one p x R
 array with a column per run, and losses and weights are n x R, so
 each step is one vjp and one loss kernel call for all runs.  The p x R
 array takes the memory order of the model's first pullback result and keeps
@@ -112,13 +113,26 @@ class TrainTrace:
         return len(self.epochs)
 
 
-def _per_run(value, runs: int, name: str) -> list:
-    """One value per run: a list is taken as given, anything else is shared."""
-    if isinstance(value, (list, tuple)):
-        if len(value) != runs:
-            raise InvalidArgumentError(f"{len(value)} values of {name} for {runs} runs")
-        return list(value)
-    return [value] * runs
+def _starts(model, theta0, runs: int) -> np.ndarray:
+    """The p x R starts from theta0: None, one (p,) start or a p x R array."""
+    if isinstance(theta0, (list, tuple)) and any(np.ndim(t) for t in theta0):
+        # As an array, R starts would be R rows: transposed, silently when R = p.
+        raise InvalidArgumentError("theta0 is a list of starts; pass np.column_stack(starts)")
+    start = np.asarray(model.init_params() if theta0 is None else theta0, dtype=np.float64)
+    p = model.n_params
+    if start.shape == (p,):
+        return np.repeat(start[:, None], runs, axis=1)
+    if start.shape != (p, runs):
+        raise InvalidArgumentError(f"theta0 of shape {start.shape}: need ({p},) or ({p}, {runs})")
+    return np.ascontiguousarray(start)
+
+
+def _reference(value, p: int, name: str):
+    """None, or the (p,) vector that every run is measured against."""
+    ref = None if value is None else as_vector(value, name)
+    if ref is not None and ref.shape != (p,):
+        raise InvalidArgumentError(f"{name} has {ref.shape[0]} entries for {p} parameters")
+    return ref
 
 
 def _dynamic_columns(schemes: list) -> list[int]:
@@ -131,10 +145,11 @@ def train(model, data, cfg, theta0=None, theta_ref=None, ref_direction=None):
 
     ``cfg`` is one TrainConfig, which gives (final_params, trace), or a list
     of R configs, which gives a list of R (final_params, trace) pairs in
-    order, trained in lock step.  For a list, theta0, theta_ref and
-    ref_direction are each either one value shared by every run or a list
-    with one value per run; theta0 may also be a p x R array.  theta0=None
-    starts each run at model.init_params().
+    order, trained in lock step.  theta0 is None, which starts every run at
+    model.init_params(), one (p,) start shared by every run, or a p x R
+    array with one start per column (``np.column_stack(starts)``); a list
+    of starts is an error.  theta_ref and ref_direction are each None or one
+    (p,) vector that every run's trace is measured against.
 
     Each run stops once its unweighted risk drops to its stop_risk, or after
     epochs updates; its final epoch is always recorded.  A non-finite risk in
@@ -155,10 +170,6 @@ def train(model, data, cfg, theta0=None, theta_ref=None, ref_direction=None):
     shared = (head.eta, head.epochs, head.loss, head.record_every)
     if any((c.eta, c.epochs, c.loss, c.record_every) != shared for c in cfgs[1:]):
         raise InvalidArgumentError("runs trained together must share eta, epochs, loss and record_every")
-    if single:
-        theta0, theta_ref, ref_direction = [theta0], [theta_ref], [ref_direction]
-    elif isinstance(theta0, np.ndarray) and theta0.ndim == 2:
-        theta0 = list(theta0.T)
     xs = as_matrix(data.X, "data matrix")
     ys = as_vector(data.Y, "targets")
     if ys.shape[0] != xs.shape[1]:
@@ -167,14 +178,9 @@ def train(model, data, cfg, theta0=None, theta_ref=None, ref_direction=None):
     groups: GroupInfo = data.groups
     warn_outside_unit_ball(xs)
     loss_fn = loss_kernels(head.loss)
-    start = np.column_stack([
-        model.init_params() if t0 is None else np.asarray(t0, dtype=np.float64)
-        for t0 in _per_run(theta0, runs, "theta0")
-    ])
-    if start.shape[1] != runs:
-        raise InvalidArgumentError(f"starting parameters of shape {start.shape} for {runs} runs")
-    refs = _per_run(theta_ref, runs, "theta_ref")
-    directions = _per_run(ref_direction, runs, "ref_direction")
+    start = _starts(model, theta0, runs)
+    ref = _reference(theta_ref, start.shape[0], "theta_ref")
+    direction = _reference(ref_direction, start.shape[0], "ref_direction")
     traces = [TrainTrace(scheme=getattr(c.scheme, "name", "?"), theta0=start[:, r].copy(),
                          n_groups=groups.n_groups) for r, c in enumerate(cfgs)]
     finals: list = [None] * runs
@@ -207,13 +213,9 @@ def train(model, data, cfg, theta0=None, theta_ref=None, ref_direction=None):
         trace.q_group.append(np.bincount(groups.labels, weights=qj, minlength=groups.n_groups))
         trace.q_snapshots.append(qj.copy())
         trace.theta_norm.append(float(np.linalg.norm(th - origin[:, j])))
-        ref, direction = refs[r], directions[r]
         trace.theta_gap_ref.append(float(np.linalg.norm(th - ref)) if ref is not None else float("nan"))
-        if direction is not None:
-            norm = float(np.linalg.norm(th))
-            trace.cos_ref.append(float(th @ direction) / norm if norm > 0 else float("nan"))
-        else:
-            trace.cos_ref.append(float("nan"))
+        norm = float(np.linalg.norm(th)) if direction is not None else 0.0
+        trace.cos_ref.append(float(th @ direction) / norm if norm > 0 else float("nan"))
         if cfgs[r].record_params:
             trace.theta_snapshots.append(th.copy())
 

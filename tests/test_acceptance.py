@@ -199,10 +199,11 @@ def test_criterion_6_polytailed_bias_separation():
     data = synth_groups(d, (5, 1), means, 1.0 / np.sqrt(d), 7, classification=True)
     finals = {}
     for loss, tag in ((Logistic(), "logistic"), (PolyTailed(1.0, 0.0), "polytailed")):
-        for scheme in ("erm", "iw"):
-            cfg = TrainConfig(eta=1.0, epochs=400_000, loss=loss, scheme=parse_scheme(scheme),
-                              stop_risk=0.0, record_every=50_000)
-            final, trace = train(LinearModel(d), data, cfg, theta0=np.zeros(d))
+        # One lock-step batch of the ERM and IW runs per loss.
+        cfgs = [TrainConfig(eta=1.0, epochs=400_000, loss=loss, scheme=parse_scheme(scheme),
+                            stop_risk=0.0, record_every=50_000) for scheme in ("erm", "iw")]
+        runs = train(LinearModel(d), data, cfgs, theta0=np.zeros(d))
+        for scheme, (final, trace) in zip(("erm", "iw"), runs):
             finals[(tag, scheme)] = final
             _ALL_TRACES.append(trace)
 

@@ -559,21 +559,6 @@ def test_environment_block_is_cheap_and_starts_no_process(monkeypatch):
     assert min(times) < 1e-3
 
 
-def test_feature_gram_equals_empirical_kernel():
-    from grwlab.models import Architecture, linearize, nn_init
-    from grwlab.oracles import empirical_ntk
-    from grwlab import linalg as la
-
-    arch = Architecture(3, (16,), beta=0.3)
-    params = nn_init(arch, 4)
-    pts = np.random.default_rng(2).standard_normal((3, 5)) / 3
-    lin = linearize(arch, params, pts)
-    g = la.gram(lin.features)
-    for i in range(5):
-        for j in range(5):
-            assert g[i, j] == pytest.approx(empirical_ntk(lin, i, j), rel=1e-12, abs=1e-15)
-
-
 def test_svg_chart_writer(tmp_path):
     path = tmp_path / "chart.svg"
     svg_line_chart(path, [("a", [1, 2, 3], [1.0, 0.5, 0.25]), ("b", [1, 2, 3], [2.0, 2.1, 1.9])],
@@ -649,3 +634,23 @@ def test_bench_tracing_targets_resolve(monkeypatch):
             assert hasattr(owner, part), f"{name}: {module_name}.{attr} is gone"
             owner = getattr(owner, part)
         assert callable(owner), name
+
+
+def test_bench_run_time_lookups_resolve(monkeypatch, tmp_path):
+    # The per-layer figures and the oracle-sweep workload look grwlab names up
+    # when they run; a name that is gone reads as a missing figure or a failed
+    # operation there, so a rename must fail here instead.
+    import grwlab
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import micro
+    import workloads
+
+    monkeypatch.setattr(micro, "_us_per_call", lambda fn, *_: (fn(), 0.0)[1])
+    figures = micro.run_all(tmp_path)
+    names = [name for name, _ in micro._cases(grwlab, tmp_path)]
+    assert names and [name for name in names if figures.get(name) is None] == []
+    for _, fn_name, _ in workloads.oracle_prepare(1, tmp_path)["ops"]:
+        for name in ("KernelSpec", "ntk_limiting_kernel") if fn_name == "ntk" else (fn_name,):
+            owner = grwlab.linalg if name.startswith("linalg.") else grwlab
+            assert callable(getattr(owner, name.removeprefix("linalg."), None)), fn_name

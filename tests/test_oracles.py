@@ -12,7 +12,6 @@ from grwlab.models import Architecture, linearize, nn_grad, nn_init
 from grwlab.oracles import (
     KernelSpec,
     _nnls,
-    empirical_ntk,
     max_margin_bruteforce,
     max_margin_direction,
     min_norm_interpolator,
@@ -250,7 +249,7 @@ import numpy as np
 import grwlab
 import grwlab.cli
 from grwlab import linalg, oracles
-from grwlab.models import Architecture, LinearModel, linearize, nn_init
+from grwlab.models import LinearModel
 from grwlab.reweighting import GroupInfo, parse_scheme
 from grwlab.trainer import TrainConfig, train
 
@@ -260,10 +259,9 @@ groups = GroupInfo([0, 0, 1])
 theta0 = np.zeros(4)
 spec = oracles.KernelSpec(depth=1, beta=0.1)
 # An erf net loads scipy.special on its first forward pass (see the next
-# probe); the kernel oracles are checked here on tanh nets, and the
+# probe); the Monte-Carlo kernel is checked here on a tanh net, and the
 # closed-form kernel of the erf net needs no SciPy.
 tanh = oracles.KernelSpec(depth=1, beta=0.1, activation="tanh")
-arch = Architecture(4, (8,), activation="tanh")
 called = {
     "min_norm_interpolator": lambda: oracles.min_norm_interpolator(x, y, theta0, x.T @ theta0),
     "ridge_closed_form": lambda: oracles.ridge_closed_form(x, y, np.full(3, 1 / 3), 0.1, theta0,
@@ -272,7 +270,6 @@ called = {
     "max_margin_bruteforce": lambda: oracles.max_margin_bruteforce(x, labels),
     "ntk_limiting_kernel": lambda: oracles.ntk_limiting_kernel(spec, x[:, 0], x[:, 1]),
     "ntk_limiting_kernel_mc": lambda: oracles.ntk_limiting_kernel_mc(tanh, x[:, 0], x[:, 1], 1000),
-    "empirical_ntk": lambda: oracles.empirical_ntk(linearize(arch, nn_init(arch, 0), x), 0, 1),
     "robust_risks": lambda: oracles.robust_risks(np.array([0.1, 0.2, 0.3]), groups, 0.5),
 }
 exported = {name for name, f in vars(oracles).items()
@@ -461,6 +458,12 @@ def test_kernel_rejects_tanh_closed_form_but_mc_works():
     assert value > 0.0
 
 
+@pytest.mark.parametrize("kernel", [ntk_limiting_kernel, ntk_limiting_kernel_mc])
+def test_kernels_reject_points_of_different_dimensions(kernel):
+    with pytest.raises(InvalidArgumentError, match="same dimension"):
+        kernel(KernelSpec(depth=1, beta=0.2), np.zeros(2), np.zeros(3))
+
+
 # -- empirical kernel ------------------------------------------------------------
 
 
@@ -468,10 +471,10 @@ def test_empirical_ntk_self_is_norm_squared():
     arch = Architecture(3, (32,), beta=0.3)
     params = nn_init(arch, 2)
     x = np.array([0.4, -0.1, 0.2])
-    lin = linearize(arch, params, x[:, None])
+    kernel = la.gram(linearize(arch, params, x[:, None]).features)
     g = nn_grad(arch, params, x)
-    assert empirical_ntk(lin, 0, 0) == pytest.approx(float(g @ g), rel=1e-12)
-    assert empirical_ntk(lin, 0, 0) >= 0.0
+    assert kernel[0, 0] == pytest.approx(float(g @ g), rel=1e-12)
+    assert kernel[0, 0] >= 0.0
 
 
 def test_empirical_ntk_converges_with_width():
@@ -486,7 +489,7 @@ def test_empirical_ntk_converges_with_width():
             arch = Architecture(4, (width,), beta=0.5)
             params = nn_init(arch, 1000 * width + seed)
             lin = linearize(arch, params, np.stack([x, xp], axis=1))
-            per_seed.append(abs(empirical_ntk(lin, 0, 1) - limit))
+            per_seed.append(abs(la.gram(lin.features)[0, 1] - limit))
         errors.append(np.median(per_seed))
     assert errors[0] > errors[1] > errors[2]
 

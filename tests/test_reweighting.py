@@ -198,7 +198,7 @@ def test_check_assumption1_settles_after_drift():
 def test_schemes_keep_simplex_over_long_runs():
     groups = GroupInfo([0] * 5 + [1])
     losses0 = np.linspace(0.0, 1.0, 6)
-    for scheme in (StaticScheme("erm", "erm"), StaticScheme("iw", "iw"),
+    for scheme in (StaticScheme("erm"), StaticScheme("iw"),
                    GroupDroScheme(0.3), CvarScheme(0.5)):
         state = scheme.init_state(groups)
         rng = np.random.default_rng(0)
@@ -270,7 +270,7 @@ def test_scheme_updates_on_a_block_of_runs_match_each_run():
     groups = GroupInfo([0, 0, 1, 1, 1, 2])
     rng = np.random.default_rng(9)
     losses = rng.random((6, 4))
-    for scheme in (StaticScheme("erm", "erm"), StaticScheme("iw", "iw"), GroupDroScheme(0.7),
+    for scheme in (StaticScheme("erm"), StaticScheme("iw"), GroupDroScheme(0.7),
                    CvarScheme(0.5)):
         one = scheme.init_state(groups)
         if one.gdro_g is not None:

@@ -284,7 +284,8 @@ def test_linear_batch_matches_solo_runs_for_every_scheme(loss_name):
                  record_every=37, record_params=True) for s, mu in zip(specs, mus)]
     model = LinearModel(data.dim)
     ref = np.full(data.dim, 0.1)
-    batch = train(model, data, cfgs, theta0=starts, theta_ref=ref, ref_direction=ref / np.linalg.norm(ref))
+    batch = train(model, data, cfgs, theta0=np.column_stack(starts), theta_ref=ref,
+                  ref_direction=ref / np.linalg.norm(ref))
     alone = _solo_runs(model, data, cfgs, starts, theta_ref=ref, ref_direction=ref / np.linalg.norm(ref))
     assert len(batch) == len(specs)
     for b, a in zip(batch, alone):
@@ -393,6 +394,42 @@ def test_batch_rejects_mismatched_shared_settings():
         train(LinearModel(2), data, [_cfg(eta=0.5), _cfg(eta=0.25)], theta0=np.zeros(2))
     with pytest.raises(InvalidArgumentError, match="theta0"):
         train(LinearModel(2), data, [_cfg(), _cfg()], theta0=[np.zeros(2)])
+
+
+def _three_run_batch():
+    # R = p = 3: a per-run list and a shared vector have the same length.
+    data = _small_blobs(sizes=(2, 2), d=3)
+    cfgs = [_cfg(eta=0.5, epochs=20, scheme=parse_scheme(s), stop_risk=0.0, record_every=5)
+            for s in ("erm", "iw", "gdro:0.1")]
+    return LinearModel(3), data, cfgs
+
+
+def test_reference_lists_are_one_vector_for_every_run():
+    model, data, cfgs = _three_run_batch()
+    ref, direction = [1.0, 2.0, 3.0], [0.0, 0.6, 0.8]
+    as_lists = train(model, data, cfgs, theta_ref=ref, ref_direction=direction)
+    as_arrays = train(model, data, cfgs, theta_ref=np.array(ref), ref_direction=np.array(direction))
+    for (_, tl), (fa, ta) in zip(as_lists, as_arrays):
+        np.testing.assert_array_equal(tl.theta_gap_ref, ta.theta_gap_ref)
+        np.testing.assert_array_equal(tl.cos_ref, ta.cos_ref)
+        assert tl.theta_gap_ref[-1] == float(np.linalg.norm(fa - ref))
+    for name in ("theta_ref", "ref_direction"):
+        with pytest.raises(InvalidArgumentError, match=name):
+            train(model, data, cfgs, **{name: np.zeros(4)})
+
+
+@pytest.mark.parametrize("theta0", [
+    np.zeros(4), np.zeros((3, 2)), np.zeros((3, 3, 1)), np.zeros((4, 3)),
+    [np.zeros(3), np.ones(3), np.zeros(3)], (np.zeros(3), np.ones(3), np.zeros(3)), [[0.0], [1.0, 2.0]],
+], ids=["long-vector", "too-few-columns", "3-d", "too-many-rows", "list-of-vectors",
+        "tuple-of-vectors", "ragged"])
+def test_misshaped_theta0_is_rejected(theta0):
+    model, data, cfgs = _three_run_batch()
+    match = "column_stack" if isinstance(theta0, (list, tuple)) else "theta0"
+    with pytest.raises(InvalidArgumentError, match=match):
+        train(model, data, cfgs, theta0=theta0)
+    with pytest.raises(InvalidArgumentError, match="theta0"):
+        train(model, data, cfgs[0], theta0=np.zeros((3, 3)))
 
 
 @pytest.mark.parametrize("field,value", [("mu", float("nan")), ("stop_risk", float("nan")),

@@ -9,10 +9,15 @@ a linear model's on a row-major one.
 
 Two invariants the paper relies on hold for every run of a batch: a linear
 model's parameters move only within the span of the data, and the order of
-the samples does not change where the runs end.
+the samples does not change where the runs end.  Two oracles are checked
+against independent routes: the NNLS hard margin against subset enumeration,
+and the ridge optimum against the point where penalized static-weight
+gradient descent comes to rest.
 
 The module runs in 15 s or less.
 """
+
+import math
 
 import numpy as np
 from hypothesis import assume, example, given, settings
@@ -22,6 +27,7 @@ from grwlab.data_io import synth_groups
 from grwlab.linalg import span_residual
 from grwlab.losses import Logistic, PolyTailed, Squared
 from grwlab.models import Architecture, LinearModel, WideNet
+from grwlab.oracles import max_margin_bruteforce, max_margin_direction, ridge_closed_form
 from grwlab.reweighting import parse_scheme
 from grwlab.trainer import TrainConfig, train
 
@@ -106,7 +112,7 @@ def test_batch_equals_its_solo_runs(case):
         stop_risks.append(stop_risk)
 
     cfgs = [cfg(s, mu, sr) for s, mu, sr in zip(specs, mus, stop_risks)]
-    batch = train(model, data, cfgs, theta0=starts)
+    batch = train(model, data, cfgs, theta0=np.column_stack(starts))
     alone = [train(model, data, c, theta0=s) for c, s in zip(cfgs, starts)]
     assert len(batch) == len(specs)
     for (fb, tb), (fa, ta) in zip(batch, alone):
@@ -166,8 +172,44 @@ def test_sample_order_does_not_change_the_final_parameters(draw):
     model, starts = _model_and_starts(depth, d, seed, len(specs))
     cfgs = [TrainConfig(eta=0.5, epochs=EPOCHS, loss=LOSSES[loss], scheme=parse_scheme(s),
                         stop_risk=0.0, record_every=EPOCHS) for s in specs]
-    given_order = train(model, data, cfgs, theta0=starts)
-    permuted = train(model, data.permuted(order), cfgs, theta0=starts)
+    given_order = train(model, data, cfgs, theta0=np.column_stack(starts))
+    permuted = train(model, data.permuted(order), cfgs, theta0=np.column_stack(starts))
     for (fa, ta), (fb, tb) in zip(given_order, permuted):
         assert ta.epochs_run == tb.epochs_run == EPOCHS
         np.testing.assert_allclose(fb, fa, rtol=0, atol=1e-9)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(d=st.integers(2, 12), n=st.integers(1, 8), seed=st.integers(0, 2**16))
+def test_nnls_hard_margin_equals_subset_enumeration(d, n, seed):
+    # At most d columns in general position are separable for any labels.
+    n = min(n, d)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((d, n))
+    x /= np.linalg.norm(x, axis=0).max()
+    y = rng.choice([-1.0, 1.0], n)
+    nnls, brute = max_margin_direction(x, y), max_margin_bruteforce(x, y)
+    assert nnls.support_set == brute.support_set
+    assert np.linalg.norm(nnls.direction - brute.direction) <= 1e-8
+    assert abs(nnls.margin - brute.margin) <= 1e-8 * brute.margin
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(sizes=st.lists(st.integers(1, 4), min_size=2, max_size=3),
+       d=st.integers(2, 8),
+       spec=st.sampled_from(["erm", "iw"]),
+       mu=st.floats(0.05, 1.0),
+       seed=st.integers(0, 2**16))
+def test_static_ridge_run_comes_to_rest_at_the_ridge_optimum(sizes, d, spec, mu, seed):
+    data = _blob_data(d, sizes, "squared", seed)
+    # The step size of experiments' eta = "auto" for a penalized run.
+    eta = 1.0 / (float(np.sum(data.X**2)) + mu)
+    # The error contracts by at least 1 - eta * mu per step.
+    epochs = math.ceil(math.log(1e-12) / math.log1p(-eta * mu))
+    scheme = parse_scheme(spec)
+    cfg = TrainConfig(eta=eta, epochs=epochs, loss=Squared(), scheme=scheme, mu=mu, stop_risk=0.0,
+                      record_every=epochs)
+    final, _ = train(LinearModel(d), data, cfg, theta0=np.zeros(d))
+    ridge = ridge_closed_form(data.X, data.Y, scheme.init_state(data.groups).q, mu, np.zeros(d),
+                              np.zeros(data.n))
+    assert np.linalg.norm(final - ridge) <= 1e-8
