@@ -56,7 +56,7 @@ from .oracles import (
     ntk_limiting_kernel,
     ridge_closed_form,
 )
-from .reweighting import check_assumption1, iw_weights, parse_scheme, repeat_state, take_runs
+from .reweighting import check_assumption1, iw_weights, parse_scheme
 from .trainer import TrainConfig, compare_runs, safe_learning_rate, train
 
 EXPERIMENTS = ("fig1", "fig2", "fig3", "ntk-convergence", "approx-scaling", "compare")
@@ -107,6 +107,13 @@ class ExperimentConfig:
     permute_check: bool = True
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _has_type(value, f.type):
+                raise InvalidArgumentError(f"config key {f.name!r} needs {f.type}, got {value!r}")
+            if f.type == "float" and not isinstance(value, float):
+                # One form per key, so that 1 and 1.0 give one config hash.
+                object.__setattr__(self, f.name, float(value))
         if self.experiment not in EXPERIMENTS:
             raise InvalidArgumentError(
                 f"unknown experiment {self.experiment!r}; pick one of {EXPERIMENTS}"
@@ -128,6 +135,18 @@ class ExperimentConfig:
             value = getattr(self, key)
             if not 0 <= value < np.inf:
                 raise InvalidArgumentError(f"config key {key!r}: {value!r} is not a finite float >= 0")
+
+
+# The values a declared field type takes: a bool is not an int, and a float
+# field also takes an int.
+_TYPE_VALUES = {"str": str, "bool": bool, "int": int, "float": (int, float)}
+
+
+def _has_type(value, kind: str) -> bool:
+    if kind.startswith("tuple["):  # "tuple[int, ...]"
+        item = kind[len("tuple["):-len(", ...]")]
+        return isinstance(value, tuple) and all(_has_type(v, item) for v in value)
+    return isinstance(value, _TYPE_VALUES[kind]) and (kind == "bool" or not isinstance(value, bool))
 
 
 _DEFAULTS = {
@@ -321,6 +340,7 @@ class Report:
             "metrics": {},
             "artifacts": [],
             "phases_s": {},
+            "steps_per_s": {},
             "environment": environment(),
         }
         self._t0 = time.perf_counter()
@@ -345,6 +365,21 @@ class Report:
         yield
         phases = self.doc["phases_s"]
         phases[name] = round(phases.get(name, 0.0) + time.perf_counter() - t0, 3)
+
+    def train(self, batch: str, *args, **kwargs) -> list:
+        """``_train_runs(*args, **kwargs)`` timed into the ``train`` phase.
+
+        ``steps_per_s[batch]`` records the batch's rate: the most epochs any
+        of its runs made over the seconds the batch took.  Like ``phases_s``
+        it is kept apart from ``metrics`` and out of the traces.
+        """
+        with self.phase("train"):
+            start = time.perf_counter()
+            pairs = _train_runs(*args, **kwargs)
+            seconds = time.perf_counter() - start
+        steps = max(trace.epochs_run for _, trace in pairs)
+        self.doc["steps_per_s"][batch] = round(steps / seconds, 1) if seconds > 0 else None
+        return pairs
 
     def finish(self, out_dir: Path) -> dict:
         self.doc["elapsed_s"] = round(time.perf_counter() - self._t0, 3)
@@ -457,13 +492,14 @@ def svg_line_chart(path, series, title="", xlabel="", ylabel="", logy=False, log
 
 
 class _WeightLogger:
-    """Scheme decorator keeping the trailing per-epoch weights for diagnostics.
+    """Dynamic-scheme decorator keeping the trailing per-epoch weights for
+    diagnostics.
 
-    A bounded ring buffer holds the weights of the last 5000 updates at
-    full epoch resolution, which is what the settlement check needs; the
-    thinned trace still records the whole trajectory.  The trainer calls it
-    once per step of the run it was given; once that run stops, its buffer
-    stops growing.
+    A bounded ring buffer holds the weights of the last 5000 steps at full
+    epoch resolution, which is what the settlement check needs; the thinned
+    trace still records the whole trajectory.  Its stepper wraps the inner
+    scheme's, which the trainer calls once per step of the run it was given;
+    once that run stops, its buffer stops growing.
     """
 
     def __init__(self, inner):
@@ -475,11 +511,16 @@ class _WeightLogger:
     def init_state(self, groups):
         return self.inner.init_state(groups)
 
-    def update(self, state, per_sample_losses, groups):
-        state = self.inner.update(state, per_sample_losses, groups)
-        self.q_tail.append(state.q)
-        self.updates += 1
-        return state
+    def stepper(self, groups):
+        step = self.inner.stepper(groups)
+
+        def logged(losses):
+            q = step(losses)
+            self.q_tail.append(q)
+            self.updates += 1
+            return q
+
+        return logged
 
 
 def _train_runs(data, schemes, loss, eta, epochs, record_every, stop_risk=0.0, mu=0.0,
@@ -529,9 +570,8 @@ def run_fig1(cfg: ExperimentConfig) -> dict:
         _WeightLogger(parse_scheme(s)) if s.startswith(("gdro", "cvar")) else parse_scheme(s)
         for s in cfg.schemes
     ]
-    with report.phase("train"):
-        runs = _train_runs(data, loggers, Squared(), eta, cfg.epochs, cfg.record_every,
-                           stop_risk=cfg.stop_risk, record_params=True, theta_ref=oracle)
+    runs = report.train("schemes", data, loggers, Squared(), eta, cfg.epochs, cfg.record_every,
+                        stop_risk=cfg.stop_risk, record_params=True, theta_ref=oracle)
     finals = [final for final, _ in runs]
     traces = [trace for _, trace in runs]
     with report.phase("export"):
@@ -644,8 +684,8 @@ def run_fig2(cfg: ExperimentConfig) -> dict:
     for mu in (cfg.mu_small, cfg.mu_large):
         with report.phase("train"):
             eta = _resolve_eta(cfg, data, mu=mu)
-            runs = _train_runs(data, cfg.schemes, Squared(), eta, cfg.epochs, cfg.record_every,
-                               mu=mu)
+        runs = report.train(f"mu={mu:g}", data, cfg.schemes, Squared(), eta, cfg.epochs,
+                            cfg.record_every, mu=mu)
         finals = [final for final, _ in runs]
         traces = [trace for _, trace in runs]
         with report.phase("export"):
@@ -738,10 +778,9 @@ def run_fig3(cfg: ExperimentConfig) -> dict:
     runs: dict = {}
 
     for loss in losses:
-        with report.phase("train"):
-            pairs = _train_runs(data, cfg.schemes, loss, eta, cfg.epochs, cfg.record_every,
-                                stop_risk=cfg.stop_risk, ref_direction=mm.direction,
-                                record_params=True)
+        pairs = report.train(loss_name(loss), data, cfg.schemes, loss, eta, cfg.epochs,
+                             cfg.record_every, stop_risk=cfg.stop_risk,
+                             ref_direction=mm.direction, record_params=True)
         with report.phase("export"):
             for scheme_text, (final, trace) in zip(cfg.schemes, pairs):
                 _export_run(out_dir, f"{loss_name(loss).split(':')[0]}_{_safe_name(scheme_text)}",
@@ -907,7 +946,8 @@ def _train_pair_shared_weights(arch, theta0, data, scheme, eta, epochs, stop_ris
     # Column-major, the order of the pullback's result: each seed's weights
     # are then one block, which the net reads as views.
     theta_nn, coef = np.array(theta0, order="F"), np.zeros((n, seeds))
-    state = repeat_state(scheme.init_state(data.groups), seeds)
+    q = np.repeat(scheme.init_state(data.groups).q[:, None], seeds, axis=1)
+    weights = scheme.stepper(data.groups, seeds)  # None: q stays as it starts
     loss_fn = loss_kernels(Squared())
     y = linalg.as_vector(data.Y, "targets")[:, None]
     ids = np.arange(seeds)  # seed of each working column
@@ -924,12 +964,15 @@ def _train_pair_shared_weights(arch, theta0, data, scheme, eta, epochs, stop_ris
         done = risk[ids] <= stop_risk if t < epochs else np.ones(len(ids), dtype=bool)
         if done.all():
             break
-        state = scheme.update(state, losses_nn, data.groups)
-        step_nn = pullback_nn(state.q * dloss_nn)
-        step_lin = state.q * loss_fn(out_lin[:n], y)[1]
+        if weights is not None:
+            q = weights(losses_nn)
+        step_nn = pullback_nn(q * dloss_nn)
+        step_lin = q * loss_fn(out_lin[:n], y)[1]
         if done.any():
             keep = ~done
-            ids, state = ids[keep], take_runs(state, keep)
+            ids, q = ids[keep], q[:, keep]
+            if weights is not None:
+                weights.keep(keep)
             theta_nn, coef, f0, kernel = theta_nn[:, keep], coef[:, keep], f0[:, keep], kernel[keep]
             step_nn, step_lin = step_nn[:, keep], step_lin[:, keep]
         step_nn *= eta
@@ -1035,9 +1078,8 @@ def run_compare(cfg: ExperimentConfig) -> dict:
             theta0 = nn_init(model_spec, cfg.data_seed).flat
         eta = _resolve_eta(cfg, data, mu=cfg.mu)
 
-    with report.phase("train"):
-        runs = _train_runs(data, cfg.schemes, loss, eta, cfg.epochs, cfg.record_every,
-                           stop_risk=cfg.stop_risk, mu=cfg.mu, theta0=theta0, model=model)
+    runs = report.train("schemes", data, cfg.schemes, loss, eta, cfg.epochs, cfg.record_every,
+                        stop_risk=cfg.stop_risk, mu=cfg.mu, theta0=theta0, model=model)
     finals = [final for final, _ in runs]
     traces = [trace for _, trace in runs]
     with report.phase("export"):
@@ -1052,11 +1094,10 @@ def run_compare(cfg: ExperimentConfig) -> dict:
         rng = np.random.default_rng(cfg.data_seed + 99)
         order = rng.permutation(data.n)
         permuted = data.permuted(order)
-        with report.phase("train"):
-            [(perm_final, _)] = _train_runs(
-                permuted, cfg.schemes[:1], loss, eta, cfg.epochs, cfg.record_every,
-                stop_risk=cfg.stop_risk, mu=cfg.mu, theta0=theta0, model=model,
-            )
+        [(perm_final, _)] = report.train(
+            "permuted", permuted, cfg.schemes[:1], loss, eta, cfg.epochs, cfg.record_every,
+            stop_risk=cfg.stop_risk, mu=cfg.mu, theta0=theta0, model=model,
+        )
         with report.phase("checks"):
             gap = float(np.linalg.norm(finals[0] - perm_final))
             report.check("sample_order_invariance_below_1e-9", gap <= 1e-9, gap, "<= 1e-9")
@@ -1080,11 +1121,10 @@ def _sign_agreement_study(cfg: ExperimentConfig, report: Report) -> None:
         mm = max_margin_direction(feats_train, data.Y)
         net = WideNet(arch)
         eta = float(cfg.eta) if cfg.eta != "auto" else 0.5
-    with report.phase("train"):
-        [(final, trace)] = _train_runs(
-            data, cfg.schemes[:1], Logistic(), eta, cfg.sign_epochs, cfg.record_every,
-            mu=cfg.sign_mu, theta0=theta0_params.flat, model=net,
-        )
+    [(final, trace)] = report.train(
+        "sign_study", data, cfg.schemes[:1], Logistic(), eta, cfg.sign_epochs, cfg.record_every,
+        mu=cfg.sign_mu, theta0=theta0_params.flat, model=net,
+    )
     with report.phase("checks"):
         report.metric("sign_study_final_risk", trace.risk[-1])
         pts = _unit_ball_points(d0, 64, cfg.data_seed + 5)

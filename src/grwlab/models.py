@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -278,6 +279,14 @@ def _leading(cols: np.ndarray, v: np.ndarray) -> np.ndarray:
     return cols[..., :k]
 
 
+@lru_cache(maxsize=16)
+def _ones(k: int) -> np.ndarray:
+    """A read-only vector of k ones, shared by the pullbacks over k columns."""
+    ones = np.ones(k)
+    ones.flags.writeable = False
+    return ones
+
+
 def nn_pullback(arch: Architecture, params: ModelParams, xs: np.ndarray, cache: ForwardCache,
                 v: np.ndarray) -> np.ndarray:
     """J @ v for the batch behind ``cache``, by backpropagating the output
@@ -295,7 +304,7 @@ def nn_pullback(arch: Architecture, params: ModelParams, xs: np.ndarray, cache: 
     out = np.empty(params.flat.shape, dtype=np.float64, order="F")
     xs = _leading(xs, v)
     k = xs.shape[1]
-    ones = np.ones(k)
+    ones = _ones(k)
 
     def flat(block):  # (d_out, d_in) -> (d_out * d_in,); (R, d_out, d_in) -> (d_out * d_in, R)
         return block.ravel() if block.ndim < 3 else block.reshape(block.shape[0], -1).T

@@ -7,12 +7,18 @@ DRO keeps its group weights in log space, shifted so that the largest is 0:
 each step adds nu times the group risks to these logits and rebuilds g and q
 from them.  Nothing is carried over from the last step's g or q, so rounding
 drift cannot build up, and a group whose weight underflows to 0 keeps a
-finite logit and regains weight once its risk leads again.
+finite logit and regains weight once its risk leads again.  That step is
+written once, in ``_gdro_advance``, on Python floats.
 
-A scheme's ``update`` takes the per-sample losses of one run (n,) or of a
-block of r runs (n x r, one column per run) and returns weights of the same
-shape.  The trainer steps each run on its own n x 1 column; the paired
-study in ``experiments`` steps its seeds as one block.
+A dynamic scheme's ``stepper(groups, runs)`` is built once for r runs that
+step together and maps their n x r block of losses to their n x r block of
+weights on every step; its ``keep(mask)`` drops the runs that stopped.  The
+trainer builds one stepper per run, the paired study in ``experiments`` one
+for its block of seeds, and neither calls anything else per step.  A static
+scheme has no stepper.  A scheme's ``update`` takes a ``WeightState`` and
+the per-sample losses of one run (n,) or of a block of r runs (n x r, one
+column per run) and returns the next state, with weights of the losses'
+shape.
 """
 
 from __future__ import annotations
@@ -91,19 +97,10 @@ class WeightState:
             object.__setattr__(self, "gdro_logits", logits - np.maximum.reduce(logits))
 
 
-def _map_state(state: WeightState, fn) -> WeightState:
-    return WeightState(*(None if a is None else fn(a)
-                         for a in (state.q, state.gdro_g, state.gdro_logits)))
-
-
 def repeat_state(state: WeightState, runs: int) -> WeightState:
     """The joint state of ``runs`` runs that start at one run's state."""
-    return _map_state(state, lambda a: np.repeat(a[:, None], runs, axis=1))
-
-
-def take_runs(state: WeightState, runs) -> WeightState:
-    """The joint state restricted to some of its runs (columns)."""
-    return _map_state(state, lambda a: a[:, runs])
+    return WeightState(*(None if a is None else np.repeat(a[:, None], runs, axis=1)
+                         for a in (state.q, state.gdro_g, state.gdro_logits)))
 
 
 def _renormalized(q: np.ndarray) -> np.ndarray:
@@ -134,16 +131,64 @@ def gdro_init(groups: GroupInfo) -> WeightState:
     return WeightState(q=groups.mean_map @ g, gdro_g=g)
 
 
-def _gdro_core(logits: np.ndarray, risks: np.ndarray, nu: float, groups: GroupInfo) -> WeightState:
-    # Subtracting the largest logit makes the update exactly invariant to
-    # adding a constant to all group risks, and keeps every exponent <= 0.
-    # Columns are runs, and the reductions run down each column.  q sums to
-    # sum(g) = 1 up to rounding, so it needs no renormalization of its own.
-    logits = logits + nu * risks
-    logits -= np.maximum.reduce(logits)
-    g = np.exp(logits)
-    g /= np.add.reduce(g)
-    return WeightState(q=groups.mean_map @ g, gdro_g=g, gdro_logits=logits)
+def _gdro_advance(logits: list, risks: list, nu: float) -> tuple[list, list]:
+    """One exponentiated-gradient step of r runs, on Python floats.
+
+    ``logits`` holds each run's K max-shifted log group weights and
+    ``risks`` its K group risks, one list per run.  Returns the runs' new
+    logits and group weights g, again one list of K per run.  Subtracting
+    the largest logit makes the step exactly invariant to adding a constant
+    to all of a run's risks, and keeps every exponent <= 0.  One np.exp call
+    covers every run.  Each run's exponentials are summed in group order,
+    one addition at a time, as numpy sums fewer than 8 numbers; q sums to
+    sum(g) = 1 up to rounding and needs no renormalization of its own.
+    """
+    shifted = []
+    for run_logits, run_risks in zip(logits, risks):
+        z = [a + nu * r for a, r in zip(run_logits, run_risks)]
+        top = max(z)
+        shifted.append([v - top for v in z])
+    weights = []
+    for e in np.exp(shifted).tolist():
+        total = 0.0
+        for v in e:
+            total += v
+        weights.append([v / total for v in e])
+    return shifted, weights
+
+
+def _gdro_state(logits: np.ndarray, risks: np.ndarray, nu: float, groups: GroupInfo) -> WeightState:
+    """``_gdro_advance`` on arrays: logits and risks are (K,) for one run or
+    K x r for a block, one column per run."""
+    if logits.shape != risks.shape:
+        raise InvalidArgumentError(f"group logits of shape {logits.shape} for risks of shape {risks.shape}")
+    k = groups.n_groups
+    new, g = _gdro_advance(logits.reshape(k, -1).T.tolist(), risks.reshape(k, -1).T.tolist(), nu)
+    g = np.array(g).T.reshape(risks.shape)
+    return WeightState(q=groups.mean_map.dot(g), gdro_g=g,
+                       gdro_logits=np.array(new).T.reshape(risks.shape))
+
+
+class _GroupDroStepper:
+    """The Group DRO weights of r runs that step together.
+
+    Each run's K logits stay Python floats between steps; a step replaces
+    the lists and never changes one in place.  A call takes the runs' n x r
+    block of losses and returns their n x r block of weights.
+    """
+
+    def __init__(self, nu: float, groups: GroupInfo, runs: int):
+        self.nu = nu
+        self.logits = [gdro_init(groups).gdro_logits.tolist()] * runs
+        self._means, self._spread = groups.mean_map.T, groups.mean_map
+
+    def __call__(self, losses: np.ndarray) -> np.ndarray:
+        self.logits, g = _gdro_advance(self.logits, self._means.dot(losses).T.tolist(), self.nu)
+        return self._spread.dot(np.array(g).T)
+
+    def keep(self, runs: np.ndarray) -> None:
+        """Go on with the runs whose entry of the boolean mask is True."""
+        self.logits = [z for z, kept in zip(self.logits, runs) if kept]
 
 
 def _check_nu(nu: float) -> None:
@@ -167,16 +212,17 @@ def gdro_step(state: WeightState, group_risks, nu: float, groups: GroupInfo) -> 
         raise InvalidArgumentError("group risk length does not match the number of groups")
     if state.gdro_logits is None:
         raise InvalidArgumentError("state has no group weights; initialize with gdro_init")
-    return _gdro_core(state.gdro_logits, risks, nu, groups)
+    return _gdro_state(state.gdro_logits, risks, nu, groups)
 
 
 def cvar_weights(per_sample_losses, alpha: float) -> WeightState:
-    """Uniform weight on the ceil(alpha*n) largest losses, zero elsewhere.
+    """Weight 1/m on each of the m = ceil(alpha*n) largest losses, zero elsewhere.
 
-    Ties at the cutoff are broken toward the lowest sample index, which keeps
-    golden traces deterministic.  This top-m rule lives only in
-    ``_cvar_core``: CvarScheme's updates and the cvar summary of
-    ``oracles.robust_risks`` both take it from there.
+    When losses tie at the cut, the weight left after the losses above the
+    m-th largest is split evenly among every sample whose loss equals it, so
+    the weights follow the samples under any reordering.  This top-m rule
+    lives only in ``_cvar_core``: CvarScheme's updates and steppers and the
+    cvar summary of ``oracles.robust_risks`` all take it from there.
     """
     losses = as_vector(per_sample_losses, "per-sample losses")
     if not (0.0 < alpha <= 1.0):
@@ -187,12 +233,22 @@ def cvar_weights(per_sample_losses, alpha: float) -> WeightState:
 def _cvar_core(losses: np.ndarray, alpha: float) -> np.ndarray:
     n = losses.shape[0]
     m = math.ceil(alpha * n)
-    # Stable sort on -losses keeps the original order among equal losses,
-    # column by column for a block of runs.
+    # Column by column for a block of runs: the m-th largest loss is the cut,
+    # and every loss at or above it gets 1/m.
     block = losses.reshape(n, -1)
-    order = np.argsort(-block, axis=0, kind="stable")
+    ranked = np.sort(block, axis=0)
+    cut = ranked[n - m]
     q = np.zeros(block.shape)
-    q[order[:m], np.arange(block.shape[1])] = 1.0 / m
+    q[block >= cut] = 1.0 / m
+    if m < n:
+        # A tie across the cut (the (m+1)-th largest equals the m-th) gives
+        # more than m losses at or above it: those at the cut share what the
+        # losses above it leave.
+        for j, (below, at) in enumerate(zip(ranked[n - m - 1].tolist(), cut.tolist())):
+            if below == at:
+                column = block[:, j]
+                tied = column == at
+                q[tied, j] = (m - np.count_nonzero(column > at)) / (m * np.count_nonzero(tied))
     q /= np.add.reduce(q)
     return q.reshape(losses.shape)
 
@@ -251,8 +307,8 @@ def _sliding(op, hist: np.ndarray, window: int, fill: float) -> np.ndarray:
 class StaticScheme:
     """Weights fixed for the whole run (ERM or importance weighting).
 
-    ``kind`` is "erm" or "iw", and is also the scheme's name.  ``update``
-    returns its state unchanged, so ``train`` skips the call.
+    ``kind`` is "erm" or "iw", and is also the scheme's name.  It has no
+    stepper, and ``update`` returns its state unchanged.
     """
 
     def __init__(self, kind: str):
@@ -262,6 +318,9 @@ class StaticScheme:
         if self.name == "erm":
             return erm_weights(groups.n)
         return iw_weights(groups)
+
+    def stepper(self, groups: GroupInfo, runs: int = 1) -> None:
+        return None
 
     def update(self, state: WeightState, per_sample_losses, groups: GroupInfo) -> WeightState:
         return state
@@ -278,11 +337,27 @@ class GroupDroScheme:
     def init_state(self, groups: GroupInfo) -> WeightState:
         return gdro_init(groups)
 
+    def stepper(self, groups: GroupInfo, runs: int = 1) -> _GroupDroStepper:
+        return _GroupDroStepper(self.nu, groups, runs)
+
     def update(self, state: WeightState, per_sample_losses, groups: GroupInfo) -> WeightState:
-        # Hot path of the training loop: the update of gdro_step on the group
-        # means, without the argument checks.  The caller has checked that
-        # the risk, and so every group risk, is finite.
-        return _gdro_core(state.gdro_logits, groups.mean_map.T @ per_sample_losses, self.nu, groups)
+        # The step of gdro_step on the group means, without the argument
+        # checks.  The caller has checked that the risk, and so every group
+        # risk, is finite.
+        return _gdro_state(state.gdro_logits, groups.mean_map.T.dot(per_sample_losses), self.nu, groups)
+
+
+class _CvarStepper:
+    """CVaR weights of r runs: each step's weights depend on its losses only."""
+
+    def __init__(self, alpha: float):
+        self.alpha = alpha
+
+    def __call__(self, losses: np.ndarray) -> np.ndarray:
+        return _cvar_core(losses, self.alpha)
+
+    def keep(self, runs: np.ndarray) -> None:
+        pass
 
 
 class CvarScheme:
@@ -297,8 +372,11 @@ class CvarScheme:
     def init_state(self, groups: GroupInfo) -> WeightState:
         return erm_weights(groups.n)
 
+    def stepper(self, groups: GroupInfo, runs: int = 1) -> _CvarStepper:
+        return _CvarStepper(self.alpha)
+
     def update(self, state: WeightState, per_sample_losses, groups: GroupInfo) -> WeightState:
-        # Hot path: cvar_weights without the argument re-validation.
+        # cvar_weights without the argument re-validation.
         return WeightState(q=_cvar_core(per_sample_losses, self.alpha))
 
 

@@ -25,11 +25,13 @@ same theta_ref and ref_direction.  The parameters of the runs form one p x R
 array with a column per run, and losses and weights are n x R, so
 each step is one vjp and one loss kernel call for all runs.  The p x R
 array takes the memory order of the model's first pullback result and keeps
-it.  Each run keeps its own scheme state, which its scheme's ``update``
-advances on that run's n x 1 column of losses; a ``StaticScheme`` run keeps
-its weights, so its ``update`` is not called.  A run that stops leaves the
-working set: its parameters, scheme state and trace no longer change while
-the others go on.
+it.  Each run of a dynamic scheme gets its own stepper, built once from its
+scheme's ``stepper(groups)``, which maps that run's n x 1 column of losses
+to its column of weights on every step; a static scheme has no stepper and
+its run keeps its starting weights.  A scheme object with only
+``init_state`` and ``update`` is stepped through ``update``, one state per
+run.  A run that stops leaves the working set: its parameters, weights and
+trace no longer change while the others go on.
 A single run is the R = 1 case of the same loop.
 """
 
@@ -44,7 +46,7 @@ from .errors import DivergedError, InvalidArgumentError
 from .linalg import as_matrix, as_vector, gram, require_full_rank
 from .losses import LossKind, loss_kernels, require_labels
 from .models import warn_outside_unit_ball
-from .reweighting import GroupInfo, StaticScheme, repeat_state
+from .reweighting import GroupInfo, repeat_state
 
 
 @dataclass
@@ -135,9 +137,28 @@ def _reference(value, p: int, name: str):
     return ref
 
 
-def _dynamic_columns(schemes: list) -> list[int]:
-    """Columns whose scheme moves the weights; a StaticScheme's never change."""
-    return [j for j, s in enumerate(schemes) if not isinstance(s, StaticScheme)]
+def _stepper(scheme, groups: GroupInfo):
+    """The run's weight stepper, or None when its weights never change.
+
+    A scheme without ``stepper`` is stepped through ``update``, on a state
+    with one column for the run.
+    """
+    make = getattr(scheme, "stepper", None)
+    if make is not None:
+        return make(groups)
+    state = repeat_state(scheme.init_state(groups), 1)
+
+    def step(losses):
+        nonlocal state
+        state = scheme.update(state, losses, groups)
+        return state.q
+
+    return step
+
+
+def _active(steppers: list) -> list:
+    """(column, stepper) of every run in the working set that has a stepper."""
+    return [(j, step) for j, step in enumerate(steppers) if step is not None]
 
 
 def train(model, data, cfg, theta0=None, theta_ref=None, ref_direction=None):
@@ -187,9 +208,8 @@ def train(model, data, cfg, theta0=None, theta_ref=None, ref_direction=None):
 
     # Working set: column j of every array and list below belongs to run ids[j].
     ids = np.arange(runs)
-    schemes = [c.scheme for c in cfgs]
-    states = [repeat_state(s.init_state(groups), 1) for s in schemes]
-    dynamic = _dynamic_columns(schemes)
+    steppers = [_stepper(c.scheme, groups) for c in cfgs]
+    active = _active(steppers)
     origin = start
     theta = origin.copy()
     mu = np.array([c.mu for c in cfgs])
@@ -197,7 +217,7 @@ def train(model, data, cfg, theta0=None, theta_ref=None, ref_direction=None):
     # Per-run scalars that are read every step stay Python floats: with a
     # handful of runs a list comparison costs less than a numpy call.
     stop_risk = [c.stop_risk for c in cfgs]
-    q = np.hstack([state.q for state in states])
+    q = np.column_stack([c.scheme.init_state(groups).q for c in cfgs])
     ycol = ys[:, None]
     n, eta, epochs, record_every = groups.n, head.eta, head.epochs, head.record_every
 
@@ -234,11 +254,8 @@ def train(model, data, cfg, theta0=None, theta_ref=None, ref_direction=None):
                 trace.stop_reason, trace.epochs_run = "diverged", t
                 raise DivergedError(f"run {ids[j]}: non-finite risk at epoch {t}",
                                     trace=trace, params=theta[:, j].copy())
-            for j in dynamic:
-                new = schemes[j].update(states[j], losses[:, j : j + 1], groups)
-                if new is not states[j]:
-                    states[j] = new
-                    q[:, j : j + 1] = new.q
+            for j, step in active:
+                q[:, j : j + 1] = step(losses[:, j : j + 1])
             reached = [risk <= stop for risk, stop in zip(risks, stop_risk)]
             done = [True] * len(risks) if t >= epochs else reached
             stopping = any(done)
@@ -263,9 +280,8 @@ def train(model, data, cfg, theta0=None, theta_ref=None, ref_direction=None):
                 theta, origin = np.asfortranarray(theta), np.asfortranarray(origin)
             if stopping:
                 keep = ~np.array(done)
-                schemes = [s for s, d in zip(schemes, done) if not d]
-                states = [s for s, d in zip(states, done) if not d]
-                dynamic = _dynamic_columns(schemes)
+                steppers = [s for s, d in zip(steppers, done) if not d]
+                active = _active(steppers)
                 ids, theta, origin, step = ids[keep], theta[:, keep], origin[:, keep], step[:, keep]
                 q, mu = q[:, keep], mu[keep]
                 penalized = bool(mu.any())

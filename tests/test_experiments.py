@@ -97,6 +97,22 @@ def test_config_rejects_nan_in_every_float_key():
             make_config("fig1", **{key: float("nan")})
 
 
+def test_config_rejects_values_of_the_wrong_type():
+    # Each of these used to be accepted and failed later, inside a run.
+    with pytest.raises(InvalidArgumentError, match="needs"):
+        make_config("fig1", seeds="1,2", epochs=10.5, widths=5)
+    for key, value in (("epochs", 10.5), ("epochs", True), ("widths", 5), ("seeds", [1, 2]),
+                       ("seeds", (1, 2.0)), ("seeds", (1, False)), ("synthetic", 1),
+                       ("mu", True), ("mu", "0.1"), ("eta", 0.5), ("schemes", ("erm", 3)),
+                       ("schemes", "erm")):
+        with pytest.raises(InvalidArgumentError, match=key):
+            make_config("fig1", **{key: value})
+    # A float key takes an int, kept as a float: one form, one config hash.
+    cfg = make_config("fig2", mu_small=1)
+    assert isinstance(cfg.mu_small, float) and cfg.mu_small == 1.0
+    assert config_hash(cfg) == config_hash(make_config("fig2", mu_small=1.0))
+
+
 def test_config_rejects_bad_penalties_up_front():
     # Each of these keys becomes a TrainConfig's mu; an infinite one would
     # fail only at the first epoch of its training, as a divergence.
@@ -412,6 +428,31 @@ def test_paired_training_batched_seeds_match_each_seed_alone():
     assert np.all(final <= stop)
 
 
+@pytest.mark.parametrize("spec", ["erm", "cvar:0.5"])
+def test_paired_training_static_and_cvar_seeds_match_each_seed_alone(spec):
+    # The paired study's one stepper for all seeds: none for static weights,
+    # and CVaR's, which keeps nothing from step to step, as seeds drop out.
+    from grwlab.experiments import _train_pair_shared_weights
+    from grwlab.models import nn_init
+    from grwlab.reweighting import parse_scheme as ps
+
+    arch, theta0, data, pts = _paired_inputs()
+    ref = _paired_reference(arch, theta0, data, ps(spec), 0.25, 20, pts)
+    got = _train_pair_shared_weights(arch, theta0[:, None], data, ps(spec), 0.25, 20, 0.0, pts)
+    assert got[0][0] == pytest.approx(ref[0], rel=1e-10)
+    assert got[1][0] == pytest.approx(ref[1], rel=1e-10)
+    starts = np.column_stack([nn_init(arch, s).flat for s in (0, 1, 2)])
+    stop = _train_pair_shared_weights(arch, starts[:, :1], data, ps(spec), 0.25, 30, 0.0,
+                                      pts)[1][0]
+    gaps, final = _train_pair_shared_weights(arch, starts, data, ps(spec), 0.25, 60, stop, pts)
+    for s in range(3):
+        gap, risk = _train_pair_shared_weights(arch, starts[:, s, None], data, ps(spec), 0.25,
+                                               60, stop, pts)
+        assert gaps[s] == pytest.approx(gap[0], rel=1e-12)
+        assert final[s] == pytest.approx(risk[0], rel=1e-12)
+    assert np.all(final <= stop) and len(set(final.tolist())) == 3
+
+
 def test_approx_scaling_report_times_its_phases(tmp_path):
     from grwlab.experiments import run_approx_scaling
 
@@ -447,6 +488,17 @@ def test_figure_reports_time_their_phases(tmp_path, experiment):
     assert set(phases) == expected_phases
     assert all(math.isfinite(t) and t >= 0 for t in phases.values())
     assert rep["phases_s"] == phases
+    # One step rate per training batch, beside the phases.
+    rates = doc["steps_per_s"]
+    assert set(rates) == {
+        "fig1": {"schemes"},
+        "fig2": {"mu=0.1", "mu=10"},
+        "fig3": {"logistic", "polytailed:1:0"},
+        "compare": {"schemes", "permuted", "sign_study"},
+        "ntk-convergence": set(),
+    }[experiment]
+    assert all(math.isfinite(r) and r > 0 for r in rates.values())
+    assert rep["steps_per_s"] == rates
     # Timings stay out of the metrics, whose keys are the same as ever.
     schemes = cfg.schemes
     expected = {
@@ -492,7 +544,7 @@ def test_every_report_records_its_environment(tmp_path, experiment):
     # The block sits beside the metrics, not in them.
     assert not set(env) & set(doc["metrics"]) and "environment" not in doc["metrics"]
     assert set(doc) == {"experiment", "config_hash", "assertions", "metrics", "artifacts",
-                        "phases_s", "environment", "elapsed_s", "passed"}
+                        "phases_s", "steps_per_s", "environment", "elapsed_s", "passed"}
 
 
 _FRESH_ENVIRONMENT_PROBE = """

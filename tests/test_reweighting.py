@@ -146,15 +146,26 @@ def test_cvar_weights_single_worst():
     assert np.allclose(q, [1.0, 0.0, 0.0])
 
 
-def test_cvar_weights_tie_break_lowest_index():
-    # Oracle: stable sort on (-loss, index) then uniform mass on the first m.
-    losses = np.array([2.0, 2.0, 1.0])
-    q = cvar_weights(losses, 2.0 / 3.0).q
-    order = sorted(range(3), key=lambda i: (-losses[i], i))
-    expected = np.zeros(3)
-    expected[order[:2]] = 0.5
-    assert np.array_equal(q, expected)
-    assert np.allclose(q, [0.5, 0.5, 0.0])
+def _cvar_split_rule(losses, alpha):
+    # The rule spelled out: 1/m above the m-th largest loss, and the weight
+    # left split evenly among every loss equal to it.
+    m = int(np.ceil(alpha * len(losses)))
+    cut = sorted(losses, reverse=True)[m - 1]
+    above = sum(1 for v in losses if v > cut)
+    tied = sum(1 for v in losses if v == cut)
+    return np.array([1.0 / m if v > cut else (m - above) / (m * tied) if v == cut else 0.0
+                     for v in losses])
+
+
+def test_cvar_weights_split_ties_at_the_cut():
+    # Two equal losses inside the top m keep 1/m each.
+    assert np.array_equal(cvar_weights(np.array([2.0, 2.0, 1.0]), 2.0 / 3.0).q, [0.5, 0.5, 0.0])
+    # The second and third losses tie at the cut: they share the half left.
+    q = cvar_weights(np.array([2.0, 1.0, 1.0]), 2.0 / 3.0).q
+    assert np.array_equal(q, [0.5, 0.25, 0.25])
+    assert np.array_equal(cvar_weights(np.array([1.0, 1.0, 2.0]), 2.0 / 3.0).q, [0.25, 0.25, 0.5])
+    # Every loss ties: uniform weights whatever m is.
+    assert np.array_equal(cvar_weights(np.full(4, 3.0), 0.25).q, np.full(4, 0.25))
 
 
 def test_cvar_support_size_always_ceil():
@@ -287,7 +298,7 @@ def test_scheme_updates_on_a_block_of_runs_match_each_run():
                 np.testing.assert_allclose(block.gdro_g[:, r], alone.gdro_g, rtol=1e-15, atol=1e-16)
 
 
-def test_cvar_block_breaks_ties_toward_lowest_index_in_every_column():
+def test_cvar_block_splits_ties_at_the_cut_in_every_column():
     # Column 0 ties samples 1 and 3 at the cutoff, column 1 ties 0 and 2,
     # column 2 is all ties.
     losses = np.array([[0.1, 2.0, 1.0],
@@ -295,20 +306,36 @@ def test_cvar_block_breaks_ties_toward_lowest_index_in_every_column():
                        [0.3, 2.0, 1.0],
                        [2.0, 0.5, 1.0]])
     q = CvarScheme(0.25).update(erm_weights(4), losses, GroupInfo([0, 0, 1, 1])).q
-    np.testing.assert_array_equal(q, [[0.0, 1.0, 1.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    np.testing.assert_array_equal(q, [[0.0, 0.5, 0.25], [0.5, 0.0, 0.25], [0.0, 0.5, 0.25],
+                                      [0.5, 0.0, 0.25]])
     for r in range(3):
         np.testing.assert_array_equal(q[:, r], cvar_weights(losses[:, r], 0.25).q)
-    # Many ties in long columns, against the rule spelled out: the m largest
-    # losses, lower index first among equal ones.
+    # Many ties in long columns, against the rule spelled out, and the same
+    # weights on the samples in any order.
     rng = np.random.default_rng(4)
     losses = rng.integers(0, 3, size=(60, 5)).astype(float)
     q = CvarScheme(0.3).update(erm_weights(60), losses, GroupInfo([0] * 60)).q
-    m = int(np.ceil(0.3 * 60))
+    order = rng.permutation(60)
+    permuted = CvarScheme(0.3).update(erm_weights(60), losses[order], GroupInfo([0] * 60)).q
     for r in range(5):
-        chosen = sorted(range(60), key=lambda i: (-losses[i, r], i))[:m]
-        expected = np.zeros(60)
-        expected[chosen] = 1.0 / m
-        np.testing.assert_allclose(q[:, r], expected, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(q[:, r], _cvar_split_rule(losses[:, r].tolist(), 0.3),
+                                   rtol=1e-15, atol=0)
+        _assert_simplex(q[:, r])
+    np.testing.assert_allclose(permuted, q[order], rtol=1e-15, atol=0)
+
+
+def test_cvar_weights_without_ties_are_the_top_m():
+    # With no tie at the cut, exactly the m largest losses get 1/m.
+    rng = np.random.default_rng(8)
+    for n in (1, 2, 6, 9, 40):
+        losses = rng.random((n, 3))
+        for alpha in (0.01, 0.3, 0.5, 1.0):
+            q = CvarScheme(alpha).update(erm_weights(n), losses, GroupInfo([0] * n)).q
+            m = int(np.ceil(alpha * n))
+            for r in range(3):
+                top = np.argsort(-losses[:, r])[:m]
+                assert set(np.flatnonzero(q[:, r])) == set(top)
+                np.testing.assert_allclose(q[top, r], 1.0 / m, rtol=1e-15)
 
 
 def _lockout_losses(steps: int = 4000) -> list[np.ndarray]:
@@ -351,6 +378,80 @@ def test_gdro_block_of_three_runs_matches_each_run_through_an_underflow():
         for name in ("q", "gdro_g", "gdro_logits"):
             np.testing.assert_allclose(getattr(block, name)[:, r], getattr(solo, name),
                                        rtol=1e-15, atol=1e-15)
+
+
+def _numpy_gdro_run(groups, nu, columns):
+    # The log-space update in plain numpy, one (n,) loss vector per step:
+    # yields the logits and the weights q after each step.
+    logits = np.zeros(groups.n_groups)
+    for losses in columns:
+        logits = logits + nu * (groups.mean_map.T @ losses)
+        logits -= logits.max()
+        g = np.exp(logits)
+        g /= g.sum()
+        yield logits, groups.mean_map @ g
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_gdro_stepper_matches_the_numpy_update(k):
+    # The logits match bit for bit.  So does q at K = 2; above, numpy's sum
+    # may group the K exponentials differently from the stepper's sum in
+    # group order, which moves q by a few ulp at most.
+    rng = np.random.default_rng(k)
+    groups = GroupInfo(np.repeat(np.arange(k), rng.integers(1, 4, k)))
+    for nu in (1e-3, 0.1, 5.0):
+        step = GroupDroScheme(nu).stepper(groups)
+        columns = [3.0 * rng.random(groups.n) for _ in range(60)]
+        for losses, (logits, q_ref) in zip(columns, _numpy_gdro_run(groups, nu, columns)):
+            q = step(losses[:, None])
+            assert q.shape == (groups.n, 1)
+            assert step.logits == [logits.tolist()]
+            if k == 2:
+                np.testing.assert_array_equal(q[:, 0], q_ref)
+            else:
+                np.testing.assert_array_max_ulp(q[:, 0], q_ref, maxulp=8)
+
+
+def test_gdro_block_equals_its_solo_runs_exactly():
+    # Group sizes 1, 2 and 4 and losses on a grid of 2^-10: every group mean
+    # is exact in any summation order, so a block product and a column
+    # product give the same risks, and the steps must agree bit for bit.
+    groups = GroupInfo([2, 0, 2, 1, 2, 1, 2])
+    scheme = GroupDroScheme(0.7)
+    rng = np.random.default_rng(12)
+    state = repeat_state(scheme.init_state(groups), 4)
+    block = scheme.stepper(groups, 4)
+    solos = [scheme.stepper(groups) for _ in range(4)]
+    for _ in range(300):
+        losses = rng.integers(0, 4096, size=(7, 4)) / 1024.0
+        state = scheme.update(state, losses, groups)
+        q = block(losses)
+        np.testing.assert_array_equal(q, state.q)
+        for r, step in enumerate(solos):
+            np.testing.assert_array_equal(step(losses[:, r : r + 1]), q[:, r : r + 1])
+            assert step.logits == [state.gdro_logits[:, r].tolist()]
+    # The runs the block keeps go on exactly as alone.
+    block.keep(np.array([True, False, False, True]))
+    for _ in range(50):
+        losses = rng.integers(0, 4096, size=(7, 2)) / 1024.0
+        q = block(losses)
+        for col, r in enumerate((0, 3)):
+            np.testing.assert_array_equal(solos[r](losses[:, col : col + 1]), q[:, col : col + 1])
+
+
+def test_gdro_stepper_regains_an_underflowed_group():
+    # The stepper's twin of test_gdro_group_whose_weight_underflows_regains_it.
+    groups = GroupInfo([0, 0, 0, 1])
+    step = GroupDroScheme(1.0).stepper(groups)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t, losses in enumerate(_lockout_losses()):
+            q = step(losses[:, None])
+            if t == 1999:
+                assert np.all(q[:3] == 0.0)
+                assert all(map(np.isfinite, step.logits[0]))
+    np.testing.assert_allclose(q[:, 0], [1 / 6, 1 / 6, 1 / 6, 0.5], rtol=0, atol=1e-12)
+    _assert_simplex(q)
 
 
 @st.composite
