@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import operator
+
 
 class GrwLabError(Exception):
     """Base class for all errors raised by grwlab."""
@@ -19,6 +21,18 @@ def parse_number(text: str, convert, what: str):
     except ValueError:
         raise InvalidArgumentError(
             f"{what}: {text.strip()!r} is not a valid {convert.__name__}") from None
+
+
+def as_int(value, what: str) -> int:
+    """value as a Python int.  An int or a numpy integer is taken; a bool, a
+    float (even an integral one) or anything else raises
+    InvalidArgumentError naming ``what``."""
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise InvalidArgumentError(f"{what} must be an integer, got {value!r}")
 
 
 class RankDeficientError(GrwLabError):

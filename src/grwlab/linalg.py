@@ -6,6 +6,16 @@ Matrices are plain row-major float64 ``numpy`` arrays (2-D), vectors are 1-D
 arrays; every entry must be finite.  All functions are pure and never mutate
 their inputs, so they are safe to call concurrently.
 
+Each public entry point checks each of its array arguments once, on entry,
+through ``as_matrix`` or ``as_vector`` (one ``isfinite(...).all()`` pass),
+and raises InvalidArgumentError on a NaN or an infinity.  An entry point
+that calls another is checked again by it: no internal path skips the
+checks.  Finite columns whose Gram matrix overflows raise
+InvalidArgumentError too, from the rank test's check of that matrix.  The
+infinite-width kernel oracles check their two points through the
+covariances <x, x> and <x', x'> they compute anyway, so an overflowing
+point raises there as well.
+
 The factorizations are LAPACK's, through numpy only: symmetric eigenvalues
 from ``numpy.linalg.eigvalsh`` and the solves from ``numpy.linalg.solve``.
 Both are direct, finite algorithms, so no result here depends on an
@@ -34,7 +44,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     m = np.asarray(a, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise InvalidArgumentError(f"{name} must be a non-empty 2-D array, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise InvalidArgumentError(f"{name} contains non-finite entries")
     return m
 
@@ -44,7 +54,7 @@ def as_vector(a, name: str = "vector") -> np.ndarray:
     v = np.asarray(a, dtype=np.float64)
     if v.ndim != 1 or v.shape[0] < 1:
         raise InvalidArgumentError(f"{name} must be a non-empty 1-D array, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise InvalidArgumentError(f"{name} contains non-finite entries")
     return v
 

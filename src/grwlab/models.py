@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidArgumentError, parse_number
+from .errors import InvalidArgumentError, as_int, parse_number
 from .linalg import as_matrix, as_vector
 
 _BALL_TOL = 1e-9
@@ -72,7 +72,11 @@ ACTIVATIONS = {
 
 @dataclass(frozen=True)
 class Architecture:
-    """Shape of the fully-connected net: input_dim -> hidden_widths -> 1."""
+    """Shape of the fully-connected net: input_dim -> hidden_widths -> 1.
+
+    input_dim and the widths are ints >= 1; a numpy integer is taken, a bool
+    or a float is not.
+    """
 
     input_dim: int
     hidden_widths: tuple[int, ...]
@@ -80,7 +84,9 @@ class Architecture:
     activation: str = "erf"
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden_widths", tuple(int(w) for w in self.hidden_widths))
+        object.__setattr__(self, "input_dim", as_int(self.input_dim, "input_dim"))
+        object.__setattr__(self, "hidden_widths",
+                           tuple(as_int(w, "hidden width") for w in self.hidden_widths))
         if self.input_dim < 1:
             raise InvalidArgumentError("input_dim must be >= 1")
         if len(self.hidden_widths) < 1 or any(w < 1 for w in self.hidden_widths):

@@ -22,6 +22,7 @@ from .errors import (
     NoConvergenceError,
     NotSeparableError,
     UnsupportedError,
+    as_int,
 )
 from .linalg import as_matrix, as_vector, gram, min_norm_span_solve
 from .models import ACTIVATIONS
@@ -225,17 +226,25 @@ def max_margin_bruteforce(x, y) -> MarginSolution:
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Depth, bias scale and activation of the infinite-width kernel."""
+    """Depth, bias scale and activation of the infinite-width kernel.
+
+    depth is an int >= 1 (a numpy integer is taken, a bool is not), beta is
+    finite and >= 0, and activation is one of ``models.ACTIVATIONS``; only
+    erf has the closed form, tanh has the Monte-Carlo kernel.
+    """
 
     depth: int
     beta: float
     activation: str = "erf"
 
     def __post_init__(self):
+        object.__setattr__(self, "depth", as_int(self.depth, "depth"))
         if self.depth < 1:
             raise InvalidArgumentError("depth must be >= 1")
-        if self.beta < 0:
-            raise InvalidArgumentError("beta must be >= 0")
+        if not (0 <= self.beta < math.inf):
+            raise InvalidArgumentError(f"beta must be finite and >= 0, got {self.beta!r}")
+        if self.activation not in ACTIVATIONS:
+            raise InvalidArgumentError(f"unknown activation {self.activation!r}")
 
 
 def _erf_pair_expectation(s11: float, s12: float, s22: float) -> float:
@@ -247,12 +256,26 @@ def _erf_pair_expectation(s11: float, s12: float, s22: float) -> float:
 
 
 def _input_covariances(spec: KernelSpec, x, xp) -> tuple[float, float, float]:
-    """s11, s12, s22: <x, x>, <x, x'> and <x', x'> over d0, plus beta^2."""
-    x, xp = as_vector(x, "x"), as_vector(xp, "xp")
+    """s11, s12, s22: <x, x>, <x, x'> and <x', x'> over d0, plus beta^2.
+
+    The points are checked through their covariances instead of entry by
+    entry: <x, x> is finite exactly when every entry of x is finite and no
+    square overflows, so a NaN, an infinity or an overflowing point raises.
+    """
+    x, xp = np.asarray(x, dtype=np.float64), np.asarray(xp, dtype=np.float64)
+    for name, v in (("x", x), ("xp", xp)):
+        if v.ndim != 1 or v.shape[0] < 1:
+            raise InvalidArgumentError(f"{name} must be a non-empty 1-D array, got shape {v.shape}")
     if x.shape != xp.shape:
         raise InvalidArgumentError("points must have the same dimension")
     d0, b2 = x.shape[0], spec.beta**2
-    return float(x @ x) / d0 + b2, float(x @ xp) / d0 + b2, float(xp @ xp) / d0 + b2
+    # ndarray.dot runs the same BLAS dot as @, so the bits are the same, at
+    # half the call cost of the matmul ufunc.
+    s11, s12, s22 = float(x.dot(x)) / d0 + b2, float(x.dot(xp)) / d0 + b2, float(xp.dot(xp)) / d0 + b2
+    for name, s in (("x", s11), ("xp", s22)):
+        if not math.isfinite(s):
+            raise InvalidArgumentError(f"{name} is not finite or its squared norm overflows")
+    return s11, s12, s22
 
 
 def ntk_limiting_kernel(spec: KernelSpec, x, xp) -> float:
@@ -286,8 +309,6 @@ def ntk_limiting_kernel_mc(
     every Gaussian expectation from ``samples`` draws.  Deterministic for a
     fixed seed; accuracy is O(1/sqrt(samples)).
     """
-    if spec.activation not in ACTIVATIONS:
-        raise UnsupportedError(f"unknown activation {spec.activation!r}")
     act = ACTIVATIONS[spec.activation][0]
     b2 = spec.beta**2
     s11, s12, s22 = _input_covariances(spec, x, xp)

@@ -237,6 +237,28 @@ def test_parse_model():
             parse_model(f"mlp:4:64x2:{beta}:erf")
 
 
+@pytest.mark.parametrize("input_dim,widths", [
+    (4, (64.7,)),
+    (4, (64.0,)),
+    (4, (True,)),
+    (4, (np.bool_(True),)),
+    (4, (16, "8")),
+    (4.5, (16,)),
+    (4.0, (16,)),
+    (True, (16,)),
+], ids=["width-fraction", "width-float", "width-bool", "width-numpy-bool", "width-str",
+        "input-fraction", "input-float", "input-bool"])
+def test_architecture_rejects_non_integer_sizes(input_dim, widths):
+    with pytest.raises(InvalidArgumentError, match="must be an integer"):
+        Architecture(input_dim, widths)
+
+
+def test_architecture_takes_numpy_integers():
+    arch = Architecture(np.int64(4), (np.int32(16), 8))
+    assert arch == Architecture(4, (16, 8))
+    assert all(type(n) is int for n in (arch.input_dim, *arch.hidden_widths))
+
+
 def test_wide_net_adapter_consistency():
     arch = Architecture(3, (9,), beta=0.3)
     net = WideNet(arch)

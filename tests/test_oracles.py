@@ -458,6 +458,31 @@ def test_kernel_rejects_tanh_closed_form_but_mc_works():
     assert value > 0.0
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"depth": 1, "beta": np.nan},
+    {"depth": 1, "beta": np.inf},
+    {"depth": 1, "beta": -0.5},
+    {"depth": 2.5, "beta": 0.5},
+    {"depth": 2.0, "beta": 0.5},
+    {"depth": True, "beta": 0.5},
+    {"depth": "2", "beta": 0.5},
+    {"depth": 0, "beta": 0.5},
+    {"depth": 1, "beta": 0.5, "activation": "ERF"},
+    {"depth": 1, "beta": 0.5, "activation": "relu"},
+], ids=["beta-nan", "beta-inf", "beta-negative", "depth-2.5", "depth-float", "depth-bool",
+        "depth-str", "depth-0", "activation-case", "activation-unknown"])
+def test_kernel_spec_rejects_what_it_cannot_use(kwargs):
+    with pytest.raises(InvalidArgumentError):
+        KernelSpec(**kwargs)
+
+
+def test_kernel_spec_takes_numpy_integers_and_tanh():
+    spec = KernelSpec(depth=np.int64(2), beta=np.float64(0.5))
+    assert spec == KernelSpec(depth=2, beta=0.5)
+    assert type(spec.depth) is int
+    assert KernelSpec(depth=1, beta=0.0, activation="tanh").activation == "tanh"
+
+
 @pytest.mark.parametrize("kernel", [ntk_limiting_kernel, ntk_limiting_kernel_mc])
 def test_kernels_reject_points_of_different_dimensions(kernel):
     with pytest.raises(InvalidArgumentError, match="same dimension"):

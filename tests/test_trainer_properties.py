@@ -12,7 +12,8 @@ model's parameters move only within the span of the data, and the order of
 the samples does not change where the runs end.  Two oracles are checked
 against independent routes: the NNLS hard margin against subset enumeration,
 and the ridge optimum against the point where penalized static-weight
-gradient descent comes to rest.
+gradient descent comes to rest.  The models' pullback keeps its
+leading-column contract on random shapes and stacks.
 
 The module runs in 15 s or less.
 """
@@ -20,10 +21,12 @@ The module runs in 15 s or less.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from grwlab.data_io import synth_groups
+from grwlab.errors import InvalidArgumentError
 from grwlab.linalg import span_residual
 from grwlab.losses import Logistic, PolyTailed, Squared
 from grwlab.models import Architecture, LinearModel, WideNet
@@ -211,3 +214,40 @@ def test_static_ridge_run_comes_to_rest_at_the_ridge_optimum(sizes, d, spec, mu,
     ridge = ridge_closed_form(data.X, data.Y, scheme.init_state(data.groups).q, mu, np.zeros(d),
                               np.zeros(data.n))
     assert np.linalg.norm(final - ridge) <= 1e-8
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(depth=st.sampled_from(DEPTHS), d=st.integers(1, 5), width=st.integers(1, 8),
+       activation=st.sampled_from(["erf", "tanh"]), m=st.integers(1, 6),
+       runs=st.sampled_from([None, 1, 2, 3]), order=st.sampled_from("CF"),
+       data=st.data(), seed=st.integers(0, 2**16))
+def test_pullback_is_the_leading_columns_of_the_jacobian(depth, d, width, activation, m, runs,
+                                                         order, data, seed):
+    # pullback(v) = jacobian(theta, xs)[:, :k] @ v for k <= m cotangents, run
+    # by run for a p x R stack in either memory order.  The two sides sum the
+    # same products in different orders, so they agree to round-off: 1e-12
+    # of the largest term.  k > m raises.
+    k = data.draw(st.integers(1, m))
+    rng = np.random.default_rng(seed)
+    if depth:
+        model = WideNet(Architecture(d, (width,) * depth, beta=0.3, activation=activation))
+    else:
+        model = LinearModel(d)
+    xs = rng.standard_normal((d, m))
+    xs /= 1.1 * np.linalg.norm(xs, axis=0).max()
+    # Random parameters: a WideNet's zero output layer would leave blocks idle.
+    shape = (model.n_params,) if runs is None else (model.n_params, runs)
+    theta = np.asarray(rng.standard_normal(shape), order=order)
+    v = rng.standard_normal((k,) + shape[1:])
+    _, pullback = model.vjp(theta, xs)
+    got = pullback(v)
+    assert got.shape == theta.shape
+    for r in range(1 if runs is None else runs):
+        one = theta if runs is None else theta[:, r]
+        w = v if runs is None else v[:, r]
+        jac = model.jacobian(one, xs)[:, :k]
+        ref = jac @ w
+        tol = 1e-12 * max(1.0, float(np.abs(jac).max() * np.abs(w).max() * k))
+        np.testing.assert_allclose(got if runs is None else got[:, r], ref, rtol=0, atol=tol)
+    with pytest.raises(InvalidArgumentError, match="cotangents"):
+        pullback(rng.standard_normal((m + 1,) + shape[1:]))
