@@ -366,16 +366,32 @@ class Report:
         phases = self.doc["phases_s"]
         phases[name] = round(phases.get(name, 0.0) + time.perf_counter() - t0, 3)
 
-    def train(self, batch: str, *args, **kwargs) -> list:
-        """``_train_runs(*args, **kwargs)`` timed into the ``train`` phase.
+    def train(self, batch: str, data, schemes, loss, eta, epochs, record_every, stop_risk=0.0,
+              mu=0.0, theta0=None, model=None, record_params=False, theta_ref=None,
+              ref_direction=None) -> list:
+        """Train one run per scheme (spec text or scheme object) in lock
+        step, timed into the ``train`` phase; the (final, trace) pairs come
+        back in scheme order.
 
-        ``steps_per_s[batch]`` records the batch's rate: the most epochs any
-        of its runs made over the seconds the batch took.  Like ``phases_s``
-        it is kept apart from ``metrics`` and out of the traces.
+        Every run has the same stop_risk and mu; model defaults to a
+        LinearModel of the data and theta0 to zeros.  ``steps_per_s[batch]``
+        records the batch's rate: the most epochs any of its runs made over
+        the seconds the batch took.  Like ``phases_s`` it is kept apart from
+        ``metrics`` and the traces.
         """
+        cfgs = [
+            TrainConfig(eta=eta, epochs=epochs, loss=loss,
+                        scheme=parse_scheme(scheme) if isinstance(scheme, str) else scheme,
+                        mu=mu, stop_risk=stop_risk, record_every=record_every,
+                        record_params=record_params)
+            for scheme in schemes
+        ]
+        model = model if model is not None else LinearModel(data.dim)
+        theta0 = np.zeros(model.n_params) if theta0 is None else theta0
         with self.phase("train"):
             start = time.perf_counter()
-            pairs = _train_runs(*args, **kwargs)
+            pairs = train(model, data, cfgs, theta0=theta0, theta_ref=theta_ref,
+                          ref_direction=ref_direction)
             seconds = time.perf_counter() - start
         steps = max(trace.epochs_run for _, trace in pairs)
         self.doc["steps_per_s"][batch] = round(steps / seconds, 1) if seconds > 0 else None
@@ -521,29 +537,6 @@ class _WeightLogger:
             return q
 
         return logged
-
-
-def _train_runs(data, schemes, loss, eta, epochs, record_every, stop_risk=0.0, mu=0.0,
-                theta0=None, model=None, record_params=False, theta_ref=None,
-                ref_direction=None):
-    """Train one run per scheme (spec text or scheme object) in lock step.
-
-    ``stop_risk`` and ``mu`` are one value for every run or a list with one
-    value per run.  Returns the (final, trace) pairs in scheme order.
-    """
-    model = model if model is not None else LinearModel(data.dim)
-    runs = len(schemes)
-    stop_risks = stop_risk if isinstance(stop_risk, (list, tuple)) else [stop_risk] * runs
-    mus = mu if isinstance(mu, (list, tuple)) else [mu] * runs
-    cfgs = [
-        TrainConfig(eta=eta, epochs=epochs, loss=loss,
-                    scheme=parse_scheme(scheme) if isinstance(scheme, str) else scheme,
-                    mu=m, stop_risk=sr, record_every=record_every, record_params=record_params)
-        for scheme, sr, m in zip(schemes, stop_risks, mus)
-    ]
-    theta0 = np.zeros(model.n_params) if theta0 is None else theta0
-    return train(model, data, cfgs, theta0=theta0, theta_ref=theta_ref,
-                 ref_direction=ref_direction)
 
 
 def run_fig1(cfg: ExperimentConfig) -> dict:
@@ -926,7 +919,8 @@ def _train_pair_shared_weights(arch, theta0, data, scheme, eta, epochs, stop_ris
     the *network's* losses, and the very same q is applied to both updates.
     Returns arrays of S: the sup over epochs of the output gap at the test
     points and the final network risk.  A seed stops on its own once its
-    risk reaches stop_risk.
+    risk reaches stop_risk.  A non-finite network risk raises DivergedError
+    naming the seed's column of theta0 and carrying its network parameters.
 
     The training and test points travel as one batch: each epoch makes one
     network forward pass for every seed, whose pullback takes the weighted
@@ -960,7 +954,9 @@ def _train_pair_shared_weights(arch, theta0, data, scheme, eta, epochs, stop_ris
         losses_nn, dloss_nn = loss_fn(out_nn[:n], y)
         risk[ids] = np.add.reduce(losses_nn) / n
         if not np.all(np.isfinite(risk[ids])):
-            raise DivergedError(f"paired run diverged at epoch {t}")
+            j = int(np.flatnonzero(~np.isfinite(risk[ids]))[0])
+            raise DivergedError(f"paired run of seed column {ids[j]}: non-finite risk at epoch {t}",
+                                params=theta_nn[:, j].copy())
         done = risk[ids] <= stop_risk if t < epochs else np.ones(len(ids), dtype=bool)
         if done.all():
             break
@@ -1026,12 +1022,12 @@ def run_approx_scaling(cfg: ExperimentConfig) -> dict:
         theta0 = nn_init(arch, cfg.data_seed).flat
         net = WideNet(arch)
         mus = [cfg.reg_tracking_mu, cfg.reg_tracking_mu / 10.0]
+        cfgs = [TrainConfig(eta=eta, epochs=cfg.epochs, loss=Squared(), scheme=parse_scheme(text),
+                            mu=mu, stop_risk=stop, record_every=cfg.record_every)
+                for text, stop, mu in (("erm", cfg.stop_risk, 0.0), (scheme_text, 0.0, mus[0]),
+                                       (scheme_text, 0.0, mus[1]))]
         with report.phase("reg_tracking"):
-            (erm_final, _), *regs = _train_runs(
-                data, ["erm", scheme_text, scheme_text], Squared(), eta, cfg.epochs,
-                cfg.record_every, stop_risk=[cfg.stop_risk, 0.0, 0.0], mu=[0.0, *mus],
-                theta0=theta0, model=net,
-            )
+            (erm_final, _), *regs = train(net, data, cfgs, theta0=theta0)
         ref_out = net.predict(erm_final, test_points)
         gaps_mu = [float(np.abs(net.predict(final, test_points) - ref_out).max()) for final, _ in regs]
         risks_mu = [trace.risk[-1] for _, trace in regs]

@@ -60,8 +60,8 @@ def ridge_closed_form(x, y, q, mu: float, theta0, f0) -> np.ndarray:
     result satisfies the stationarity equation X Q (X^T delta - r) +
     mu delta = 0 with delta = theta - theta0 and r = y - f0.
     """
-    if not (mu > 0):
-        raise InvalidArgumentError("mu must be positive")
+    if not (0 < mu < math.inf):
+        raise InvalidArgumentError(f"mu must be a positive finite float, got {mu!r}")
     x = as_matrix(x, "data matrix")
     y = as_vector(y, "targets")
     q = as_vector(q, "weights")
@@ -307,8 +307,11 @@ def ntk_limiting_kernel_mc(
 
     Propagates the three covariance entries through the layers, estimating
     every Gaussian expectation from ``samples`` draws.  Deterministic for a
-    fixed seed; accuracy is O(1/sqrt(samples)).
+    fixed seed; accuracy is O(1/sqrt(samples)).  ``samples`` is an int >= 1.
     """
+    samples = as_int(samples, "samples")
+    if samples < 1:
+        raise InvalidArgumentError(f"samples must be >= 1, got {samples}")
     act = ACTIVATIONS[spec.activation][0]
     b2 = spec.beta**2
     s11, s12, s22 = _input_covariances(spec, x, xp)

@@ -15,10 +15,10 @@ step together and maps their n x r block of losses to their n x r block of
 weights on every step; its ``keep(mask)`` drops the runs that stopped.  The
 trainer builds one stepper per run, the paired study in ``experiments`` one
 for its block of seeds, and neither calls anything else per step.  A static
-scheme has no stepper.  A scheme's ``update`` takes a ``WeightState`` and
-the per-sample losses of one run (n,) or of a block of r runs (n x r, one
-column per run) and returns the next state, with weights of the losses'
-shape.
+scheme's stepper is None.  A scheme's ``update`` takes one run's
+``WeightState`` and its (n,) per-sample losses and returns the next state.
+Training never calls it: it is the one-run form that the steppers are
+tested against.
 """
 
 from __future__ import annotations
@@ -82,8 +82,8 @@ class WeightState:
 
     A Group DRO state holds its group weights g and their logits: log g
     shifted so that the largest is 0, from which each update works.  A state
-    built from g alone takes its logits from g.  For a block of r runs, q is
-    n x r and gdro_g and gdro_logits are K x r.
+    built from g alone takes its logits from g.  A state is one run's: q is
+    (n,) and gdro_g and gdro_logits are (K,).
     """
 
     q: np.ndarray
@@ -95,12 +95,6 @@ class WeightState:
             with np.errstate(divide="ignore"):  # a zero weight is a logit of -inf
                 logits = np.log(self.gdro_g)
             object.__setattr__(self, "gdro_logits", logits - np.maximum.reduce(logits))
-
-
-def repeat_state(state: WeightState, runs: int) -> WeightState:
-    """The joint state of ``runs`` runs that start at one run's state."""
-    return WeightState(*(None if a is None else np.repeat(a[:, None], runs, axis=1)
-                         for a in (state.q, state.gdro_g, state.gdro_logits)))
 
 
 def _renormalized(q: np.ndarray) -> np.ndarray:
@@ -158,15 +152,13 @@ def _gdro_advance(logits: list, risks: list, nu: float) -> tuple[list, list]:
 
 
 def _gdro_state(logits: np.ndarray, risks: np.ndarray, nu: float, groups: GroupInfo) -> WeightState:
-    """``_gdro_advance`` on arrays: logits and risks are (K,) for one run or
-    K x r for a block, one column per run."""
-    if logits.shape != risks.shape:
-        raise InvalidArgumentError(f"group logits of shape {logits.shape} for risks of shape {risks.shape}")
+    """``_gdro_advance`` on one run's (K,) logits and (K,) group risks."""
     k = groups.n_groups
-    new, g = _gdro_advance(logits.reshape(k, -1).T.tolist(), risks.reshape(k, -1).T.tolist(), nu)
-    g = np.array(g).T.reshape(risks.shape)
-    return WeightState(q=groups.mean_map.dot(g), gdro_g=g,
-                       gdro_logits=np.array(new).T.reshape(risks.shape))
+    if logits.shape != (k,) or risks.shape != (k,):
+        raise InvalidArgumentError(
+            f"one run's group logits and risks must be ({k},), got {logits.shape} and {risks.shape}")
+    [new], [g] = _gdro_advance([logits.tolist()], [risks.tolist()], nu)
+    return WeightState(q=groups.mean_map.dot(g), gdro_g=np.array(g), gdro_logits=np.array(new))
 
 
 class _GroupDroStepper:
@@ -199,7 +191,7 @@ def _check_nu(nu: float) -> None:
 
 
 def gdro_step(state: WeightState, group_risks, nu: float, groups: GroupInfo) -> WeightState:
-    """One exponentiated-gradient update of the group weights.
+    """One exponentiated-gradient update of one run's group weights.
 
     g_k <- g_k * exp(nu * risk_k), renormalized onto the simplex, and the
     sample weights become q_i = g_k / n_k for sample i in group k.  The
@@ -208,8 +200,6 @@ def gdro_step(state: WeightState, group_risks, nu: float, groups: GroupInfo) -> 
     """
     _check_nu(nu)
     risks = as_vector(group_risks, "group risks")
-    if risks.shape[0] != groups.n_groups:
-        raise InvalidArgumentError("group risk length does not match the number of groups")
     if state.gdro_logits is None:
         raise InvalidArgumentError("state has no group weights; initialize with gdro_init")
     return _gdro_state(state.gdro_logits, risks, nu, groups)
@@ -341,9 +331,7 @@ class GroupDroScheme:
         return _GroupDroStepper(self.nu, groups, runs)
 
     def update(self, state: WeightState, per_sample_losses, groups: GroupInfo) -> WeightState:
-        # The step of gdro_step on the group means, without the argument
-        # checks.  The caller has checked that the risk, and so every group
-        # risk, is finite.
+        # The step of gdro_step on the group means of one run's (n,) losses.
         return _gdro_state(state.gdro_logits, groups.mean_map.T.dot(per_sample_losses), self.nu, groups)
 
 

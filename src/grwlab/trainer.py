@@ -1,6 +1,6 @@
 """Full-batch reweighted gradient descent with trace recording.
 
-One update step is
+One training step is
 
     theta <- theta - eta * ( J(theta) @ (q * dloss) + mu * (theta - theta0) )
 
@@ -28,11 +28,9 @@ array takes the memory order of the model's first pullback result and keeps
 it.  Each run of a dynamic scheme gets its own stepper, built once from its
 scheme's ``stepper(groups)``, which maps that run's n x 1 column of losses
 to its column of weights on every step; a static scheme has no stepper and
-its run keeps its starting weights.  A scheme object with only
-``init_state`` and ``update`` is stepped through ``update``, one state per
-run.  A run that stops leaves the working set: its parameters, weights and
-trace no longer change while the others go on.
-A single run is the R = 1 case of the same loop.
+its run keeps its starting weights.  A run that stops leaves the working
+set: its parameters, weights and trace no longer change while the others go
+on.  A single run is the R = 1 case of the same loop.
 """
 
 from __future__ import annotations
@@ -46,7 +44,7 @@ from .errors import DivergedError, InvalidArgumentError
 from .linalg import as_matrix, as_vector, gram, require_full_rank
 from .losses import LossKind, loss_kernels, require_labels
 from .models import warn_outside_unit_ball
-from .reweighting import GroupInfo, repeat_state
+from .reweighting import GroupInfo
 
 
 @dataclass
@@ -87,7 +85,7 @@ class TrainTrace:
     measured between theta/||theta|| and the reference direction.
     ``stop_reason`` is "stop_risk" when the risk reached the config's
     stop_risk, "epoch_budget" when the run made all its epochs and
-    "diverged" on a non-finite risk; ``epochs_run`` counts the updates made.
+    "diverged" on a non-finite risk; ``epochs_run`` counts the steps made.
     """
 
     scheme: str
@@ -137,25 +135,6 @@ def _reference(value, p: int, name: str):
     return ref
 
 
-def _stepper(scheme, groups: GroupInfo):
-    """The run's weight stepper, or None when its weights never change.
-
-    A scheme without ``stepper`` is stepped through ``update``, on a state
-    with one column for the run.
-    """
-    make = getattr(scheme, "stepper", None)
-    if make is not None:
-        return make(groups)
-    state = repeat_state(scheme.init_state(groups), 1)
-
-    def step(losses):
-        nonlocal state
-        state = scheme.update(state, losses, groups)
-        return state.q
-
-    return step
-
-
 def _active(steppers: list) -> list:
     """(column, stepper) of every run in the working set that has a stepper."""
     return [(j, step) for j, step in enumerate(steppers) if step is not None]
@@ -170,10 +149,12 @@ def train(model, data, cfg, theta0=None, theta_ref=None, ref_direction=None):
     model.init_params(), one (p,) start shared by every run, or a p x R
     array with one start per column (``np.column_stack(starts)``); a list
     of starts is an error.  theta_ref and ref_direction are each None or one
-    (p,) vector that every run's trace is measured against.
+    (p,) vector that every run's trace is measured against.  Each run's
+    scheme gives ``name``, ``init_state(groups)`` and ``stepper(groups)``;
+    a scheme without ``stepper`` is refused before any step.
 
     Each run stops once its unweighted risk drops to its stop_risk, or after
-    epochs updates; its final epoch is always recorded.  A non-finite risk in
+    epochs steps; its final epoch is always recorded.  A non-finite risk in
     any run aborts the call by raising DivergedError carrying that run's
     partial trace and last parameters.
 
@@ -191,6 +172,8 @@ def train(model, data, cfg, theta0=None, theta_ref=None, ref_direction=None):
     shared = (head.eta, head.epochs, head.loss, head.record_every)
     if any((c.eta, c.epochs, c.loss, c.record_every) != shared for c in cfgs[1:]):
         raise InvalidArgumentError("runs trained together must share eta, epochs, loss and record_every")
+    if not all(hasattr(c.scheme, "stepper") for c in cfgs):
+        raise InvalidArgumentError("every run's scheme needs a stepper(groups), None for fixed weights")
     xs = as_matrix(data.X, "data matrix")
     ys = as_vector(data.Y, "targets")
     if ys.shape[0] != xs.shape[1]:
@@ -208,7 +191,7 @@ def train(model, data, cfg, theta0=None, theta_ref=None, ref_direction=None):
 
     # Working set: column j of every array and list below belongs to run ids[j].
     ids = np.arange(runs)
-    steppers = [_stepper(c.scheme, groups) for c in cfgs]
+    steppers = [c.scheme.stepper(groups) for c in cfgs]
     active = _active(steppers)
     origin = start
     theta = origin.copy()
@@ -275,7 +258,7 @@ def train(model, data, cfg, theta0=None, theta_ref=None, ref_direction=None):
             step = pullback(q * dloss)
             if t == 0 and step.flags.f_contiguous:
                 # Keep theta in the order of the model's pullback, so that
-                # the update reads both in one order and a WideNet reads its
+                # the step reads both in one order and a WideNet reads its
                 # weights as views.  No copy when R = 1.
                 theta, origin = np.asfortranarray(theta), np.asfortranarray(origin)
             if stopping:

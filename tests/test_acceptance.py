@@ -114,8 +114,8 @@ def test_criterion_3_regularized_closed_form():
         def init_state(self, groups):
             return WeightState(q=self.q)
 
-        def update(self, state, losses, groups):
-            return state
+        def stepper(self, groups):
+            return None
 
     worst = 0.0
     for k in range(20):

@@ -10,7 +10,7 @@ import pytest
 
 from grwlab.cli import main
 from grwlab.data_io import write_idx_images, write_idx_labels
-from grwlab.errors import InvalidArgumentError, UnsupportedError
+from grwlab.errors import DivergedError, InvalidArgumentError, UnsupportedError
 from grwlab.experiments import (
     ExperimentConfig,
     config_hash,
@@ -405,6 +405,27 @@ def test_paired_training_pulls_back_only_the_training_columns(monkeypatch):
     _train_pair_shared_weights(arch, np.column_stack([theta0, theta0]), data, ps("gdro:0.1"), 0.25,
                                5, 0.0, pts)
     assert rows == [(data.n + pts.shape[1], (data.n, 2))] * 5
+
+
+def test_paired_training_divergence_names_the_seed_and_carries_its_parameters():
+    from grwlab.experiments import _train_pair_shared_weights
+    from grwlab.models import nn_init
+    from grwlab.reweighting import parse_scheme as ps
+
+    arch, _, data, pts = _paired_inputs()
+    # At eta 50, seed 0 diverges at epoch 93 and seed 1 at epoch 95: in
+    # columns (1, 0), column 1 goes first.
+    starts = np.column_stack([nn_init(arch, s).flat for s in (1, 0)])
+    errors = []
+    for theta0 in (starts, starts[:, 1:]):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergedError) as info:
+            _train_pair_shared_weights(arch, theta0, data, ps("gdro:0.1"), 50.0, 200, 0.0, pts)
+        errors.append(info.value)
+    pair, alone = errors
+    assert str(pair) == "paired run of seed column 1: non-finite risk at epoch 93"
+    assert str(alone) == "paired run of seed column 0: non-finite risk at epoch 93"
+    assert pair.params.shape == (starts.shape[0],)
+    np.testing.assert_array_equal(pair.params, alone.params)
 
 
 def test_paired_training_batched_seeds_match_each_seed_alone():

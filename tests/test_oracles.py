@@ -109,8 +109,11 @@ def test_ridge_stationarity_residual():
 
 
 def test_ridge_rejects_bad_mu():
-    with pytest.raises(InvalidArgumentError):
-        ridge_closed_form(np.eye(2), [1.0, 1.0], [0.5, 0.5], 0.0, np.zeros(2), [0.0, 0.0])
+    # An infinite mu would give an all-NaN theta: (0 * inf) in the dual solve.
+    x = np.eye(3)[:, :2]
+    for mu in (0.0, -1.0, float("inf"), float("nan")):
+        with pytest.raises(InvalidArgumentError, match="mu"):
+            ridge_closed_form(x, [1.0, 1.0], [0.5, 0.5], mu, np.zeros(3), [0.0, 0.0])
 
 
 # -- hard margin ----------------------------------------------------------------
@@ -456,6 +459,14 @@ def test_kernel_rejects_tanh_closed_form_but_mc_works():
     value = ntk_limiting_kernel_mc(spec, np.array([0.5, 0.0]), np.array([0.5, 0.0]),
                                    samples=200_000, seed=3)
     assert value > 0.0
+
+
+@pytest.mark.parametrize("samples", [0, -5, 2.5, True])
+def test_mc_kernel_rejects_a_sample_count_below_one_or_not_an_int(samples):
+    # 0 draws gave NaN, -5 gave beta^2, True ran one draw, 2.5 a bare TypeError.
+    x = np.array([0.5, 0.5])
+    with pytest.raises(InvalidArgumentError, match="samples"):
+        ntk_limiting_kernel_mc(KernelSpec(1, 0.5, "tanh"), x, x, samples=samples)
 
 
 @pytest.mark.parametrize("kwargs", [

@@ -21,7 +21,6 @@ from grwlab.reweighting import (
     group_means,
     iw_weights,
     parse_scheme,
-    repeat_state,
 )
 
 SIMPLEX_TOL = 1e-12
@@ -278,24 +277,24 @@ def test_check_assumption1_matches_window_by_window_scan():
 
 
 def test_scheme_updates_on_a_block_of_runs_match_each_run():
+    # A block stepper, the paired study's block path, gives each of its runs
+    # the weights of that run's own update sequence; a static scheme has no
+    # stepper and its runs keep their starting weights.
     groups = GroupInfo([0, 0, 1, 1, 1, 2])
     rng = np.random.default_rng(9)
-    losses = rng.random((6, 4))
     for scheme in (StaticScheme("erm"), StaticScheme("iw"), GroupDroScheme(0.7),
                    CvarScheme(0.5)):
-        one = scheme.init_state(groups)
-        if one.gdro_g is not None:
-            one = WeightState(q=one.q, gdro_g=rng.dirichlet(np.ones(3)))
-        block = scheme.update(WeightState(q=np.repeat(one.q[:, None], 4, axis=1),
-                                          gdro_g=None if one.gdro_g is None
-                                          else np.repeat(one.gdro_g[:, None], 4, axis=1)),
-                              losses, groups)
-        assert block.q.shape == (6, 4)
-        for r in range(4):
-            alone = scheme.update(one, losses[:, r], groups)
-            np.testing.assert_allclose(block.q[:, r], alone.q, rtol=1e-15, atol=1e-16)
-            if alone.gdro_g is not None:
-                np.testing.assert_allclose(block.gdro_g[:, r], alone.gdro_g, rtol=1e-15, atol=1e-16)
+        block = scheme.stepper(groups, 4)
+        solos = [scheme.init_state(groups)] * 4
+        q = np.column_stack([s.q for s in solos])
+        for _ in range(5):
+            losses = rng.random((6, 4))
+            solos = [scheme.update(s, losses[:, r], groups) for r, s in enumerate(solos)]
+            if block is not None:
+                q = block(losses)
+            assert q.shape == (6, 4)
+            for r, alone in enumerate(solos):
+                np.testing.assert_allclose(q[:, r], alone.q, rtol=1e-15, atol=1e-16)
 
 
 def test_cvar_block_splits_ties_at_the_cut_in_every_column():
@@ -305,7 +304,7 @@ def test_cvar_block_splits_ties_at_the_cut_in_every_column():
                        [2.0, 0.5, 1.0],
                        [0.3, 2.0, 1.0],
                        [2.0, 0.5, 1.0]])
-    q = CvarScheme(0.25).update(erm_weights(4), losses, GroupInfo([0, 0, 1, 1])).q
+    q = CvarScheme(0.25).stepper(GroupInfo([0, 0, 1, 1]), 3)(losses)
     np.testing.assert_array_equal(q, [[0.0, 0.5, 0.25], [0.5, 0.0, 0.25], [0.0, 0.5, 0.25],
                                       [0.5, 0.0, 0.25]])
     for r in range(3):
@@ -314,9 +313,10 @@ def test_cvar_block_splits_ties_at_the_cut_in_every_column():
     # weights on the samples in any order.
     rng = np.random.default_rng(4)
     losses = rng.integers(0, 3, size=(60, 5)).astype(float)
-    q = CvarScheme(0.3).update(erm_weights(60), losses, GroupInfo([0] * 60)).q
+    step = CvarScheme(0.3).stepper(GroupInfo([0] * 60), 5)
+    q = step(losses)
     order = rng.permutation(60)
-    permuted = CvarScheme(0.3).update(erm_weights(60), losses[order], GroupInfo([0] * 60)).q
+    permuted = step(losses[order])
     for r in range(5):
         np.testing.assert_allclose(q[:, r], _cvar_split_rule(losses[:, r].tolist(), 0.3),
                                    rtol=1e-15, atol=0)
@@ -330,7 +330,7 @@ def test_cvar_weights_without_ties_are_the_top_m():
     for n in (1, 2, 6, 9, 40):
         losses = rng.random((n, 3))
         for alpha in (0.01, 0.3, 0.5, 1.0):
-            q = CvarScheme(alpha).update(erm_weights(n), losses, GroupInfo([0] * n)).q
+            q = CvarScheme(alpha).stepper(GroupInfo([0] * n), 3)(losses)
             m = int(np.ceil(alpha * n))
             for r in range(3):
                 top = np.argsort(-losses[:, r])[:m]
@@ -369,15 +369,30 @@ def test_gdro_block_of_three_runs_matches_each_run_through_an_underflow():
     rng = np.random.default_rng(21)
     seqs = [_lockout_losses(), [1.0 - l for l in _lockout_losses()],
             list(3.0 * rng.random((4000, 4)))]
-    block = repeat_state(scheme.init_state(groups), 3)
+    block = scheme.stepper(groups, 3)
     solos = [scheme.init_state(groups) for _ in seqs]
     for t in range(4000):
-        block = scheme.update(block, np.column_stack([seq[t] for seq in seqs]), groups)
+        q = block(np.column_stack([seq[t] for seq in seqs]))
         solos = [scheme.update(s, seq[t], groups) for s, seq in zip(solos, seqs)]
-    for r, solo in enumerate(solos):
-        for name in ("q", "gdro_g", "gdro_logits"):
-            np.testing.assert_allclose(getattr(block, name)[:, r], getattr(solo, name),
-                                       rtol=1e-15, atol=1e-15)
+        if t in (1999, 3999):
+            if t == 1999:  # runs 0 and 1 have each lost a group's weight
+                assert solos[0].gdro_g[0] == solos[1].gdro_g[1] == 0.0
+            for r, solo in enumerate(solos):
+                np.testing.assert_allclose(q[:, r], solo.q, rtol=1e-15, atol=1e-15)
+                np.testing.assert_allclose(block.logits[r], solo.gdro_logits, rtol=1e-15, atol=1e-15)
+
+
+def test_gdro_update_takes_one_run_only():
+    groups = GroupInfo([0, 0, 1])
+    one = gdro_init(groups)
+    block = WeightState(q=np.repeat(one.q[:, None], 2, axis=1),
+                        gdro_g=np.repeat(one.gdro_g[:, None], 2, axis=1))
+    scheme = GroupDroScheme(0.3)
+    with pytest.raises(InvalidArgumentError, match="one run"):
+        gdro_step(block, [0.5, 1.0], 0.3, groups)
+    for state, losses in ((block, np.ones(3)), (block, np.ones((3, 2))), (one, np.ones((3, 2)))):
+        with pytest.raises(InvalidArgumentError, match="one run"):
+            scheme.update(state, losses, groups)
 
 
 def _numpy_gdro_run(groups, nu, columns):
@@ -419,17 +434,16 @@ def test_gdro_block_equals_its_solo_runs_exactly():
     groups = GroupInfo([2, 0, 2, 1, 2, 1, 2])
     scheme = GroupDroScheme(0.7)
     rng = np.random.default_rng(12)
-    state = repeat_state(scheme.init_state(groups), 4)
     block = scheme.stepper(groups, 4)
     solos = [scheme.stepper(groups) for _ in range(4)]
+    states = [scheme.init_state(groups)] * 4
     for _ in range(300):
         losses = rng.integers(0, 4096, size=(7, 4)) / 1024.0
-        state = scheme.update(state, losses, groups)
         q = block(losses)
-        np.testing.assert_array_equal(q, state.q)
+        states = [scheme.update(s, losses[:, r], groups) for r, s in enumerate(states)]
         for r, step in enumerate(solos):
             np.testing.assert_array_equal(step(losses[:, r : r + 1]), q[:, r : r + 1])
-            assert step.logits == [state.gdro_logits[:, r].tolist()]
+            assert step.logits == [states[r].gdro_logits.tolist()] == [block.logits[r]]
     # The runs the block keeps go on exactly as alone.
     block.keep(np.array([True, False, False, True]))
     for _ in range(50):

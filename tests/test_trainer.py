@@ -491,32 +491,20 @@ def test_dynamic_runs_step_without_update(monkeypatch):
     assert calls == {GroupDroScheme: 0, CvarScheme: 0}
 
 
-def test_scheme_with_only_update_still_trains():
-    # A wrapper that knows nothing of steppers is stepped through its
-    # update, on one state per run, to the same bits as the scheme itself.
-    class Wrapped:
-        def __init__(self, inner):
-            self.inner, self.name, self.calls = inner, inner.name, 0
+def test_scheme_without_a_stepper_is_refused_before_any_step():
+    # A scheme that gives only init_state and update is refused at entry;
+    # training never steps weights through update.
+    class UpdateOnly:
+        name = "update-only"
 
         def init_state(self, groups):
-            return self.inner.init_state(groups)
+            return parse_scheme("gdro:0.05").init_state(groups)
 
         def update(self, state, per_sample_losses, groups):
-            self.calls += 1
-            assert per_sample_losses.shape == (groups.n, 1)
-            return self.inner.update(state, per_sample_losses, groups)
+            raise AssertionError("update was called")
 
     data = _small_blobs()
     model = LinearModel(data.dim)
-    specs = (("gdro:0.05", 1e-6), ("cvar:0.5", 0.0), ("iw", 0.0))
-    wrapped = [Wrapped(parse_scheme(s)) for s, _ in specs]
-    got = train(model, data, [_cfg(eta=0.5, epochs=150, scheme=w, stop_risk=sr, record_every=25)
-                              for w, (_, sr) in zip(wrapped, specs)], theta0=np.zeros(data.dim))
-    expected = train(model, data, [_cfg(eta=0.5, epochs=150, scheme=parse_scheme(s), stop_risk=sr,
-                                        record_every=25) for s, sr in specs],
-                     theta0=np.zeros(data.dim))
-    for w, (fg, tg), (fe, te) in zip(wrapped, got, expected):
-        assert w.calls == tg.epochs_run + 1
-        np.testing.assert_array_equal(fg, fe)
-        assert tg.scheme == te.scheme and tg.risk == te.risk
-        np.testing.assert_array_equal(np.array(tg.q_snapshots), np.array(te.q_snapshots))
+    cfgs = [_cfg(eta=0.5, epochs=10, scheme=s) for s in (parse_scheme("erm"), UpdateOnly())]
+    with pytest.raises(InvalidArgumentError, match="stepper"):
+        train(model, data, cfgs, theta0=np.zeros(data.dim))
