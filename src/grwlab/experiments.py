@@ -515,7 +515,9 @@ class _WeightLogger:
     epoch resolution, which is what the settlement check needs; the thinned
     trace still records the whole trajectory.  Its stepper wraps the inner
     scheme's, which the trainer calls once per step of the run it was given;
-    once that run stops, its buffer stops growing.
+    once that run stops, its buffer stops growing.  A Group DRO stepper hands
+    back one read-only block for as long as its weights stay unchanged, so
+    the buffer may hold the same block many times over.
     """
 
     def __init__(self, inner):
@@ -947,33 +949,36 @@ def _train_pair_shared_weights(arch, theta0, data, scheme, eta, epochs, stop_ris
     ids = np.arange(seeds)  # seed of each working column
     sup_gap = np.zeros(seeds)
     risk = np.full(seeds, np.nan)
-    for t in range(epochs + 1):
-        out_nn, pullback_nn = net.vjp(theta_nn, points)
-        out_lin = f0 + np.einsum("smn,ns->ms", kernel, coef)
-        sup_gap[ids] = np.maximum(sup_gap[ids], np.abs(out_nn[n:] - out_lin[n:]).max(axis=0))
-        losses_nn, dloss_nn = loss_fn(out_nn[:n], y)
-        risk[ids] = np.add.reduce(losses_nn) / n
-        if not np.all(np.isfinite(risk[ids])):
-            j = int(np.flatnonzero(~np.isfinite(risk[ids]))[0])
-            raise DivergedError(f"paired run of seed column {ids[j]}: non-finite risk at epoch {t}",
-                                params=theta_nn[:, j].copy())
-        done = risk[ids] <= stop_risk if t < epochs else np.ones(len(ids), dtype=bool)
-        if done.all():
-            break
-        if weights is not None:
-            q = weights(losses_nn)
-        step_nn = pullback_nn(q * dloss_nn)
-        step_lin = q * loss_fn(out_lin[:n], y)[1]
-        if done.any():
-            keep = ~done
-            ids, q = ids[keep], q[:, keep]
+    # Overflow on the way to divergence is expected, as in train: it is
+    # detected on the risk and reported through DivergedError.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(epochs + 1):
+            out_nn, pullback_nn = net.vjp(theta_nn, points)
+            out_lin = f0 + np.einsum("smn,ns->ms", kernel, coef)
+            sup_gap[ids] = np.maximum(sup_gap[ids], np.abs(out_nn[n:] - out_lin[n:]).max(axis=0))
+            losses_nn, dloss_nn = loss_fn(out_nn[:n], y)
+            risk[ids] = np.add.reduce(losses_nn) / n
+            if not np.all(np.isfinite(risk[ids])):
+                j = int(np.flatnonzero(~np.isfinite(risk[ids]))[0])
+                raise DivergedError(f"paired run of seed column {ids[j]}: non-finite risk at epoch {t}",
+                                    params=theta_nn[:, j].copy())
+            done = risk[ids] <= stop_risk if t < epochs else np.ones(len(ids), dtype=bool)
+            if done.all():
+                break
             if weights is not None:
-                weights.keep(keep)
-            theta_nn, coef, f0, kernel = theta_nn[:, keep], coef[:, keep], f0[:, keep], kernel[keep]
-            step_nn, step_lin = step_nn[:, keep], step_lin[:, keep]
-        step_nn *= eta
-        theta_nn -= step_nn
-        coef = coef - eta * step_lin
+                q = weights(losses_nn)
+            step_nn = pullback_nn(q * dloss_nn)
+            step_lin = q * loss_fn(out_lin[:n], y)[1]
+            if done.any():
+                keep = ~done
+                ids, q = ids[keep], q[:, keep]
+                if weights is not None:
+                    weights.keep(keep)
+                theta_nn, coef, f0, kernel = theta_nn[:, keep], coef[:, keep], f0[:, keep], kernel[keep]
+                step_nn, step_lin = step_nn[:, keep], step_lin[:, keep]
+            step_nn *= eta
+            theta_nn -= step_nn
+            coef = coef - eta * step_lin
     return sup_gap, risk
 
 

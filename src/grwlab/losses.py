@@ -89,7 +89,9 @@ def _logistic_value(m: np.ndarray) -> np.ndarray:
 
 def _squared(yhat, y):
     r = yhat - y
-    return 0.5 * r**2, r
+    value = r * r
+    value *= 0.5
+    return value, r
 
 
 def loss_kernels(kind: LossKind):
@@ -101,7 +103,8 @@ def loss_kernels(kind: LossKind):
     entry points and each return their half of the same kernel.  Both halves
     share the work they have in common: the residual for the squared loss,
     the margin m for the logistic one, and m, the branch mask and the power
-    base for the polynomially-tailed one.
+    base for the polynomially-tailed one, which skips its logistic branch
+    when no margin is below beta.
 
     SciPy's ``expit`` is imported here, once per call, for the two
     classification losses only: a squared-loss run never loads SciPy.
@@ -124,6 +127,9 @@ def loss_kernels(kind: LossKind):
         m = yhat * y
         below = m < beta
         base = np.maximum(m - (beta - 1.0), 1.0)
+        if not below.any():
+            # What the np.where calls below give when no margin is below beta.
+            return np.power(base, -alpha), -y * (alpha * np.power(base, -(alpha + 1.0)))
         value = np.where(below, _logistic_value(m) + shift, np.power(base, -alpha))
         # -dloss/dm on each branch.  Labels are exactly -1 or +1, so taking
         # the factor -y out of the np.where changes no bit.

@@ -8,7 +8,11 @@ each step adds nu times the group risks to these logits and rebuilds g and q
 from them.  Nothing is carried over from the last step's g or q, so rounding
 drift cannot build up, and a group whose weight underflows to 0 keeps a
 finite logit and regains weight once its risk leads again.  That step is
-written once, in ``_gdro_advance``, on Python floats.
+written once, on Python floats, in two halves: ``_gdro_logits`` steps the
+logits and ``_gdro_weights`` turns logits into group weights.  The weights
+depend on the logit values alone, so a stepper whose logits come out of a
+step unchanged, as they do once Group DRO's weights settle in floating
+point, hands back the block of weights it returned last.
 
 A dynamic scheme's ``stepper(groups, runs)`` is built once for r runs that
 step together and maps their n x r block of losses to their n x r block of
@@ -125,39 +129,48 @@ def gdro_init(groups: GroupInfo) -> WeightState:
     return WeightState(q=groups.mean_map @ g, gdro_g=g)
 
 
-def _gdro_advance(logits: list, risks: list, nu: float) -> tuple[list, list]:
-    """One exponentiated-gradient step of r runs, on Python floats.
+def _gdro_logits(logits: list, risks: list, nu: float) -> list:
+    """One exponentiated-gradient step of r runs' logits, on Python floats.
 
     ``logits`` holds each run's K max-shifted log group weights and
     ``risks`` its K group risks, one list per run.  Returns the runs' new
-    logits and group weights g, again one list of K per run.  Subtracting
-    the largest logit makes the step exactly invariant to adding a constant
-    to all of a run's risks, and keeps every exponent <= 0.  One np.exp call
-    covers every run.  Each run's exponentials are summed in group order,
-    one addition at a time, as numpy sums fewer than 8 numbers; q sums to
-    sum(g) = 1 up to rounding and needs no renormalization of its own.
+    logits, again one list of K per run.  Subtracting the largest logit
+    makes the step exactly invariant to adding a constant to all of a run's
+    risks, and keeps every exponent <= 0.
     """
     shifted = []
     for run_logits, run_risks in zip(logits, risks):
         z = [a + nu * r for a, r in zip(run_logits, run_risks)]
         top = max(z)
         shifted.append([v - top for v in z])
+    return shifted
+
+
+def _gdro_weights(logits: list) -> list:
+    """The group weights g of r runs from their max-shifted logits.
+
+    One np.exp call covers every run.  Each run's exponentials are summed in
+    group order, one addition at a time, as numpy sums fewer than 8 numbers;
+    q sums to sum(g) = 1 up to rounding and needs no renormalization of its
+    own.
+    """
     weights = []
-    for e in np.exp(shifted).tolist():
+    for e in np.exp(logits).tolist():
         total = 0.0
         for v in e:
             total += v
         weights.append([v / total for v in e])
-    return shifted, weights
+    return weights
 
 
 def _gdro_state(logits: np.ndarray, risks: np.ndarray, nu: float, groups: GroupInfo) -> WeightState:
-    """``_gdro_advance`` on one run's (K,) logits and (K,) group risks."""
+    """One Group DRO step of one run's (K,) logits and (K,) group risks."""
     k = groups.n_groups
     if logits.shape != (k,) or risks.shape != (k,):
         raise InvalidArgumentError(
             f"one run's group logits and risks must be ({k},), got {logits.shape} and {risks.shape}")
-    [new], [g] = _gdro_advance([logits.tolist()], [risks.tolist()], nu)
+    [new] = _gdro_logits([logits.tolist()], [risks.tolist()], nu)
+    [g] = _gdro_weights([new])
     return WeightState(q=groups.mean_map.dot(g), gdro_g=np.array(g), gdro_logits=np.array(new))
 
 
@@ -166,21 +179,33 @@ class _GroupDroStepper:
 
     Each run's K logits stay Python floats between steps; a step replaces
     the lists and never changes one in place.  A call takes the runs' n x r
-    block of losses and returns their n x r block of weights.
+    block of losses and returns their n x r block of weights.  The block is
+    read-only: a step whose new logits compare equal to the old ones returns
+    the same block object again, without recomputing it.
     """
 
     def __init__(self, nu: float, groups: GroupInfo, runs: int):
         self.nu = nu
-        self.logits = [gdro_init(groups).gdro_logits.tolist()] * runs
         self._means, self._spread = groups.mean_map.T, groups.mean_map
+        self.logits = [gdro_init(groups).gdro_logits.tolist()] * runs
+        self._q = self._block(self.logits)
+
+    def _block(self, logits: list) -> np.ndarray:
+        q = self._spread.dot(np.array(_gdro_weights(logits)).T)
+        q.flags.writeable = False
+        return q
 
     def __call__(self, losses: np.ndarray) -> np.ndarray:
-        self.logits, g = _gdro_advance(self.logits, self._means.dot(losses).T.tolist(), self.nu)
-        return self._spread.dot(np.array(g).T)
+        logits = _gdro_logits(self.logits, self._means.dot(losses).T.tolist(), self.nu)
+        if logits != self.logits:
+            self.logits, self._q = logits, self._block(logits)
+        return self._q
 
     def keep(self, runs: np.ndarray) -> None:
         """Go on with the runs whose entry of the boolean mask is True."""
         self.logits = [z for z, kept in zip(self.logits, runs) if kept]
+        self._q = self._q[:, runs]
+        self._q.flags.writeable = False
 
 
 def _check_nu(nu: float) -> None:

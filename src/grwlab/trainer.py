@@ -27,7 +27,9 @@ each step is one vjp and one loss kernel call for all runs.  The p x R
 array takes the memory order of the model's first pullback result and keeps
 it.  Each run of a dynamic scheme gets its own stepper, built once from its
 scheme's ``stepper(groups)``, which maps that run's n x 1 column of losses
-to its column of weights on every step; a static scheme has no stepper and
+to its column of weights on every step.  The column is written into q only
+when the stepper hands back a new array: a Group DRO stepper whose weights
+have settled returns the same one.  A static scheme has no stepper and
 its run keeps its starting weights.  A run that stops leaves the working
 set: its parameters, weights and trace no longer change while the others go
 on.  A single run is the R = 1 case of the same loop.
@@ -36,6 +38,7 @@ on.  A single run is the R = 1 case of the same loop.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -193,6 +196,8 @@ def train(model, data, cfg, theta0=None, theta_ref=None, ref_direction=None):
     ids = np.arange(runs)
     steppers = [c.scheme.stepper(groups) for c in cfgs]
     active = _active(steppers)
+    # The block each active run's stepper returned last, already copied into q.
+    written = [None] * len(active)
     origin = start
     theta = origin.copy()
     mu = np.array([c.mu for c in cfgs])
@@ -229,7 +234,7 @@ def train(model, data, cfg, theta0=None, theta_ref=None, ref_direction=None):
         while True:
             yhat, pullback = model.vjp(theta, xs)
             losses, dloss = loss_fn(yhat, ycol)
-            risks = (np.add.reduce(losses) / n).tolist()
+            risks = [total / n for total in np.add.reduce(losses).tolist()]
             if not all(map(math.isfinite, risks)):
                 j = next(j for j, risk in enumerate(risks) if not math.isfinite(risk))
                 record(j, t, risks[j], losses)
@@ -237,11 +242,14 @@ def train(model, data, cfg, theta0=None, theta_ref=None, ref_direction=None):
                 trace.stop_reason, trace.epochs_run = "diverged", t
                 raise DivergedError(f"run {ids[j]}: non-finite risk at epoch {t}",
                                     trace=trace, params=theta[:, j].copy())
-            for j, step in active:
-                q[:, j : j + 1] = step(losses[:, j : j + 1])
-            reached = [risk <= stop for risk, stop in zip(risks, stop_risk)]
-            done = [True] * len(risks) if t >= epochs else reached
-            stopping = any(done)
+            for i, (j, step) in enumerate(active):
+                qj = step(losses[:, j : j + 1])
+                if qj is not written[i]:
+                    q[:, j : j + 1] = written[i] = qj
+            stopping = t >= epochs or any(map(operator.le, risks, stop_risk))
+            if stopping:
+                reached = [risk <= stop for risk, stop in zip(risks, stop_risk)]
+                done = [True] * len(risks) if t >= epochs else reached
             recording = t % record_every == 0
             if recording or stopping:
                 for j, risk in enumerate(risks):
@@ -265,6 +273,7 @@ def train(model, data, cfg, theta0=None, theta_ref=None, ref_direction=None):
                 keep = ~np.array(done)
                 steppers = [s for s, d in zip(steppers, done) if not d]
                 active = _active(steppers)
+                written = [None] * len(active)
                 ids, theta, origin, step = ids[keep], theta[:, keep], origin[:, keep], step[:, keep]
                 q, mu = q[:, keep], mu[keep]
                 penalized = bool(mu.any())

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -416,9 +417,12 @@ def test_paired_training_divergence_names_the_seed_and_carries_its_parameters():
     # At eta 50, seed 0 diverges at epoch 93 and seed 1 at epoch 95: in
     # columns (1, 0), column 1 goes first.
     starts = np.column_stack([nn_init(arch, s).flat for s in (1, 0)])
+    # The overflow on the way there is no warning: with warnings turned into
+    # errors, the divergence still surfaces as DivergedError.
     errors = []
     for theta0 in (starts, starts[:, 1:]):
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergedError) as info:
+        with warnings.catch_warnings(), pytest.raises(DivergedError) as info:
+            warnings.simplefilter("error")
             _train_pair_shared_weights(arch, theta0, data, ps("gdro:0.1"), 50.0, 200, 0.0, pts)
         errors.append(info.value)
     pair, alone = errors
@@ -571,6 +575,7 @@ def test_every_report_records_its_environment(tmp_path, experiment):
 _FRESH_ENVIRONMENT_PROBE = """
 import json
 import sys
+import warnings
 from pathlib import Path
 
 from grwlab.experiments import make_config, run_experiment

@@ -174,3 +174,46 @@ def test_fused_polytailed_kernel_matches_the_formulas(alpha, beta):
     np.testing.assert_array_equal(value[~below], base[~below] ** -alpha)
     np.testing.assert_array_equal(grad[below], -y[below] * expit(-m[below]))
     np.testing.assert_array_equal(grad[~below], -y[~below] * alpha * base[~below] ** -(alpha + 1.0))
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+def test_squared_kernel_rounds_as_half_the_square():
+    tiny = np.finfo(np.float64).smallest_subnormal
+    r = np.array([0.0, -0.0, tiny, -tiny, 3 * tiny, 1e-160, 2.5e-308, 1e200, -1e200, np.nan,
+                  -np.nan, 1.0, -3.0])
+    with np.errstate(over="ignore"):  # 1e200 squared
+        value, grad = loss_kernels(Squared())(r, np.zeros(1))
+        want = 0.5 * r**2
+    np.testing.assert_array_equal(_bits(value), _bits(want))
+    np.testing.assert_array_equal(_bits(grad), _bits(r - 0.0))
+
+
+def _two_branch_polytailed(kind, yhat, y):
+    # The polytailed kernel with both branches always evaluated.
+    m = yhat * y
+    below = m < kind.beta
+    base = np.maximum(m - (kind.beta - 1.0), 1.0)
+    shift = 1.0 - _logistic_formula(np.float64(kind.beta))
+    value = np.where(below, _logistic_formula(m) + shift, np.power(base, -kind.alpha))
+    slope = np.where(below, expit(-m), kind.alpha * np.power(base, -(kind.alpha + 1.0)))
+    return value, -y * slope
+
+
+@pytest.mark.parametrize("kind", [PolyTailed(1.0, 0.0), PolyTailed(2.5, 0.5), PolyTailed(0.5, -1.0)])
+def test_polytailed_kernel_with_no_margin_below_beta_matches_both_branches(kind):
+    # A 6 x 3 block of runs with labels as a column: one block with margins
+    # on both sides of beta, one with every margin at or above it (the
+    # kernel's one-branch path), both bit for bit, sign bits included.
+    rng = np.random.default_rng(17)
+    y = rng.choice([-1.0, 1.0], (6, 1))
+    mixed = y * (kind.beta + rng.uniform(-3.0, 3.0, (6, 3)))
+    above = y * (kind.beta + np.concatenate([[[0.0, 1e-9, 700.0]], rng.uniform(0.0, 5.0, (5, 3))]))
+    for yhat, any_below in ((mixed, True), (above, False)):
+        assert ((yhat * y) < kind.beta).any() == any_below
+        got, want = loss_kernels(kind)(yhat, y), _two_branch_polytailed(kind, yhat, y)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape == (6, 3)
+            np.testing.assert_array_equal(_bits(g), _bits(w))

@@ -497,3 +497,45 @@ def test_gdro_log_state_stays_finite_and_steps_match_mpmath(case):
         normal = ref >= np.finfo(np.float64).tiny
         np.testing.assert_allclose(state.gdro_g[normal], ref[normal], rtol=1e-10, atol=0)
         np.testing.assert_allclose(state.gdro_g, ref, rtol=0, atol=1e-12)
+
+
+def _count_weight_steps(monkeypatch):
+    # Counts the calls that turn logits into group weights.
+    import grwlab.reweighting as rw
+
+    calls = []
+    original = rw._gdro_weights
+    monkeypatch.setattr(rw, "_gdro_weights", lambda logits: calls.append(1) or original(logits))
+    return calls
+
+
+def test_gdro_stepper_hands_back_its_block_while_the_logits_stay(monkeypatch):
+    # All-zero losses leave every logit as it was: the stepper returns the
+    # same read-only block and computes no weights, and the next step that
+    # moves the logits matches the plain numpy update.
+    groups = GroupInfo([0, 1, 1])
+    step = GroupDroScheme(0.3).stepper(groups)
+    calls = _count_weight_steps(monkeypatch)
+    zeros = np.zeros((3, 1))
+    first = step(zeros)
+    assert step(zeros) is first and calls == []
+    np.testing.assert_array_equal(first[:, 0], gdro_init(groups).q)
+    with pytest.raises(ValueError, match="read-only"):
+        first[0, 0] = 1.0
+    losses = np.array([0.5, 1.0, 2.0])
+    *_, (logits, q_ref) = _numpy_gdro_run(groups, 0.3, [np.zeros(3), np.zeros(3), losses])
+    q = step(losses[:, None])
+    assert q is not first and len(calls) == 1
+    assert step.logits == [logits.tolist()]
+    np.testing.assert_array_equal(q[:, 0], q_ref)
+
+
+def test_gdro_block_stepper_after_keep_hands_back_the_kept_columns():
+    groups = GroupInfo([0, 0, 1, 2])
+    block = GroupDroScheme(0.7).stepper(groups, 3)
+    q = block(np.random.default_rng(5).random((4, 3)))
+    block.keep(np.array([True, False, True]))
+    settled = block(np.zeros((4, 2)))
+    np.testing.assert_array_equal(settled, q[:, [0, 2]])
+    assert block(np.ones((4, 2))) is settled  # equal risks: logits unchanged
+    assert not settled.flags.writeable

@@ -508,3 +508,37 @@ def test_scheme_without_a_stepper_is_refused_before_any_step():
     cfgs = [_cfg(eta=0.5, epochs=10, scheme=s) for s in (parse_scheme("erm"), UpdateOnly())]
     with pytest.raises(InvalidArgumentError, match="stepper"):
         train(model, data, cfgs, theta0=np.zeros(data.dim))
+
+
+def test_settled_group_dro_weights_match_a_loop_through_update(monkeypatch):
+    # Group DRO's logits stop changing in floating point near epoch 950 here,
+    # and from then on its stepper hands back one block of weights.  Every
+    # recorded q and the final parameters still equal, bit for bit, a loop
+    # that steps the weights through update.
+    import grwlab.reweighting as rw
+
+    data = _small_blobs()
+    cfgs = [_cfg(scheme=parse_scheme(s), epochs=1500, stop_risk=0.0)
+            for s in ("erm", "iw", "gdro:0.01")]
+    calls = []
+    original = rw._gdro_weights
+    monkeypatch.setattr(rw, "_gdro_weights", lambda logits: calls.append(1) or original(logits))
+    batch = train(LinearModel(data.dim), data, cfgs, theta0=np.zeros(data.dim))
+    assert len(calls) < 1100  # the initial block and each step that moved the logits
+    xs, y, groups = data.X, data.Y[:, None], data.groups
+    gdro = cfgs[2].scheme
+    state = gdro.init_state(groups)
+    q = np.column_stack([c.scheme.init_state(groups).q for c in cfgs])
+    theta = np.zeros((data.dim, 3))
+    for t in range(1501):
+        r = xs.T @ theta - y
+        state = gdro.update(state, 0.5 * r[:, 2] ** 2, groups)
+        q[:, 2] = state.q
+        for (_, trace), col in zip(batch, q.T):
+            np.testing.assert_array_equal(trace.q_snapshots[t], col)
+        if t == 1500:
+            break
+        theta = theta - 0.5 * (xs @ (q * r))
+    for (final, trace), col in zip(batch, theta.T):
+        assert trace.stop_reason == "epoch_budget"
+        np.testing.assert_array_equal(final, col)
