@@ -197,9 +197,15 @@ def _coerce(key: str, value: str):
 
 
 def parse_config_file(path, experiment: str | None = None, **overrides) -> ExperimentConfig:
-    """Read a flat ``key = value`` file ('#' starts a comment)."""
+    """Read a flat ``key = value`` UTF-8 file ('#' starts a comment).  A file
+    that cannot be read or decoded raises InvalidArgumentError naming it."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise InvalidArgumentError(f"cannot read config file {str(path)!r}: {reason}") from None
     values: dict = {}
-    for raw in Path(path).read_text().splitlines():
+    for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -380,12 +380,18 @@ def parse_model(text: str):
 # column-major stack and reads either order; LinearModel's and
 # LinearizedNet's return row-major ones.  train keeps its parameters in the
 # order the pullback returns.
+#
+# LinearModel forms its products with ndarray.dot.  For float64 operands of
+# one or two dimensions dot calls the same BLAS routine as @, so the bits are
+# the same, and it skips the matmul ufunc's dispatch: on arrays of a few
+# entries, as in a linear training step, dispatch is most of the cost.
 
 
 class LinearModel:
     """f(x) = <theta, x>; the degenerate model whose features are x itself."""
 
     def __init__(self, dim: int):
+        dim = as_int(dim, "dim")
         if dim < 1:
             raise InvalidArgumentError("dim must be >= 1")
         self.dim = dim
@@ -398,13 +404,16 @@ class LinearModel:
         return np.zeros(self.dim, dtype=np.float64)
 
     def predict(self, theta: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        return xs.T @ theta
+        return xs.T.dot(theta)
 
     def jacobian(self, theta: np.ndarray, xs: np.ndarray) -> np.ndarray:
         return xs
 
     def vjp(self, theta: np.ndarray, xs: np.ndarray):
-        return xs.T @ theta, lambda v: _leading(xs, v) @ v
+        def pullback(v):
+            return (xs if v.shape[0] == xs.shape[1] else _leading(xs, v)).dot(v)
+
+        return xs.T.dot(theta), pullback
 
 
 class WideNet:

@@ -22,8 +22,12 @@ them that share the model, the data, the loss, eta, epochs and record_every;
 scheme, mu, stop_risk and record_params may differ from run to run, and so
 may the starts, given as one p x R array.  Every run is measured against the
 same theta_ref and ref_direction.  The parameters of the runs form one p x R
-array with a column per run, and losses and weights are n x R, so
-each step is one vjp and one loss kernel call for all runs.  The p x R
+array with a column per run, and losses, weights and targets are n x R, so
+each step is one vjp and one loss kernel call for all runs.  The targets are
+repeated into that block rather than broadcast from one n x 1 column: the
+kernel's elementwise operations then see operands of one shape, which
+numpy runs with less overhead, and each entry is still the same operation
+on the same two numbers.  The p x R
 array takes the memory order of the model's first pullback result and keeps
 it.  Each run of a dynamic scheme gets its own stepper, built once from its
 scheme's ``stepper(groups)``, which maps that run's n x 1 column of losses
@@ -31,8 +35,9 @@ to its column of weights on every step.  The column is written into q only
 when the stepper hands back a new array: a Group DRO stepper whose weights
 have settled returns the same one.  A static scheme has no stepper and
 its run keeps its starting weights.  A run that stops leaves the working
-set: its parameters, weights and trace no longer change while the others go
-on.  A single run is the R = 1 case of the same loop.
+set: its columns of parameters, weights and targets are dropped, and its
+trace no longer changes while the others go on.  A single run is the R = 1
+case of the same loop.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DivergedError, InvalidArgumentError
+from .errors import DivergedError, InvalidArgumentError, as_int
 from .linalg import as_matrix, as_vector, gram, require_full_rank
 from .losses import LossKind, loss_kernels, require_labels
 from .models import warn_outside_unit_ball
@@ -52,7 +57,11 @@ from .reweighting import GroupInfo
 
 @dataclass
 class TrainConfig:
-    """Hyperparameters for one training run."""
+    """Hyperparameters for one training run.
+
+    epochs and record_every are ints >= 1; a numpy integer is taken, a bool,
+    a float or a string is not.
+    """
 
     eta: float
     epochs: int
@@ -64,6 +73,8 @@ class TrainConfig:
     record_params: bool = False
 
     def __post_init__(self):
+        self.epochs = as_int(self.epochs, "epochs")
+        self.record_every = as_int(self.record_every, "record_every")
         if not (self.eta > 0) or not math.isfinite(self.eta):
             raise InvalidArgumentError("eta must be a positive finite float")
         if not (self.mu >= 0) or not math.isfinite(self.mu):
@@ -206,7 +217,7 @@ def train(model, data, cfg, theta0=None, theta_ref=None, ref_direction=None):
     # handful of runs a list comparison costs less than a numpy call.
     stop_risk = [c.stop_risk for c in cfgs]
     q = np.column_stack([c.scheme.init_state(groups).q for c in cfgs])
-    ycol = ys[:, None]
+    ycol = np.repeat(ys[:, None], runs, axis=1)
     n, eta, epochs, record_every = groups.n, head.eta, head.epochs, head.record_every
 
     def record(j: int, t: int, risk: float, losses: np.ndarray) -> None:
@@ -275,7 +286,7 @@ def train(model, data, cfg, theta0=None, theta_ref=None, ref_direction=None):
                 active = _active(steppers)
                 written = [None] * len(active)
                 ids, theta, origin, step = ids[keep], theta[:, keep], origin[:, keep], step[:, keep]
-                q, mu = q[:, keep], mu[keep]
+                q, mu, ycol = q[:, keep], mu[keep], ycol[:, keep]
                 penalized = bool(mu.any())
                 stop_risk = [stop for stop, d in zip(stop_risk, done) if not d]
             if penalized:

@@ -156,6 +156,18 @@ def test_cli_has_no_jobs_option(capsys):
     assert "unrecognized arguments: --jobs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content", [None, b"experiment = fig1\n\xff\xfe = 1\n"],
+                         ids=["missing", "not-utf8"])
+def test_cli_unreadable_config_exits_2_naming_the_file(tmp_path, capsys, content):
+    path = tmp_path / "c.cfg"
+    if content is not None:
+        path.write_bytes(content)
+    assert main(["fig1", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read config file") and str(path) in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("text,expected", [
     ("1", True), ("0", False), ("true", True), ("false", False), ("yes", True),
     ("no", False), ("on", True), ("off", False), ("TRUE", True), ("No", False), ("oN", True),

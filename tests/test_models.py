@@ -188,6 +188,33 @@ def test_linear_model_jacobian_is_data():
     assert model.jacobian(np.zeros(4), xs) is xs
 
 
+def _same_bits(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.flags.c_contiguous == want.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("p,m", [(96, 6), (3, 5)], ids=["fig1-shape", "wide-data"])
+@pytest.mark.parametrize("runs", [None, 1, 3], ids=["1d", "one-column", "three-columns"])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_linear_model_products_equal_matmul_bit_for_bit(p, m, runs, order):
+    # predict, vjp and the pullback use ndarray.dot, which for float64
+    # operands calls the same BLAS routine as @: every bit must agree.
+    rng = np.random.default_rng([p, m, runs or 0])
+    xs = rng.standard_normal((p, m)) / np.sqrt(p)
+    shape = (p,) if runs is None else (p, runs)
+    theta = np.asarray(rng.standard_normal(shape), order=order)
+    model = LinearModel(p)
+    values, pullback = model.vjp(theta, xs)
+    _same_bits(values, xs.T @ theta)
+    _same_bits(model.predict(theta, xs), xs.T @ theta)
+    for k in (m, m - 2, 1):
+        v = np.asarray(rng.standard_normal((k,) + shape[1:]), order=order)
+        _same_bits(pullback(v), xs[:, :k] @ v)
+    with pytest.raises(InvalidArgumentError, match="cotangents"):
+        pullback(np.ones((m + 1,) + shape[1:]))
+
+
 def test_linearized_jacobian_single_column_equals_grad():
     arch = Architecture(2, (6,), beta=0.5)
     params0 = nn_init(arch, 1)
@@ -257,6 +284,20 @@ def test_architecture_takes_numpy_integers():
     arch = Architecture(np.int64(4), (np.int32(16), 8))
     assert arch == Architecture(4, (16, 8))
     assert all(type(n) is int for n in (arch.input_dim, *arch.hidden_widths))
+
+
+@pytest.mark.parametrize("dim", [2.5, 3.0, True, np.bool_(True), "3"],
+                         ids=["fraction", "float", "bool", "numpy-bool", "str"])
+def test_linear_model_rejects_a_non_integer_dim(dim):
+    with pytest.raises(InvalidArgumentError, match="dim must be an integer"):
+        LinearModel(dim)
+
+
+def test_linear_model_takes_a_numpy_integer_dim():
+    model = LinearModel(np.int64(4))
+    assert type(model.dim) is int and model.n_params == 4
+    with pytest.raises(InvalidArgumentError, match="dim must be >= 1"):
+        LinearModel(0)
 
 
 def test_wide_net_adapter_consistency():
