@@ -381,10 +381,11 @@ def parse_model(text: str):
 # LinearizedNet's return row-major ones.  train keeps its parameters in the
 # order the pullback returns.
 #
-# LinearModel forms its products with ndarray.dot.  For float64 operands of
-# one or two dimensions dot calls the same BLAS routine as @, so the bits are
-# the same, and it skips the matmul ufunc's dispatch: on arrays of a few
-# entries, as in a linear training step, dispatch is most of the cost.
+# LinearModel forms its products with ndarray.dot.  For C- or F-contiguous
+# float64 operands dot calls the same BLAS routine as @, so the bits are the
+# same, and it skips the matmul ufunc's dispatch: on arrays of a few entries,
+# as in a linear training step, dispatch is most of the cost.  On other
+# strided views the two can round differently in the last bits.
 
 
 class LinearModel:
@@ -410,10 +411,7 @@ class LinearModel:
         return xs
 
     def vjp(self, theta: np.ndarray, xs: np.ndarray):
-        def pullback(v):
-            return (xs if v.shape[0] == xs.shape[1] else _leading(xs, v)).dot(v)
-
-        return xs.T.dot(theta), pullback
+        return xs.T.dot(theta), lambda v: _leading(xs, v).dot(v)
 
 
 class WideNet:

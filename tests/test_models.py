@@ -198,8 +198,9 @@ def _same_bits(got, want):
 @pytest.mark.parametrize("runs", [None, 1, 3], ids=["1d", "one-column", "three-columns"])
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_linear_model_products_equal_matmul_bit_for_bit(p, m, runs, order):
-    # predict, vjp and the pullback use ndarray.dot, which for float64
-    # operands calls the same BLAS routine as @: every bit must agree.
+    # predict, vjp and the pullback use ndarray.dot, which for C- or
+    # F-contiguous float64 operands calls the same BLAS routine as @: every
+    # bit must agree.
     rng = np.random.default_rng([p, m, runs or 0])
     xs = rng.standard_normal((p, m)) / np.sqrt(p)
     shape = (p,) if runs is None else (p, runs)
