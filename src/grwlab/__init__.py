@@ -35,8 +35,6 @@ from .models import (
     ModelParams,
     WideNet,
     linearize,
-    nn_forward,
-    nn_grad,
     nn_init,
     parse_model,
 )

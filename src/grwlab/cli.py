@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .errors import GrwLabError
+from .errors import GrwLabError, InvalidArgumentError
 from .experiments import (
     EXPERIMENTS,
     ExperimentConfig,
@@ -76,6 +76,9 @@ def _oracle_dataset(args, classification: bool):
 
 def _run_oracle(args) -> int:
     if args.oracle_command == "ntk":
+        for name, value in (("points", args.points), ("d0", args.d0)):
+            if value < 1:
+                raise InvalidArgumentError(f"--{name} must be >= 1, got {value}")
         rng = np.random.default_rng(args.seed)
         pts = rng.standard_normal((args.d0, args.points))
         pts /= np.maximum(np.linalg.norm(pts, axis=0, keepdims=True), 1.0)

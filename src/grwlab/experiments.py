@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import platform
 import time
@@ -939,52 +940,66 @@ def _train_pair_shared_weights(arch, theta0, data, scheme, eta, epochs, stop_ris
     outputs are f0 + K @ coef with the tangent kernel K = F^T F_train, and
     their step is coef <- coef - eta * q * dloss.  f0 and F come from one
     network pass at the stacked starts.
+
+    The loop keeps a working set, as ``train`` does: the parameters, coef,
+    q, the targets (one n x S block), f0, K and each seed's running sup gap
+    are columns of arrays, and a seed's column is dropped from all of them
+    when it stops.  The risks are read once per epoch as Python floats for
+    the divergence and stop checks.  A seed's gap and risk are written to
+    the returned arrays only when it stops.
     """
     net = WideNet(arch)
     n, seeds = data.n, theta0.shape[1]
     points = linalg.as_matrix(np.hstack([data.X, test_points]), "training and test points")
     f0, feats = nn_grad_batch(arch, ModelParams(theta0, net.layout), points)
-    kernel = np.swapaxes(feats, 1, 2) @ feats[:, :, :n]  # S x (n + T) x n
-    # Column-major, the order of the pullback's result: each seed's weights
-    # are then one block, which the net reads as views.
+    kernel = feats.swapaxes(1, 2) @ feats[:, :, :n]  # S x (n + T) x n
+    sup_gap, risk = np.zeros(seeds), np.full(seeds, np.nan)
+    # Working set: column j of every array below (slice j of K) belongs to
+    # seed ids[j].
+    # Column-major theta_nn, the order of the pullback's result: each seed's
+    # weights are then one block, which the net reads as views.
+    ids = np.arange(seeds)
     theta_nn, coef = np.array(theta0, order="F"), np.zeros((n, seeds))
     q = np.repeat(scheme.init_state(data.groups).q[:, None], seeds, axis=1)
     weights = scheme.stepper(data.groups, seeds)  # None: q stays as it starts
     loss_fn = loss_kernels(Squared())
-    y = linalg.as_vector(data.Y, "targets")[:, None]
-    ids = np.arange(seeds)  # seed of each working column
-    sup_gap = np.zeros(seeds)
-    risk = np.full(seeds, np.nan)
+    y = np.repeat(linalg.as_vector(data.Y, "targets")[:, None], seeds, axis=1)
+    gap = np.zeros(seeds)  # running sup gap
     # Overflow on the way to divergence is expected, as in train: it is
     # detected on the risk and reported through DivergedError.
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(epochs + 1):
             out_nn, pullback_nn = net.vjp(theta_nn, points)
             out_lin = f0 + np.einsum("smn,ns->ms", kernel, coef)
-            sup_gap[ids] = np.maximum(sup_gap[ids], np.abs(out_nn[n:] - out_lin[n:]).max(axis=0))
+            np.maximum(gap, np.abs(out_nn[n:] - out_lin[n:]).max(axis=0), out=gap)
             losses_nn, dloss_nn = loss_fn(out_nn[:n], y)
-            risk[ids] = np.add.reduce(losses_nn) / n
-            if not np.all(np.isfinite(risk[ids])):
-                j = int(np.flatnonzero(~np.isfinite(risk[ids]))[0])
+            risks = [total / n for total in np.add.reduce(losses_nn).tolist()]
+            if not all(map(math.isfinite, risks)):
+                j = next(j for j, r in enumerate(risks) if not math.isfinite(r))
                 raise DivergedError(f"paired run of seed column {ids[j]}: non-finite risk at epoch {t}",
                                     params=theta_nn[:, j].copy())
-            done = risk[ids] <= stop_risk if t < epochs else np.ones(len(ids), dtype=bool)
-            if done.all():
-                break
+            stopping = t >= epochs or min(risks) <= stop_risk
+            if stopping:
+                now = np.array(risks)
+                done = now <= stop_risk if t < epochs else np.ones(len(risks), dtype=bool)
+                sup_gap[ids[done]], risk[ids[done]] = gap[done], now[done]
+                if done.all():
+                    break
             if weights is not None:
                 q = weights(losses_nn)
             step_nn = pullback_nn(q * dloss_nn)
             step_lin = q * loss_fn(out_lin[:n], y)[1]
-            if done.any():
+            if stopping:
                 keep = ~done
-                ids, q = ids[keep], q[:, keep]
+                ids, q, y, gap = ids[keep], q[:, keep], y[:, keep], gap[keep]
                 if weights is not None:
                     weights.keep(keep)
                 theta_nn, coef, f0, kernel = theta_nn[:, keep], coef[:, keep], f0[:, keep], kernel[keep]
                 step_nn, step_lin = step_nn[:, keep], step_lin[:, keep]
             step_nn *= eta
             theta_nn -= step_nn
-            coef = coef - eta * step_lin
+            step_lin *= eta
+            coef -= step_lin
     return sup_gap, risk
 
 

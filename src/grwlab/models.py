@@ -11,6 +11,14 @@ beta * b^L.  Parameters live in one flat float64 vector with a per-layer
 layout map, so the trainer and oracles treat every model uniformly as a
 point in R^p.
 
+Every scaling by 1/sqrt(d_l), forward and backward, goes through one
+helper, ``_div_sqrt``.  It multiplies by 1/sqrt(d_l) when sqrt(d_l) is a
+power of two, as at widths 64, 256 and 1024: the reciprocal is then exact
+and the product is the same float64 as the quotient for every input.  At
+any other width it divides, since a rounded reciprocal would move the last
+bit of some results.  So the outputs are the bits of plain division at
+every width.
+
 Activations are restricted to erf and tanh: both are everywhere
 differentiable with Lipschitz derivative, and erf admits a closed-form
 infinite-width kernel.
@@ -22,6 +30,7 @@ parameters, which ``linearize`` builds.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -29,7 +38,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidArgumentError, as_int, parse_number
-from .linalg import as_matrix, as_vector
+from .linalg import as_matrix
 
 _BALL_TOL = 1e-9
 
@@ -206,6 +215,24 @@ def warn_outside_unit_ball(xs: np.ndarray) -> None:
 # bits in either order.
 
 
+def _div_sqrt(x: np.ndarray, d: int, out: np.ndarray | None = None) -> np.ndarray:
+    """x / sqrt(d), written to ``out`` (to x itself when out is None).
+
+    When s = sqrt(d) is a power of two (d = 1, 4, 16, ..., 1024), 1/s is
+    exact and x * (1/s) is the same correctly rounded float64 as x / s for
+    every x, ±0, subnormals, ±inf and NaN included; a multiply costs about
+    a third of a divide.  For any other d, 1/s is rounded and the product
+    would differ from the quotient in the last bit for some x, so x is
+    divided.
+    """
+    s = math.sqrt(d)
+    if out is None:
+        out = x
+    if math.frexp(s)[0] == 0.5:
+        return np.multiply(x, 1.0 / s, out=out)
+    return np.divide(x, s, out=out)
+
+
 @dataclass
 class ForwardCache:
     """Pre-activations h^1..h^{L+1} and activations x^1..x^L for one batch."""
@@ -234,21 +261,13 @@ def nn_forward_batch(arch: Architecture, params: ModelParams, xs,
     preacts, acts = [], []
     a = xs
     for l in range(arch.depth + 1):
-        h = params.weight(l) @ a
-        h /= np.sqrt(dims[l])
+        h = _div_sqrt(params.weight(l) @ a, dims[l])
         h += arch.beta * params.bias(l)[..., None]
         preacts.append(h)
         if l < arch.depth:
             a = act(h)
             acts.append(a)
     return preacts[-1][..., 0, :].T.copy(), ForwardCache(preacts, acts)
-
-
-def nn_forward(arch: Architecture, params: ModelParams, x) -> tuple[float, ForwardCache]:
-    """Forward pass on a single input vector; returns (scalar value, cache)."""
-    x = as_vector(x, "input")
-    values, cache = nn_forward_batch(arch, params, x[:, None])
-    return float(values[0]), cache
 
 
 def nn_grad_batch(arch: Architecture, params: ModelParams, xs) -> tuple[np.ndarray, np.ndarray]:
@@ -268,12 +287,12 @@ def nn_grad_batch(arch: Architecture, params: ModelParams, xs) -> tuple[np.ndarr
         a_prev = xs if l == 0 else cache.acts[l - 1]
         shape = params.layout.weight_shapes[l]
         off_w, off_b = params.layout.weight_offsets[l], params.layout.bias_offsets[l]
-        dw = alpha[..., :, None, :] * a_prev[..., None, :, :] / np.sqrt(dims[l])
+        dw = _div_sqrt(alpha[..., :, None, :] * a_prev[..., None, :, :], dims[l])
         jac[..., off_w : off_w + shape[0] * shape[1], :] = dw.reshape(lead + (shape[0] * shape[1], m))
         jac[..., off_b : off_b + shape[0], :] = arch.beta * alpha
         if l > 0:
-            alpha = act_prime(cache.preacts[l - 1]) * (
-                np.swapaxes(params.weight(l), -1, -2) @ alpha / np.sqrt(dims[l]))
+            back = _div_sqrt(params.weight(l).swapaxes(-1, -2) @ alpha, dims[l])
+            alpha = act_prime(cache.preacts[l - 1]) * back
     return values, jac
 
 
@@ -321,21 +340,14 @@ def nn_pullback(arch: Architecture, params: ModelParams, xs: np.ndarray, cache: 
         a_prev = xs if l == 0 else cache.acts[l - 1][..., :k]
         shape = layout.weight_shapes[l]
         off_w, off_b = layout.weight_offsets[l], layout.bias_offsets[l]
-        np.divide(flat(alpha @ np.swapaxes(a_prev, -1, -2)), np.sqrt(dims[l]),
+        _div_sqrt(flat(alpha @ a_prev.swapaxes(-1, -2)), dims[l],
                   out=out[off_w : off_w + shape[0] * shape[1]])
         np.multiply(arch.beta, (alpha @ ones).T, out=out[off_b : off_b + shape[0]])
         if l > 0:
-            back = np.swapaxes(params.weight(l), -1, -2) @ alpha
-            back /= np.sqrt(dims[l])
+            back = _div_sqrt(params.weight(l).swapaxes(-1, -2) @ alpha, dims[l])
             back *= act_prime(cache.preacts[l - 1][..., :k])
             alpha = back
     return out
-
-
-def nn_grad(arch: Architecture, params: ModelParams, x) -> np.ndarray:
-    """Gradient of the scalar output with respect to the flat parameters."""
-    x = as_vector(x, "input")
-    return nn_grad_batch(arch, params, x[:, None])[1][:, 0]
 
 
 def parse_model(text: str):

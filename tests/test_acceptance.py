@@ -23,7 +23,7 @@ from grwlab.experiments import (
     run_ntk_convergence,
 )
 from grwlab.losses import Logistic, PolyTailed, Squared, loss_grad, loss_value
-from grwlab.models import Architecture, LinearModel, ModelParams, nn_forward, nn_grad, nn_init
+from grwlab.models import Architecture, LinearModel, ModelParams, nn_forward_batch, nn_grad_batch, nn_init
 from grwlab.oracles import max_margin_bruteforce, max_margin_direction, ridge_closed_form
 from grwlab.reweighting import WeightState, gdro_step, GroupInfo, parse_scheme
 from grwlab.trainer import TrainConfig, train
@@ -285,13 +285,13 @@ def test_criterion_9_oracle_self_consistency():
     params.flat[:] += 0.5 * rng.standard_normal(params.flat.shape)
     x = rng.standard_normal(4)
     x /= np.linalg.norm(x) * 1.25
-    g = nn_grad(arch, params, x)
+    g = nn_grad_batch(arch, params, x[:, None])[1][:, 0]
     for i in rng.choice(params.layout.size, size=100, replace=False):
         up, down = params.flat.copy(), params.flat.copy()
         up[i] += 1e-5
         down[i] -= 1e-5
-        vu, _ = nn_forward(arch, ModelParams(up, params.layout), x)
-        vd, _ = nn_forward(arch, ModelParams(down, params.layout), x)
+        vu = nn_forward_batch(arch, ModelParams(up, params.layout), x[:, None])[0][0]
+        vd = nn_forward_batch(arch, ModelParams(down, params.layout), x[:, None])[0][0]
         fd = (vu - vd) / 2e-5
         assert g[i] == pytest.approx(fd, rel=1e-5, abs=1e-8)
 

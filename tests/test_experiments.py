@@ -706,6 +706,17 @@ def test_cli_oracle_subcommands(capsys):
     assert doc["stationarity_residual"] < 1e-9
 
 
+@pytest.mark.parametrize("option", ["--points", "--d0"])
+@pytest.mark.parametrize("value", ["-1", "0"])
+def test_cli_oracle_ntk_rejects_sizes_below_one(option, value, capsys):
+    # A negative size used to end in a ValueError traceback with status 1,
+    # and --points 0 printed an empty kernel with status 0.
+    assert main(["oracle", "ntk", option, value]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and option in err and value in err
+
+
 def test_bench_tracing_targets_resolve(monkeypatch):
     # The benchmark's tracer wraps grwlab functions by name and reports a
     # target it cannot find as missing; a rename must fail here instead.

@@ -6,6 +6,7 @@ from scipy.special import erf
 
 from grwlab.errors import InvalidArgumentError
 from grwlab.models import (
+    ACTIVATIONS,
     Architecture,
     LinearizedNet,
     LinearModel,
@@ -13,9 +14,7 @@ from grwlab.models import (
     WideNet,
     layout_for,
     linearize,
-    nn_forward,
     nn_forward_batch,
-    nn_grad,
     nn_grad_batch,
     nn_init,
     nn_pullback,
@@ -57,7 +56,7 @@ def test_init_constant_function_equals_beta_times_output_bias():
         params = nn_init(arch, seed)
         x = rng.standard_normal(3)
         x /= 2.0 * np.linalg.norm(x)
-        value, _ = nn_forward(arch, params, x)
+        value = nn_forward_batch(arch, params, x[:, None])[0][0]
         assert abs(value - 0.25 * params.bias(1)[0]) <= 1e-12
 
 
@@ -76,7 +75,7 @@ def test_forward_zero_params_zero_output():
     arch = Architecture(2, (3,), beta=0.0)
     lay = layout_for(arch)
     params = ModelParams(np.zeros(lay.size), lay)
-    value, _ = nn_forward(arch, params, np.array([0.5, -0.2]))
+    value = nn_forward_batch(arch, params, np.array([[0.5], [-0.2]]))[0][0]
     assert value == 0.0
 
 
@@ -89,24 +88,24 @@ def test_forward_hand_computed_example():
     params.bias(0)[:] = [0.0]
     params.weight(1)[:] = [[2.0]]
     params.bias(1)[:] = [0.5]
-    value, cache = nn_forward(arch, params, np.array([1.0, 0.0]))
+    values, cache = nn_forward_batch(arch, params, np.array([[1.0], [0.0]]))
     h1 = 1.0 / math.sqrt(2.0)
     assert cache.preacts[0][0, 0] == pytest.approx(h1, abs=1e-15)
-    assert value == pytest.approx(2.0 * erf(h1) / math.sqrt(1.0) + 0.5, abs=1e-15)
+    assert values[0] == pytest.approx(2.0 * erf(h1) / math.sqrt(1.0) + 0.5, abs=1e-15)
 
 
 def test_forward_warns_outside_unit_ball():
     arch = Architecture(2, (3,), beta=0.1)
     params = nn_init(arch, 0)
     with pytest.warns(UserWarning):
-        nn_forward(arch, params, np.array([2.0, 0.0]))
+        nn_forward_batch(arch, params, np.array([[2.0], [0.0]]))
 
 
 def test_forward_rejects_dimension_mismatch():
     arch = Architecture(3, (4,), beta=0.1)
     params = nn_init(arch, 0)
     with pytest.raises(InvalidArgumentError):
-        nn_forward(arch, params, np.array([1.0, 0.0]))
+        nn_forward_batch(arch, params, np.array([[1.0], [0.0]]))
 
 
 def test_grad_output_layer_blocks():
@@ -115,8 +114,8 @@ def test_grad_output_layer_blocks():
     rng = np.random.default_rng(1)
     params.flat[:] += 0.5 * rng.standard_normal(params.flat.shape)
     x = _unit(rng.standard_normal(3)) * 0.8
-    g = nn_grad(arch, params, x)
-    _, cache = nn_forward(arch, params, x)
+    g = nn_grad_batch(arch, params, x[:, None])[1][:, 0]
+    _, cache = nn_forward_batch(arch, params, x[:, None])
     lay = params.layout
     # Output bias path carries exactly beta.
     assert g[lay.bias_offsets[2]] == pytest.approx(0.4, abs=1e-15)
@@ -133,7 +132,7 @@ def test_grad_matches_finite_differences(activation, depth):
     rng = np.random.default_rng(depth * 10 + (activation == "erf"))
     params.flat[:] += 0.6 * rng.standard_normal(params.flat.shape)
     x = _unit(rng.standard_normal(4)) * 0.9
-    g = nn_grad(arch, params, x)
+    g = nn_grad_batch(arch, params, x[:, None])[1][:, 0]
     h = 1e-5
     idx = rng.choice(params.layout.size, size=min(100, params.layout.size), replace=False)
     for i in idx:
@@ -141,8 +140,8 @@ def test_grad_matches_finite_differences(activation, depth):
         up[i] += h
         down = params.flat.copy()
         down[i] -= h
-        vu, _ = nn_forward(arch, ModelParams(up, params.layout), x)
-        vd, _ = nn_forward(arch, ModelParams(down, params.layout), x)
+        vu = nn_forward_batch(arch, ModelParams(up, params.layout), x[:, None])[0][0]
+        vd = nn_forward_batch(arch, ModelParams(down, params.layout), x[:, None])[0][0]
         fd = (vu - vd) / (2 * h)
         assert g[i] == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
@@ -221,7 +220,8 @@ def test_linearized_jacobian_single_column_equals_grad():
     params0 = nn_init(arch, 1)
     x = np.array([0.3, -0.4])
     lin = linearize(arch, params0, x[:, None])
-    assert np.allclose(lin.jacobian(params0.flat, lin.points)[:, 0], nn_grad(arch, params0, x), atol=1e-14)
+    g = nn_grad_batch(arch, params0, x[:, None])[1][:, 0]
+    assert np.allclose(lin.jacobian(params0.flat, lin.points)[:, 0], g, atol=1e-14)
 
 
 def test_linearized_net_is_exactly_linear_training():
@@ -523,3 +523,119 @@ def test_linearize_makes_one_network_pass(monkeypatch):
     assert isinstance(lin, LinearizedNet)
     values, _ = original(arch, nn_init(arch, 2), xs)
     np.testing.assert_array_equal(lin.f0, values)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@pytest.mark.parametrize("d,multiplies", [
+    (1, True), (4, True), (64, True), (256, True), (1024, True),
+    (2, False), (3, False), (48, False), (128, False),
+])
+def test_div_sqrt_equals_plain_division_bit_for_bit(d, multiplies):
+    # The multiply by 1/sqrt(d) is exact only when sqrt(d) is a power of
+    # two; everywhere the helper must give the bits of x / sqrt(d).
+    from grwlab.models import _div_sqrt
+
+    big = np.finfo(np.float64).max
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, big, -big, np.inf, -np.inf, np.nan])
+    rng = np.random.default_rng(d)
+    scaled = rng.standard_normal(4000) * 10.0 ** rng.uniform(-320.0, 308.0, 4000)
+    x = np.concatenate([special, scaled, rng.standard_normal(4000)])
+    want = x / np.sqrt(d)
+    got = _div_sqrt(x.copy(), d)
+    assert np.array_equal(_bits(got), _bits(want))
+    out = np.empty_like(x)
+    assert _div_sqrt(x, d, out=out) is out
+    assert np.array_equal(_bits(out), _bits(want))
+    # Which rule applies: a product by the rounded reciprocal moves the last
+    # bit of some quotients unless sqrt(d) is a power of two.
+    assert np.array_equal(_bits(x * (1.0 / np.sqrt(d))), _bits(want)) == multiplies
+
+
+def _reference_forward(arch, params, xs):
+    # The layer recursion with every 1/sqrt(d_l) scaling written as a plain
+    # division.
+    act, _ = ACTIVATIONS[arch.activation]
+    dims = arch.layer_dims
+    preacts, acts, a = [], [], xs
+    for l in range(arch.depth + 1):
+        h = params.weight(l) @ a / np.sqrt(dims[l])
+        h += arch.beta * params.bias(l)[..., None]
+        preacts.append(h)
+        if l < arch.depth:
+            a = act(h)
+            acts.append(a)
+    return preacts[-1][..., 0, :].T.copy(), preacts, acts
+
+
+def _reference_pullback(arch, params, xs, preacts, acts, v):
+    _, act_prime = ACTIVATIONS[arch.activation]
+    dims, layout = arch.layer_dims, params.layout
+    out = np.empty(params.flat.shape)
+    k = v.shape[0]
+    alpha = v.T[..., None, :]
+    for l in range(arch.depth, -1, -1):
+        a_prev = xs[:, :k] if l == 0 else acts[l - 1][..., :k]
+        dw = alpha @ np.swapaxes(a_prev, -1, -2) / np.sqrt(dims[l])
+        off_w, off_b = layout.weight_offsets[l], layout.bias_offsets[l]
+        size = dw.shape[-2] * dw.shape[-1]
+        out[off_w : off_w + size] = dw.ravel() if dw.ndim < 3 else dw.reshape(dw.shape[0], -1).T
+        out[off_b : off_b + dw.shape[-2]] = arch.beta * (alpha @ np.ones(k)).T
+        if l > 0:
+            back = np.swapaxes(params.weight(l), -1, -2) @ alpha / np.sqrt(dims[l])
+            alpha = back * act_prime(preacts[l - 1][..., :k])
+    return out
+
+
+def _reference_jacobian(arch, params, xs, preacts, acts):
+    _, act_prime = ACTIVATIONS[arch.activation]
+    dims, layout = arch.layer_dims, params.layout
+    m = xs.shape[1]
+    lead = params.flat.shape[1:][::-1]
+    jac = np.empty(lead + (layout.size, m))
+    alpha = np.ones(lead + (1, m))
+    for l in range(arch.depth, -1, -1):
+        a_prev = xs if l == 0 else acts[l - 1]
+        d_out, d_in = layout.weight_shapes[l]
+        off_w, off_b = layout.weight_offsets[l], layout.bias_offsets[l]
+        dw = alpha[..., :, None, :] * a_prev[..., None, :, :] / np.sqrt(dims[l])
+        jac[..., off_w : off_w + d_out * d_in, :] = dw.reshape(lead + (d_out * d_in, m))
+        jac[..., off_b : off_b + d_out, :] = arch.beta * alpha
+        if l > 0:
+            alpha = act_prime(preacts[l - 1]) * (
+                np.swapaxes(params.weight(l), -1, -2) @ alpha / np.sqrt(dims[l]))
+    return jac
+
+
+@pytest.mark.parametrize("stack", [None, "C", "F"], ids=["1d", "stack-C", "stack-F"])
+@pytest.mark.parametrize("activation", ["erf", "tanh"])
+@pytest.mark.parametrize("depth", [1, 2])
+@pytest.mark.parametrize("width", [64, 48])
+def test_network_passes_equal_plain_division_bit_for_bit(width, depth, activation, stack):
+    # Width 64 scales its hidden layers by a multiply, width 48 by a divide;
+    # the input layer (d0 = 3) divides in both.  Every pass must give the
+    # bits of the recursion written with / np.sqrt(d).
+    arch = Architecture(3, (width,) * depth, beta=0.3, activation=activation)
+    net = WideNet(arch)
+    rng = np.random.default_rng([width, depth])
+    theta = net.init_params(depth) + 0.3 * rng.standard_normal(net.n_params)
+    if stack is not None:
+        theta = np.asarray(_stack_of_runs(theta), order=stack)
+    params = ModelParams(theta, net.layout)
+    xs = rng.standard_normal((3, 6))
+    xs /= 1.1 * np.linalg.norm(xs, axis=0).max()
+    values, cache = nn_forward_batch(arch, params, xs)
+    ref_values, preacts, acts = _reference_forward(arch, params, xs)
+    assert np.array_equal(_bits(values), _bits(ref_values))
+    for got, want in zip(cache.preacts + cache.acts, preacts + acts):
+        assert np.array_equal(_bits(got), _bits(want))
+    for k in (6, 4):
+        v = rng.standard_normal((k,) + theta.shape[1:])
+        got = nn_pullback(arch, params, xs, cache, v)
+        want = _reference_pullback(arch, params, xs, preacts, acts, v)
+        assert got.shape == want.shape and np.array_equal(_bits(got), _bits(want))
+    grad_values, jac = nn_grad_batch(arch, params, xs)
+    assert np.array_equal(_bits(grad_values), _bits(ref_values))
+    assert np.array_equal(_bits(jac), _bits(_reference_jacobian(arch, params, xs, preacts, acts)))

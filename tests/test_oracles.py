@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from grwlab.errors import InvalidArgumentError, NotSeparableError, UnsupportedError
-from grwlab.models import Architecture, linearize, nn_grad, nn_init
+from grwlab.models import Architecture, linearize, nn_grad_batch, nn_init
 from grwlab.oracles import (
     KernelSpec,
     _nnls,
@@ -508,7 +508,7 @@ def test_empirical_ntk_self_is_norm_squared():
     params = nn_init(arch, 2)
     x = np.array([0.4, -0.1, 0.2])
     kernel = la.gram(linearize(arch, params, x[:, None]).features)
-    g = nn_grad(arch, params, x)
+    g = nn_grad_batch(arch, params, x[:, None])[1][:, 0]
     assert kernel[0, 0] == pytest.approx(float(g @ g), rel=1e-12)
     assert kernel[0, 0] >= 0.0
 
