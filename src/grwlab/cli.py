@@ -76,9 +76,10 @@ def _oracle_dataset(args, classification: bool):
 
 def _run_oracle(args) -> int:
     if args.oracle_command == "ntk":
-        for name, value in (("points", args.points), ("d0", args.d0)):
-            if value < 1:
-                raise InvalidArgumentError(f"--{name} must be >= 1, got {value}")
+        for name, value, least in (("points", args.points, 1), ("d0", args.d0, 1),
+                                   ("seed", args.seed, 0)):
+            if value < least:
+                raise InvalidArgumentError(f"--{name} must be >= {least}, got {value}")
         rng = np.random.default_rng(args.seed)
         pts = rng.standard_normal((args.d0, args.points))
         pts /= np.maximum(np.linalg.norm(pts, axis=0, keepdims=True), 1.0)

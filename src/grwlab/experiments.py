@@ -66,6 +66,11 @@ EXPERIMENTS = ("fig1", "fig2", "fig3", "ntk-convergence", "approx-scaling", "com
 # Keys that end up as a TrainConfig's mu.
 _PENALTY_KEYS = ("mu", "mu_small", "mu_large", "reg_tracking_mu", "sign_mu")
 
+# The least value of integer keys: point counts and input dimensions are at
+# least 1, and a seed is >= 0, as numpy requires of the seeds it is given.
+_LEAST_INTS = {"ntk_points": 1, "test_points": 1, "approx_d0": 1, "synth_d": 1,
+               "data_seed": 0, "seeds": 0}
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -136,6 +141,21 @@ class ExperimentConfig:
             value = getattr(self, key)
             if not 0 <= value < np.inf:
                 raise InvalidArgumentError(f"config key {key!r}: {value!r} is not a finite float >= 0")
+        # Checked up front, so that each fails naming its key before any
+        # output: numpy would reject these values inside a run, and an empty
+        # widths would leave ntk-convergence with no check to fail.
+        for key in ("seeds", "widths"):
+            if not getattr(self, key):
+                raise InvalidArgumentError(f"config key {key!r} is empty")
+        for key, least in _LEAST_INTS.items():
+            value = getattr(self, key)
+            if (min(value) if isinstance(value, tuple) else value) < least:
+                raise InvalidArgumentError(f"config key {key!r} must be >= {least}, got {value}")
+        if self.experiment == "approx-scaling" and len(set(self.widths)) < 2:
+            # The log-log slope through one width is not a measurement.
+            raise InvalidArgumentError(
+                f"config key 'widths': approx-scaling fits a slope across widths and needs "
+                f"at least two distinct ones, got {self.widths}")
 
 
 # The values a declared field type takes: a bool is not an int, and a float

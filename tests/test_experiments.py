@@ -150,6 +150,37 @@ def test_cli_unparseable_numbers_exit_2(tmp_path, capsys, argv, config, name):
     assert err.startswith("error: ") and name in err
 
 
+@pytest.mark.parametrize("experiment,config,key", [
+    ("fig1", "data_seed = -1", "data_seed"),
+    ("approx-scaling", "data_seed = -1\n" + _SMALL_APPROX, "data_seed"),
+    ("ntk-convergence", "data_seed = -1", "data_seed"),
+    ("approx-scaling", _SMALL_APPROX + "\nseeds = 0,-1", "seeds"),
+    ("approx-scaling", _SMALL_APPROX + "\nseeds =", "seeds"),
+    ("ntk-convergence", "seeds =", "seeds"),
+    ("approx-scaling", _SMALL_APPROX + "\nwidths =", "widths"),
+    ("ntk-convergence", "widths =", "widths"),
+    ("approx-scaling", _SMALL_APPROX + "\nwidths = 8", "widths"),
+    ("approx-scaling", _SMALL_APPROX + "\nwidths = 8,8", "widths"),
+    ("approx-scaling", _SMALL_APPROX + "\ntest_points = 0", "test_points"),
+    ("ntk-convergence", "ntk_points = 0", "ntk_points"),
+    ("approx-scaling", _SMALL_APPROX + "\napprox_d0 = 0", "approx_d0"),
+    ("ntk-convergence", "approx_d0 = 0", "approx_d0"),
+    ("fig1", "synth_d = 0", "synth_d"),
+], ids=["fig1-data_seed", "approx-data_seed", "ntk-data_seed", "approx-negative-seed",
+        "approx-no-seeds", "ntk-no-seeds", "approx-no-widths", "ntk-no-widths", "approx-one-width",
+        "approx-one-distinct-width", "test_points", "ntk_points", "approx-d0", "ntk-d0", "synth_d"])
+def test_cli_config_holes_exit_2_naming_the_key(tmp_path, capsys, experiment, config, key):
+    # Each of these used to end in a traceback with status 1, in an error
+    # that did not name the key, or in a run that passed checks it never
+    # made (one width: a slope through one point; no widths: no checks).
+    path = tmp_path / "c.cfg"
+    path.write_text(config + "\n")
+    assert main([experiment, "--synthetic", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config key ") and repr(key) in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_has_no_jobs_option(capsys):
     with pytest.raises(SystemExit):
         main(["fig1", "--jobs", "2"])
@@ -706,11 +737,12 @@ def test_cli_oracle_subcommands(capsys):
     assert doc["stationarity_residual"] < 1e-9
 
 
-@pytest.mark.parametrize("option", ["--points", "--d0"])
-@pytest.mark.parametrize("value", ["-1", "0"])
+@pytest.mark.parametrize("option,value", [
+    ("--d0", "-1"), ("--points", "-1"), ("--d0", "0"), ("--points", "0"), ("--seed", "-1"),
+], ids=["-1---d0", "-1---points", "0---d0", "0---points", "-1---seed"])
 def test_cli_oracle_ntk_rejects_sizes_below_one(option, value, capsys):
-    # A negative size used to end in a ValueError traceback with status 1,
-    # and --points 0 printed an empty kernel with status 0.
+    # A negative size or seed used to end in a ValueError traceback with
+    # status 1, and --points 0 printed an empty kernel with status 0.
     assert main(["oracle", "ntk", option, value]) == 2
     out, err = capsys.readouterr()
     assert out == ""

@@ -420,6 +420,31 @@ def test_erf_prime_is_the_flushed_derivative():
     assert flushes == [True, False]
 
 
+def test_erf_equals_scipy_erf_bit_for_bit():
+    # _erf evaluates SciPy's erf on |z| and restores the sign; SciPy itself
+    # gives -erf(-x) for x < 0, so the bits must be SciPy's, -0.0 included.
+    from grwlab.models import _erf
+
+    fin = np.finfo(np.float64)
+    edges = [0.0, 5e-324, fin.tiny, fin.max, np.inf, 27.0, 27.5, 30.0, 1e10]
+    for a in (1.0, 8.0):  # where Cephes switches between its erf and erfc forms
+        edges += [np.nextafter(a, 0.0), a, np.nextafter(a, np.inf)]
+    rng = np.random.default_rng(0)
+    mags = np.concatenate([edges, 10.0 ** rng.uniform(-300.0, 300.0, 100_000),
+                           rng.uniform(0.0, 30.0, 20_000)])
+    x = np.concatenate([mags, -mags])
+    rng.shuffle(x)
+    wide = np.zeros((x.size, 3))
+    wide[:, 1] = x
+    for z in (x, wide[:, 1]):  # contiguous, and a strided view
+        z_copy = z.copy()
+        out = _erf(z)
+        assert np.array_equal(out.view(np.int64), erf(z).view(np.int64))
+        assert np.array_equal(z.view(np.int64), z_copy.view(np.int64))
+    assert np.signbit(_erf(np.array([0.0, -0.0]))).tolist() == [False, True]
+    assert np.isnan(_erf(np.array([np.nan, -np.nan]))).all()
+
+
 def test_widenet_vjp_is_one_forward_pass(monkeypatch):
     import grwlab.models as models
 
