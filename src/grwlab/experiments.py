@@ -6,8 +6,9 @@ machine-readable ``report.json`` whose ``assertions`` list carries one
 pass/fail entry per claim checked.  The runs of one study that share a
 model, data and loss are trained in lock step as one batch (see
 ``trainer``): fig1's schemes, fig2's schemes at each mu, fig3's schemes for
-each loss, compare's schemes, and approx-scaling's seeds at each width and
-its regularization-tracking runs.  Nothing runs concurrently, so results are
+each loss, compare's schemes, and approx-scaling's regularization-tracking
+runs and its seeds at each width, whose linearizations then replay the
+weights the nets trained with.  Nothing runs concurrently, so results are
 bit-identical for a fixed (config, seed) on one platform.
 """
 
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 import platform
 import time
@@ -23,6 +23,7 @@ import warnings
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +40,7 @@ from .data_io import (
     paper_subset,
     synth_groups,
 )
-from .errors import DivergedError, InvalidArgumentError, UnsupportedError, parse_number
+from .errors import InvalidArgumentError, UnsupportedError, parse_number
 from .losses import Logistic, PolyTailed, Squared, loss_kernels, loss_name, loss_value, parse_loss
 from .models import (
     Architecture,
@@ -401,25 +402,26 @@ class Report:
         back in scheme order.
 
         Every run has the same stop_risk and mu; model defaults to a
-        LinearModel of the data and theta0 to zeros.  ``steps_per_s[batch]``
-        records the batch's rate: the most epochs any of its runs made over
-        the seconds the batch took.  Like ``phases_s`` it is kept apart from
-        ``metrics`` and the traces.
+        LinearModel of the data and theta0 to zeros.
         """
-        cfgs = [
-            TrainConfig(eta=eta, epochs=epochs, loss=loss,
-                        scheme=parse_scheme(scheme) if isinstance(scheme, str) else scheme,
-                        mu=mu, stop_risk=stop_risk, record_every=record_every,
-                        record_params=record_params)
-            for scheme in schemes
-        ]
+        cfgs = [TrainConfig(eta=eta, epochs=epochs, loss=loss, mu=mu, stop_risk=stop_risk,
+                            scheme=parse_scheme(scheme) if isinstance(scheme, str) else scheme,
+                            record_every=record_every, record_params=record_params)
+                for scheme in schemes]
         model = model if model is not None else LinearModel(data.dim)
         theta0 = np.zeros(model.n_params) if theta0 is None else theta0
         with self.phase("train"):
-            start = time.perf_counter()
-            pairs = train(model, data, cfgs, theta0=theta0, theta_ref=theta_ref,
-                          ref_direction=ref_direction)
-            seconds = time.perf_counter() - start
+            return self.train_batch(batch, model, data, cfgs, theta0=theta0, theta_ref=theta_ref,
+                                    ref_direction=ref_direction)
+
+    def train_batch(self, batch: str, *args, **kwargs) -> list:
+        """``trainer.train(*args, **kwargs)`` on a list of configs.
+        ``steps_per_s[batch]`` records the batch's rate: the most epochs any
+        of its runs made over the seconds the call took.  Like ``phases_s``
+        it is kept apart from ``metrics`` and the traces."""
+        start = time.perf_counter()
+        pairs = train(*args, **kwargs)
+        seconds = time.perf_counter() - start
         steps = max(trace.epochs_run for _, trace in pairs)
         self.doc["steps_per_s"][batch] = round(steps / seconds, 1) if seconds > 0 else None
         return pairs
@@ -535,36 +537,34 @@ def svg_line_chart(path, series, title="", xlabel="", ylabel="", logy=False, log
 
 
 class _WeightLogger:
-    """Dynamic-scheme decorator keeping the trailing per-epoch weights for
-    diagnostics.
-
-    A bounded ring buffer holds the weights of the last 5000 steps at full
-    epoch resolution, which is what the settlement check needs; the thinned
-    trace still records the whole trajectory.  Its stepper wraps the inner
-    scheme's, which the trainer calls once per step of the run it was given;
-    once that run stops, its buffer stops growing.  A Group DRO stepper hands
-    back one read-only block for as long as its weights stay unchanged, so
-    the buffer may hold the same block many times over.
+    """Scheme decorator keeping the weights its stepper hands back, one
+    block per step: of the last ``tail`` steps, or of all when tail is None.
+    fig1's settlement check needs the last 5000; the paired study replays
+    every step on the linearizations.  A block drops its stopped runs
+    through the inner ``keep``.  A static scheme has no stepper and logs
+    nothing.  A Group DRO stepper hands back one read-only block for as long
+    as its weights stay unchanged, so the buffer may hold it many times.
     """
 
-    def __init__(self, inner):
+    def __init__(self, inner, tail: int | None = 5000):
         self.inner = inner
         self.name = inner.name
-        self.q_tail = deque(maxlen=5000)
-        self.updates = 0
+        self.q_tail = deque(maxlen=tail)
 
     def init_state(self, groups):
         return self.inner.init_state(groups)
 
-    def stepper(self, groups):
-        step = self.inner.stepper(groups)
+    def stepper(self, groups, runs: int = 1):
+        step = self.inner.stepper(groups, runs)
+        if step is None:
+            return None
 
         def logged(losses):
             q = step(losses)
             self.q_tail.append(q)
-            self.updates += 1
             return q
 
+        logged.keep = step.keep
         return logged
 
 
@@ -588,10 +588,7 @@ def run_fig1(cfg: ExperimentConfig) -> dict:
                      "in (0.05, 20)")
 
     # Dynamic schemes keep their trailing weights for the settlement check.
-    loggers = [
-        _WeightLogger(parse_scheme(s)) if s.startswith(("gdro", "cvar")) else parse_scheme(s)
-        for s in cfg.schemes
-    ]
+    loggers = [_WeightLogger(parse_scheme(s)) for s in cfg.schemes]
     runs = report.train("schemes", data, loggers, Squared(), eta, cfg.epochs, cfg.record_every,
                         stop_risk=cfg.stop_risk, record_params=True, theta_ref=oracle)
     finals = [final for final, _ in runs]
@@ -629,7 +626,7 @@ def run_fig1(cfg: ExperimentConfig) -> dict:
         # Weight convergence diagnostic for the dynamic schemes, at full epoch
         # resolution over the trailing buffer.
         for scheme_text, logger in zip(cfg.schemes, loggers):
-            if not isinstance(logger, _WeightLogger):
+            if not logger.q_tail:  # static weights
                 continue
             hist = np.stack(logger.q_tail).reshape(len(logger.q_tail), -1)
             window = min(1000, hist.shape[0])
@@ -939,88 +936,52 @@ def run_ntk_convergence(cfg: ExperimentConfig) -> dict:
 # approx-scaling: width scaling of the linearization gap
 
 
-def _train_pair_shared_weights(arch, theta0, data, scheme, eta, epochs, stop_risk,
-                               test_points):
+def _train_pair_shared_weights(arch, theta0, data, scheme, eta, epochs, stop_risk, probe,
+                               train_batch=train):
     """Train nets and their linearizations with shared weight sequences.
 
-    ``theta0`` is a p x S stack of starts, one seed per column; all seeds go
-    in lock step.  For each seed the weights are recomputed each epoch from
-    the *network's* losses, and the very same q is applied to both updates.
-    Returns arrays of S: the sup over epochs of the output gap at the test
-    points and the final network risk.  A seed stops on its own once its
-    risk reaches stop_risk.  A non-finite network risk raises DivergedError
-    naming the seed's column of theta0 and carrying its network parameters.
-
-    The training and test points travel as one batch: each epoch makes one
-    network forward pass for every seed, whose pullback takes the weighted
-    loss gradient at the n training points, the leading columns of the
-    batch, and skips the test points' columns.  The linearizations
-    train in function space (Lee et al. 2019): with F the features at the
-    starts, theta_lin - theta0 = F_train @ coef at every step, so their
-    outputs are f0 + K @ coef with the tangent kernel K = F^T F_train, and
-    their step is coef <- coef - eta * q * dloss.  f0 and F come from one
-    network pass at the stacked starts.
-
-    The loop keeps a working set, as ``train`` does: the parameters, coef,
-    q, the targets (one n x S block), f0, K and each seed's running sup gap
-    are columns of arrays, and a seed's column is dropped from all of them
-    when it stops.  The risks are read once per epoch as Python floats for
-    the divergence and stop checks.  A seed's gap and risk are written to
-    the returned arrays only when it stops.
+    ``theta0`` is a p x S stack of starts, one seed per column.  Returns
+    arrays of S: the sup over epochs of the output gap at the probe points
+    and the final network risk.  The nets train as one ``train_batch`` call
+    (``trainer.train`` or a wrapper) of S runs that hold one scheme object,
+    each stopping at stop_risk; a ``_WeightLogger`` keeps the weights that
+    their one stepper makes from the *network's* losses.  The linearizations
+    replay them in function space (Lee et al. 2019): with F the features at
+    the starts, theta_lin - theta0 = F_train @ coef, so their outputs are
+    f0 + K @ coef with the tangent kernel K = F^T F_train and their step is
+    coef <- coef - eta * q * dloss.  f0 and F come from one network pass.
     """
-    net = WideNet(arch)
-    n, seeds = data.n, theta0.shape[1]
-    points = linalg.as_matrix(np.hstack([data.X, test_points]), "training and test points")
-    f0, feats = nn_grad_batch(arch, ModelParams(theta0, net.layout), points)
+    net, n, seeds = WideNet(arch), data.n, theta0.shape[1]
+    logger = _WeightLogger(scheme, tail=None)
+    cfg = TrainConfig(eta=eta, epochs=epochs, loss=Squared(), scheme=logger, stop_risk=stop_risk,
+                      record_every=epochs)
+    runs = train_batch(net, data, [cfg] * seeds, theta0=theta0, probe=probe)
+    stops = [trace.epochs_run for _, trace in runs]
+    # Outputs at the probe points by epoch, point and seed, zero past a seed's stop.
+    net_out = np.stack([np.pad(trace.probe_outputs, ((0, max(stops) - trace.epochs_run), (0, 0)))
+                        for _, trace in runs], axis=2)
+    lin_out = np.zeros_like(net_out)
+    f0, feats = nn_grad_batch(arch, ModelParams(theta0, net.layout), np.hstack([data.X, probe]))
     kernel = feats.swapaxes(1, 2) @ feats[:, :, :n]  # S x (n + T) x n
-    sup_gap, risk = np.zeros(seeds), np.full(seeds, np.nan)
-    # Working set: column j of every array below (slice j of K) belongs to
-    # seed ids[j].
-    # Column-major theta_nn, the order of the pullback's result: each seed's
-    # weights are then one block, which the net reads as views.
-    ids = np.arange(seeds)
-    theta_nn, coef = np.array(theta0, order="F"), np.zeros((n, seeds))
+    # Working set: column j (slice j of K) is seed ids[j]'s until its net stopped.
+    ids, coef = np.arange(seeds), np.zeros((n, seeds))
     q = np.repeat(scheme.init_state(data.groups).q[:, None], seeds, axis=1)
-    weights = scheme.stepper(data.groups, seeds)  # None: q stays as it starts
+    logged = iter(logger.q_tail)  # empty for static weights: q stays as it starts
     loss_fn = loss_kernels(Squared())
-    y = np.repeat(linalg.as_vector(data.Y, "targets")[:, None], seeds, axis=1)
-    gap = np.zeros(seeds)  # running sup gap
-    # Overflow on the way to divergence is expected, as in train: it is
-    # detected on the risk and reported through DivergedError.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(epochs + 1):
-            out_nn, pullback_nn = net.vjp(theta_nn, points)
-            out_lin = f0 + np.einsum("smn,ns->ms", kernel, coef)
-            np.maximum(gap, np.abs(out_nn[n:] - out_lin[n:]).max(axis=0), out=gap)
-            losses_nn, dloss_nn = loss_fn(out_nn[:n], y)
-            risks = [total / n for total in np.add.reduce(losses_nn).tolist()]
-            if not all(map(math.isfinite, risks)):
-                j = next(j for j, r in enumerate(risks) if not math.isfinite(r))
-                raise DivergedError(f"paired run of seed column {ids[j]}: non-finite risk at epoch {t}",
-                                    params=theta_nn[:, j].copy())
-            stopping = t >= epochs or min(risks) <= stop_risk
-            if stopping:
-                now = np.array(risks)
-                done = now <= stop_risk if t < epochs else np.ones(len(risks), dtype=bool)
-                sup_gap[ids[done]], risk[ids[done]] = gap[done], now[done]
-                if done.all():
-                    break
-            if weights is not None:
-                q = weights(losses_nn)
-            step_nn = pullback_nn(q * dloss_nn)
-            step_lin = q * loss_fn(out_lin[:n], y)[1]
-            if stopping:
-                keep = ~done
-                ids, q, y, gap = ids[keep], q[:, keep], y[:, keep], gap[keep]
-                if weights is not None:
-                    weights.keep(keep)
-                theta_nn, coef, f0, kernel = theta_nn[:, keep], coef[:, keep], f0[:, keep], kernel[keep]
-                step_nn, step_lin = step_nn[:, keep], step_lin[:, keep]
-            step_nn *= eta
-            theta_nn -= step_nn
-            step_lin *= eta
-            coef -= step_lin
-    return sup_gap, risk
+    y = np.repeat(data.Y[:, None], seeds, axis=1)
+    for t in range(max(stops) + 1):
+        out_lin = f0 + np.einsum("smn,ns->ms", kernel, coef)
+        lin_out[t][:, ids] = out_lin[n:]
+        q = next(logged, q)
+        step = q * loss_fn(out_lin[:n], y)[1]
+        if t in stops:
+            keep = np.array(stops)[ids] > t
+            ids, q, y, coef = ids[keep], q[:, keep], y[:, keep], coef[:, keep]
+            f0, kernel, step = f0[:, keep], kernel[keep], step[:, keep]
+        step *= eta
+        coef -= step
+    sup_gap = np.abs(net_out - lin_out).max(axis=(0, 1))
+    return sup_gap, np.array([trace.risk[-1] for _, trace in runs])
 
 
 def run_approx_scaling(cfg: ExperimentConfig) -> dict:
@@ -1038,17 +999,20 @@ def run_approx_scaling(cfg: ExperimentConfig) -> dict:
     eta = float(cfg.eta) if cfg.eta != "auto" else 0.25
     report.metric("provenance", data.provenance)
     report.metric("eta", eta)
+    if cfg.nn_activation == "erf":
+        with report.phase("setup"):  # loading SciPy's erf, not charged to the first width
+            import scipy.special  # noqa: F401
 
     medians = []
     for width in cfg.widths:
         arch = Architecture(d0, (width,) * cfg.nn_depth, beta=cfg.nn_beta,
                             activation=cfg.nn_activation)
         theta0 = np.column_stack([nn_init(arch, 77_000 + 10_000 * width + s).flat for s in cfg.seeds])
-        with report.phase(f"paired[width={width}]"):
-            gaps, risks = _train_pair_shared_weights(
-                arch, theta0, data, parse_scheme(scheme_text), eta, cfg.epochs, cfg.stop_risk,
-                test_points,
-            )
+        batch = f"paired[width={width}]"
+        with report.phase(batch):
+            gaps, risks = _train_pair_shared_weights(arch, theta0, data, parse_scheme(scheme_text), eta,
+                                                     cfg.epochs, cfg.stop_risk, test_points,
+                                                     partial(report.train_batch, batch))
         med = float(np.median(gaps))
         medians.append(med)
         report.metric(f"median_sup_gap[width={width}]", med)
@@ -1073,7 +1037,7 @@ def run_approx_scaling(cfg: ExperimentConfig) -> dict:
                 for text, stop, mu in (("erm", cfg.stop_risk, 0.0), (scheme_text, 0.0, mus[0]),
                                        (scheme_text, 0.0, mus[1]))]
         with report.phase("reg_tracking"):
-            (erm_final, _), *regs = train(net, data, cfgs, theta0=theta0)
+            (erm_final, _), *regs = report.train_batch("reg_tracking", net, data, cfgs, theta0=theta0)
         ref_out = net.predict(erm_final, test_points)
         gaps_mu = [float(np.abs(net.predict(final, test_points) - ref_out).max()) for final, _ in regs]
         risks_mu = [trace.risk[-1] for _, trace in regs]

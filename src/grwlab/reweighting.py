@@ -17,12 +17,12 @@ point, hands back the block of weights it returned last.
 A dynamic scheme's ``stepper(groups, runs)`` is built once for r runs that
 step together and maps their n x r block of losses to their n x r block of
 weights on every step; its ``keep(mask)`` drops the runs that stopped.  The
-trainer builds one stepper per run, the paired study in ``experiments`` one
-for its block of seeds, and neither calls anything else per step.  A static
-scheme's stepper is None.  A scheme's ``update`` takes one run's
-``WeightState`` and its (n,) per-sample losses and returns the next state.
-Training never calls it: it is the one-run form that the steppers are
-tested against.
+trainer builds one stepper for each block of adjacent runs that hold one
+scheme object, such as the seeds of the paired study in ``experiments``,
+and calls nothing else per step.  A static scheme's stepper is None.  A
+scheme's ``update`` takes one run's ``WeightState`` and its (n,) per-sample
+losses and returns the next state.  Training never calls it: it is the
+one-run form that the steppers are tested against.
 """
 
 from __future__ import annotations

@@ -27,17 +27,18 @@ each step is one vjp and one loss kernel call for all runs.  The targets are
 repeated into that block rather than broadcast from one n x 1 column: the
 kernel's elementwise operations then see operands of one shape, which
 numpy runs with less overhead, and each entry is still the same operation
-on the same two numbers.  The p x R
-array takes the memory order of the model's first pullback result and keeps
-it.  Each run of a dynamic scheme gets its own stepper, built once from its
-scheme's ``stepper(groups)``, which maps that run's n x 1 column of losses
-to its column of weights on every step.  The column is written into q only
-when the stepper hands back a new array: a Group DRO stepper whose weights
-have settled returns the same one.  A static scheme has no stepper and
-its run keeps its starting weights.  A run that stops leaves the working
-set: its columns of parameters, weights and targets are dropped, and its
-trace no longer changes while the others go on.  A single run is the R = 1
-case of the same loop.
+on the same two numbers.  The p x R array takes the memory order of the
+model's first pullback result and keeps it.
+
+Adjacent runs whose configs hold one scheme object form a block with one
+stepper, built once by the scheme's ``stepper(groups, runs)``, which maps
+the block's n x r losses to its n x r weights on every step; they are
+written into q only when it hands back a new array, which a settled Group DRO
+stepper does not.  A static scheme has no stepper.  A run that stops leaves
+the working set: its columns are dropped, its stepper drops it with
+``keep``, and its trace stops changing.  A single run is the R = 1 case.
+Probe points ride in every forward pass after the training points; the
+losses and the pullback take the leading n outputs only.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -100,6 +102,8 @@ class TrainTrace:
     ``stop_reason`` is "stop_risk" when the risk reached the config's
     stop_risk, "epoch_budget" when the run made all its epochs and
     "diverged" on a non-finite risk; ``epochs_run`` counts the steps made.
+    ``probe_outputs`` is None without probe points, else (epochs_run + 1)
+    x T: row t holds the outputs at the T probe points at epoch t.
     """
 
     scheme: str
@@ -118,6 +122,7 @@ class TrainTrace:
     config_hash: str = ""
     stop_reason: str = ""
     epochs_run: int = 0
+    probe_outputs: np.ndarray | None = None
 
     @property
     def diverged(self) -> bool:
@@ -149,12 +154,29 @@ def _reference(value, p: int, name: str):
     return ref
 
 
-def _active(steppers: list) -> list:
-    """(column, stepper) of every run in the working set that has a stepper."""
-    return [(j, step) for j, step in enumerate(steppers) if step is not None]
+def _blocks(cfgs: list, groups: GroupInfo) -> list:
+    """(first, stop, stepper) of each block of adjacent runs that hold one
+    scheme object and have a stepper; the block is columns first:stop."""
+    blocks, stop = [], 0
+    for _, block in groupby(cfgs, key=lambda c: id(c.scheme)):
+        scheme, first, stop = cfgs[stop].scheme, stop, stop + len(list(block))
+        step = scheme.stepper(groups) if stop - first == 1 else scheme.stepper(groups, stop - first)
+        if step is not None:
+            blocks.append((first, stop, step))
+    return blocks
 
 
-def train(model, data, cfg, theta0=None, theta_ref=None, ref_direction=None):
+def _kept(blocks: list, keep: np.ndarray) -> list:
+    """The blocks of the runs the boolean mask keeps, renumbered; steppers drop the rest."""
+    column = np.concatenate(([0], np.cumsum(keep))).tolist()
+    for first, stop, step in blocks:
+        if 0 < column[stop] - column[first] < stop - first:
+            step.keep(keep[first:stop])
+    return [(column[first], column[stop], step) for first, stop, step in blocks
+            if column[stop] > column[first]]
+
+
+def train(model, data, cfg, theta0=None, theta_ref=None, ref_direction=None, probe=None):
     """Run full-batch reweighted GD.
 
     ``cfg`` is one TrainConfig, which gives (final_params, trace), or a list
@@ -165,7 +187,10 @@ def train(model, data, cfg, theta0=None, theta_ref=None, ref_direction=None):
     of starts is an error.  theta_ref and ref_direction are each None or one
     (p,) vector that every run's trace is measured against.  Each run's
     scheme gives ``name``, ``init_state(groups)`` and ``stepper(groups)``;
-    a scheme without ``stepper`` is refused before any step.
+    a scheme without ``stepper`` is refused before any step, and adjacent
+    runs that hold one scheme object share ``stepper(groups, runs)``, which
+    also gives ``keep(mask)``.  ``probe`` is None or a d x T matrix of
+    points whose outputs each trace keeps (``TrainTrace.probe_outputs``).
 
     Each run stops once its unweighted risk drops to its stop_risk, or after
     epochs steps; its final epoch is always recorded.  A non-finite risk in
@@ -175,7 +200,8 @@ def train(model, data, cfg, theta0=None, theta_ref=None, ref_direction=None):
     A run's risk in a batch can differ in the last bit from its risk when it
     is trained alone, because a p x R product rounds differently from a
     p x 1 one.  So a stop_risk that equals one of the run's risks exactly
-    can stop it one epoch apart in a batch and alone.
+    can stop it one epoch apart in a batch and alone.  So can a Group DRO
+    stepper shared by r runs: its group means are one n x r product.
     """
     single = isinstance(cfg, TrainConfig)
     cfgs = [cfg] if single else list(cfg)
@@ -193,8 +219,12 @@ def train(model, data, cfg, theta0=None, theta_ref=None, ref_direction=None):
     if ys.shape[0] != xs.shape[1]:
         raise InvalidArgumentError(f"{ys.shape[0]} targets for {xs.shape[1]} data columns")
     require_labels(head.loss, ys)
+    probe = None if probe is None else as_matrix(probe, "probe")
+    if probe is not None and probe.shape[0] != xs.shape[0]:
+        raise InvalidArgumentError(f"probe needs {xs.shape[0]} rows, got {probe.shape[0]}")
+    points = xs if probe is None else np.hstack([xs, probe])
     groups: GroupInfo = data.groups
-    warn_outside_unit_ball(xs)
+    warn_outside_unit_ball(points)
     loss_fn = loss_kernels(head.loss)
     start = _starts(model, theta0, runs)
     ref = _reference(theta_ref, start.shape[0], "theta_ref")
@@ -205,10 +235,9 @@ def train(model, data, cfg, theta0=None, theta_ref=None, ref_direction=None):
 
     # Working set: column j of every array and list below belongs to run ids[j].
     ids = np.arange(runs)
-    steppers = [c.scheme.stepper(groups) for c in cfgs]
-    active = _active(steppers)
-    # The block each active run's stepper returned last, already copied into q.
-    written = [None] * len(active)
+    blocks = _blocks(cfgs, groups)
+    # The block each stepper returned last, already copied into q.
+    written = [None] * len(blocks)
     origin = start
     theta = origin.copy()
     mu = np.array([c.mu for c in cfgs])
@@ -219,6 +248,8 @@ def train(model, data, cfg, theta0=None, theta_ref=None, ref_direction=None):
     q = np.column_stack([c.scheme.init_state(groups).q for c in cfgs])
     ycol = np.repeat(ys[:, None], runs, axis=1)
     n, eta, epochs, record_every = groups.n, head.eta, head.epochs, head.record_every
+    # Probe outputs by epoch, point and run; a run that stops keeps its first epochs.
+    probed = None if probe is None else np.empty((epochs + 1, probe.shape[1], runs))
 
     def record(j: int, t: int, risk: float, losses: np.ndarray) -> None:
         r = ids[j]
@@ -243,7 +274,10 @@ def train(model, data, cfg, theta0=None, theta_ref=None, ref_direction=None):
     # risk and reported through DivergedError rather than as warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
-            yhat, pullback = model.vjp(theta, xs)
+            yhat, pullback = model.vjp(theta, points)
+            if probe is not None:
+                probed[t][:, ids] = yhat[n:]
+                yhat = yhat[:n]
             losses, dloss = loss_fn(yhat, ycol)
             risks = [total / n for total in np.add.reduce(losses).tolist()]
             if not all(map(math.isfinite, risks)):
@@ -251,12 +285,13 @@ def train(model, data, cfg, theta0=None, theta_ref=None, ref_direction=None):
                 record(j, t, risks[j], losses)
                 trace = traces[ids[j]]
                 trace.stop_reason, trace.epochs_run = "diverged", t
+                trace.probe_outputs = None if probe is None else probed[: t + 1, :, ids[j]].copy()
                 raise DivergedError(f"run {ids[j]}: non-finite risk at epoch {t}",
                                     trace=trace, params=theta[:, j].copy())
-            for i, (j, step) in enumerate(active):
-                qj = step(losses[:, j : j + 1])
-                if qj is not written[i]:
-                    q[:, j : j + 1] = written[i] = qj
+            for i, (first, stop, step) in enumerate(blocks):
+                qb = step(losses[:, first:stop])
+                if qb is not written[i]:
+                    q[:, first:stop] = written[i] = qb
             stopping = t >= epochs or any(map(operator.le, risks, stop_risk))
             if stopping:
                 reached = [risk <= stop for risk, stop in zip(risks, stop_risk)]
@@ -272,6 +307,7 @@ def train(model, data, cfg, theta0=None, theta_ref=None, ref_direction=None):
                     finals[r] = theta[:, j].copy()
                     traces[r].stop_reason = "stop_risk" if reached[j] else "epoch_budget"
                     traces[r].epochs_run = t
+                    traces[r].probe_outputs = None if probe is None else probed[: t + 1, :, r].copy()
                 if all(done):
                     break
             step = pullback(q * dloss)
@@ -282,9 +318,8 @@ def train(model, data, cfg, theta0=None, theta_ref=None, ref_direction=None):
                 theta, origin = np.asfortranarray(theta), np.asfortranarray(origin)
             if stopping:
                 keep = ~np.array(done)
-                steppers = [s for s, d in zip(steppers, done) if not d]
-                active = _active(steppers)
-                written = [None] * len(active)
+                blocks = _kept(blocks, keep)
+                written = [None] * len(blocks)
                 ids, theta, origin, step = ids[keep], theta[:, keep], origin[:, keep], step[:, keep]
                 q, mu, ycol = q[:, keep], mu[keep], ycol[:, keep]
                 penalized = bool(mu.any())

@@ -364,13 +364,18 @@ def test_paired_training_gap_zero_at_start():
     from grwlab.models import Architecture, nn_init
     from grwlab.reweighting import parse_scheme as ps
 
-    cfg = make_config("approx-scaling", synthetic=True)
     data = load_experiment_dataset(make_config("compare", synthetic=True, synth_d=4), False)
     arch = Architecture(4, (32,), beta=0.1)
     theta0 = nn_init(arch, 0).flat[:, None]
     pts = np.random.default_rng(1).standard_normal((4, 3)) / 4
-    gap, _ = _train_pair_shared_weights(arch, theta0, data, ps("erm"), 0.2, 0, 0.0, pts)
-    assert gap.tolist() == [0.0]
+    # The nets train through train, whose configs need epochs >= 1.
+    with pytest.raises(InvalidArgumentError, match="epochs"):
+        _train_pair_shared_weights(arch, theta0, data, ps("erm"), 0.2, 0, 0.0, pts)
+    # The output layer starts at zero, so the first step moves only that
+    # layer, in which the net is linear: net and linearization still agree
+    # after it, up to rounding.
+    gap, _ = _train_pair_shared_weights(arch, theta0, data, ps("erm"), 0.2, 1, 0.0, pts)
+    assert gap.shape == (1,) and 0.0 <= gap[0] < 1e-15
 
 
 def _paired_inputs():
@@ -469,10 +474,13 @@ def test_paired_training_divergence_names_the_seed_and_carries_its_parameters():
             _train_pair_shared_weights(arch, theta0, data, ps("gdro:0.1"), 50.0, 200, 0.0, pts)
         errors.append(info.value)
     pair, alone = errors
-    assert str(pair) == "paired run of seed column 1: non-finite risk at epoch 93"
-    assert str(alone) == "paired run of seed column 0: non-finite risk at epoch 93"
+    # train's error names the run, which is the seed's column of the starts.
+    assert str(pair) == "run 1: non-finite risk at epoch 93"
+    assert str(alone) == "run 0: non-finite risk at epoch 93"
     assert pair.params.shape == (starts.shape[0],)
     np.testing.assert_array_equal(pair.params, alone.params)
+    assert (pair.trace.stop_reason, pair.trace.epochs_run) == ("diverged", 93)
+    assert pair.trace.probe_outputs.shape == (94, pts.shape[1])
 
 
 def test_paired_training_batched_seeds_match_each_seed_alone():
@@ -529,8 +537,15 @@ def test_approx_scaling_report_times_its_phases(tmp_path):
     rep = run_approx_scaling(cfg)
     doc = json.loads((tmp_path / "approx-scaling" / "report.json").read_text())
     phases = doc["phases_s"]
-    assert set(phases) == {"paired[width=8]", "paired[width=16]", "reg_tracking", "export"}
+    # setup loads SciPy's erf, which the first width's phase used to pay for.
+    assert set(phases) == {"setup", "paired[width=8]", "paired[width=16]", "reg_tracking", "export"}
     assert all(math.isfinite(t) and t >= 0 for t in phases.values())
+    # One step rate per training batch: each width's seeds and the
+    # regularization-tracking runs.
+    rates = doc["steps_per_s"]
+    assert set(rates) == {"paired[width=8]", "paired[width=16]", "reg_tracking"}
+    assert all(math.isfinite(r) and r > 0 for r in rates.values())
+    assert rep["steps_per_s"] == rates
     # Timings stay out of the metrics, whose keys are the same as ever.
     assert set(doc["metrics"]) == {
         "provenance", "eta", "median_sup_gap[width=8]", "final_risks[width=8]",

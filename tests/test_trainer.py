@@ -352,7 +352,7 @@ def test_stop_mask_freezes_a_run_while_the_others_go_on():
     # Each logger saw exactly the updates of its own run, one per epoch
     # including the last, and the stopped run's tail stopped there.
     for cb, ca, (_, trace) in zip(batch_cfgs, solo_cfgs, batch):
-        assert cb.scheme.updates == ca.scheme.updates == trace.epochs_run + 1
+        assert len(cb.scheme.q_tail) == len(ca.scheme.q_tail) == trace.epochs_run + 1
         tail_b = np.stack(cb.scheme.q_tail)[:, :, 0]
         np.testing.assert_allclose(tail_b, np.stack(ca.scheme.q_tail)[:, :, 0], rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(tail_b[-1], trace.q_snapshots[-1], rtol=0, atol=0)
@@ -558,3 +558,128 @@ def test_settled_group_dro_weights_match_a_loop_through_update(monkeypatch):
     for (final, trace), col in zip(batch, theta.T):
         assert trace.stop_reason == "epoch_budget"
         np.testing.assert_array_equal(final, col)
+
+
+def _assert_identical_runs(got, want):
+    # Every final vector and every trace field but the probe outputs, to the
+    # bit; NaN entries match NaN.
+    assert len(got) == len(want)
+    for (fg, tg), (fw, tw) in zip(got, want):
+        np.testing.assert_array_equal(fg, fw)
+        for name, value in vars(tw).items():
+            if name != "probe_outputs":
+                np.testing.assert_array_equal(getattr(tg, name), value, err_msg=name)
+
+
+def test_probe_points_leave_every_trace_unchanged():
+    # The probe points ride in the forward batch after the training points;
+    # the losses and the steps read the leading n outputs only.
+    data = _small_blobs()
+    model = LinearModel(data.dim)
+    probe = np.random.default_rng(4).standard_normal((data.dim, 5)) / (2 * np.sqrt(data.dim))
+
+    def cfgs():
+        # The ERM run stops near epoch 120, the Group DRO run near 280.
+        return [_cfg(eta=0.5, epochs=300, scheme=parse_scheme(s), stop_risk=sr, record_every=20,
+                     record_params=True)
+                for s, sr in (("erm", 1e-4), ("iw", 0.0), ("gdro:0.01", 1e-6), ("cvar:0.5", 0.0))]
+
+    plain = train(model, data, cfgs(), theta0=np.zeros(data.dim))
+    probed = train(model, data, cfgs(), theta0=np.zeros(data.dim), probe=probe)
+    _assert_identical_runs(probed, plain)
+    assert len({t.epochs_run for _, t in probed}) == 3
+    assert all(t.probe_outputs is None for _, t in plain)
+    assert [t.probe_outputs.shape for _, t in probed] == [(t.epochs_run + 1, 5) for _, t in probed]
+
+
+@pytest.mark.parametrize("kind", ["linear", "widenet"])
+def test_probe_outputs_equal_predict_at_the_recorded_parameters(kind):
+    from grwlab.models import Architecture, WideNet
+
+    data = _small_blobs(sizes=(3, 2), d=3)
+    model = LinearModel(3) if kind == "linear" else WideNet(Architecture(3, (16,), beta=0.3))
+    rng = np.random.default_rng(6)
+    probe = rng.standard_normal((3, 4))
+    probe /= 1.5 * np.linalg.norm(probe, axis=0).max()
+    starts = np.column_stack([model.init_params(1) + 0.1 * rng.standard_normal(model.n_params)
+                              for _ in range(2)])
+    # The Group DRO run stops first, by epoch 21, at a risk it reaches alone,
+    # and leaves the other to its budget.
+    alone = _cfg(eta=0.2, epochs=21, scheme=parse_scheme("gdro:0.1"), stop_risk=0.0)
+    stop = train(model, data, alone, theta0=starts[:, 0])[1].risk[-1] * (1 + 1e-9)
+    cfgs = [_cfg(eta=0.2, epochs=60, scheme=parse_scheme(s), stop_risk=sr, record_every=7,
+                 record_params=True) for s, sr in (("gdro:0.1", stop), ("erm", 0.0))]
+    runs = train(model, data, cfgs, theta0=starts, probe=probe)
+    assert runs[0][1].epochs_run < runs[1][1].epochs_run == 60
+    for _, trace in runs:
+        assert trace.probe_outputs.shape == (trace.epochs_run + 1, 4)
+        assert trace.epochs[-1] == trace.epochs_run
+        for epoch, theta in zip(trace.epochs, trace.theta_snapshots):
+            np.testing.assert_allclose(trace.probe_outputs[epoch], model.predict(theta, probe),
+                                       rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("probe", [np.zeros((23, 2)), np.array([[0.1] * 24, [np.nan] + [0.0] * 23]).T],
+                         ids=["wrong-rows", "non-finite"])
+def test_invalid_probe_is_refused_before_any_step(probe):
+    data = _small_blobs()
+    calls = []
+
+    class Counted(LinearModel):
+        def vjp(self, theta, xs):
+            calls.append(1)
+            return super().vjp(theta, xs)
+
+    with pytest.raises(InvalidArgumentError, match="probe"):
+        train(Counted(data.dim), data, _cfg(), theta0=np.zeros(data.dim), probe=probe)
+    assert calls == []
+
+
+def _shared_block_runs(schemes, stops, sizes):
+    data = _small_blobs(sizes=sizes)
+    starts = 0.1 * np.random.default_rng(5).standard_normal((data.dim, len(schemes)))
+    cfgs = [_cfg(eta=0.5, epochs=400, scheme=s, stop_risk=sr, record_every=25, record_params=True)
+            for s, sr in zip(schemes, stops)]
+    return train(LinearModel(data.dim), data, cfgs, theta0=starts)
+
+
+@pytest.mark.parametrize("spec", ["gdro:0.3", "cvar:0.5"])
+def test_runs_sharing_one_scheme_object_step_as_one_block(spec, monkeypatch):
+    # Three runs that hold one scheme object share one stepper, built once for
+    # all three and trimmed with keep as they stop at three different epochs.
+    # Their traces equal, to the bit, those of the same runs with one scheme
+    # object each.  Groups of at most two samples keep Group DRO's group
+    # means exact in any summation order, so the block's one product and the
+    # runs' own products agree; the next test takes a group of five.
+    scheme_type = type(parse_scheme(spec))
+    built, original = [], scheme_type.stepper
+    monkeypatch.setattr(scheme_type, "stepper",
+                        lambda self, groups, runs=1: built.append(runs) or original(self, groups, runs))
+    stops, sizes = (1e-3, 1e-6, 0.0), (2, 1, 2)
+    block = _shared_block_runs([parse_scheme(spec)] * 3, stops, sizes)
+    assert built == [3]
+    own = _shared_block_runs([parse_scheme(spec) for _ in range(3)], stops, sizes)
+    assert built == [3, 1, 1, 1]
+    _assert_identical_runs(block, own)
+    assert len({t.epochs_run for _, t in block}) == 3 and block[2][1].epochs_run == 400
+
+
+def test_runs_sharing_one_group_dro_object_match_one_object_each_on_a_larger_group():
+    # A group of five samples: the block's group means can round differently
+    # from the runs' own products in the last bit.
+    stops, sizes = (1e-3, 1e-5, 0.0), (5, 1)
+    gdro = parse_scheme("gdro:0.3")
+    block = _shared_block_runs([gdro] * 3, stops, sizes)
+    own = _shared_block_runs([parse_scheme("gdro:0.3") for _ in range(3)], stops, sizes)
+    for b, o in zip(block, own):
+        _assert_same_run(b, o)
+    assert len({t.epochs_run for _, t in block}) == 3
+
+
+def test_one_scheme_object_in_non_adjacent_runs_gets_a_stepper_per_block():
+    gdro, erm = parse_scheme("gdro:0.3"), parse_scheme("erm")
+    stops, sizes = (1e-3, 0.0, 1e-6), (5, 1)
+    apart = _shared_block_runs([gdro, erm, gdro], stops, sizes)
+    own = _shared_block_runs([parse_scheme("gdro:0.3"), erm, parse_scheme("gdro:0.3")], stops, sizes)
+    _assert_identical_runs(apart, own)
+    assert apart[0][1].epochs_run < apart[2][1].epochs_run < apart[1][1].epochs_run == 400
