@@ -131,7 +131,7 @@ def main(argv=None) -> int:
         for item in report["assertions"]:
             mark = "PASS" if item["passed"] else "FAIL"
             print(f"[{mark}] {item['name']} (value={item['value']}, target={item['target']})")
-        print(f"report: {cfg.out}/{cfg.experiment}/report.json")
+        print(f"report: {cfg.out_dir / 'report.json'}")
         return 0 if report["passed"] else 1
     except GrwLabError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,7 +1,9 @@
 """Config-driven experiment runners.
 
 Each runner wires datasets, schemes, the trainer and the oracles into one
-reproducible study, writes traces (CSV + JSON), data-only SVG charts and a
+reproducible study.  Its ``Report`` writes every file of the study into
+``<out>/<experiment>``: traces (CSV + JSON), panel CSVs, data-only SVG
+charts, each listed in ``artifacts`` in the order written, and a
 machine-readable ``report.json`` whose ``assertions`` list carries one
 pass/fail entry per claim checked.  The runs of one study that share a
 model, data and loss are trained in lock step as one batch (see
@@ -157,6 +159,11 @@ class ExperimentConfig:
             raise InvalidArgumentError(
                 f"config key 'widths': approx-scaling fits a slope across widths and needs "
                 f"at least two distinct ones, got {self.widths}")
+
+    @property
+    def out_dir(self) -> Path:
+        """Where the study writes its files and report: ``<out>/<experiment>``."""
+        return Path(self.out) / self.experiment
 
 
 # The values a declared field type takes: a bool is not an int, and a float
@@ -359,6 +366,10 @@ def environment() -> dict:
 
 
 class Report:
+    """One study's ``report.json`` and the files beside it.  Every file goes
+    into ``cfg.out_dir`` through one of the writers below, which lists it in
+    ``artifacts`` in the order the files are written."""
+
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
         self.doc = {
@@ -380,9 +391,6 @@ class Report:
 
     def metric(self, name: str, value) -> None:
         self.doc["metrics"][name] = value
-
-    def artifact(self, path) -> None:
-        self.doc["artifacts"].append(str(path))
 
     @contextmanager
     def phase(self, name: str):
@@ -426,12 +434,40 @@ class Report:
         self.doc["steps_per_s"][batch] = round(steps / seconds, 1) if seconds > 0 else None
         return pairs
 
-    def finish(self, out_dir: Path) -> dict:
+    def _path(self, name: str) -> Path:
+        self.cfg.out_dir.mkdir(parents=True, exist_ok=True)
+        return self.cfg.out_dir / name
+
+    def _write(self, name: str, write) -> None:
+        path = self._path(name)
+        write(path)
+        self.doc["artifacts"].append(str(path))
+
+    def trace(self, tag: str, trace) -> None:
+        """A run's trace as ``<tag>_trace.csv`` and its JSON mirror, stamped
+        with the config hash; a ':' in the tag (``gdro:0.01``) becomes '-'."""
+        trace.config_hash = self.doc["config_hash"]
+        for fmt in ("csv", "json"):
+            self._write(f"{tag.replace(':', '-')}_trace.{fmt}", partial(export_trace, trace, fmt=fmt))
+
+    def panel(self, name: str, xname: str, xs, named_columns) -> None:
+        """A chart's data as CSV: the x column, then one per (name, ys)."""
+        lines = [",".join([xname] + [col for col, _ in named_columns])]
+        for i, x in enumerate(xs):
+            lines.append(",".join(format(float(v), ".17g")
+                                  for v in [x] + [ys[i] for _, ys in named_columns]))
+        self._write(name, lambda path: path.write_text("\n".join(lines) + "\n"))
+
+    def chart(self, name: str, series, **labels) -> None:
+        """``svg_line_chart`` of series, with its title, axis labels and scales."""
+        self._write(name, lambda path: svg_line_chart(path, series, **labels))
+
+    def finish(self) -> dict:
+        """Write ``report.json``, the one file ``artifacts`` does not list."""
         self.doc["elapsed_s"] = round(time.perf_counter() - self._t0, 3)
         self.doc["passed"] = all(a["passed"] for a in self.doc["assertions"])
-        out_dir.mkdir(parents=True, exist_ok=True)
-        path = out_dir / "report.json"
-        path.write_text(json.dumps(self.doc, indent=1, default=_json_default) + "\n")
+        doc = json.dumps(self.doc, indent=1, default=_json_default)
+        self._path("report.json").write_text(doc + "\n")
         return self.doc
 
 
@@ -441,19 +477,6 @@ def _json_default(obj):
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
-def _safe_name(scheme: str) -> str:
-    return scheme.replace(":", "-")
-
-
-def _export_run(out_dir: Path, tag: str, trace, report: Report) -> None:
-    trace.config_hash = report.doc["config_hash"]
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for fmt in ("csv", "json"):
-        path = out_dir / f"{tag}_trace.{fmt}"
-        export_trace(trace, path, fmt)
-        report.artifact(path)
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +595,6 @@ def run_fig1(cfg: ExperimentConfig) -> dict:
     """Squared-loss runs of every scheme from one start: all must meet at the
     span interpolator."""
     report = Report(cfg)
-    out_dir = Path(cfg.out) / "fig1"
     with report.phase("data"):
         data = load_experiment_dataset(cfg, classification=False)
         report.metric("provenance", data.provenance)
@@ -595,7 +617,7 @@ def run_fig1(cfg: ExperimentConfig) -> dict:
     traces = [trace for _, trace in runs]
     with report.phase("export"):
         for scheme_text, trace in zip(cfg.schemes, traces):
-            _export_run(out_dir, _safe_name(scheme_text), trace, report)
+            report.trace(scheme_text, trace)
 
     with report.phase("checks"):
         for scheme_text, final, trace in zip(cfg.schemes, finals, traces):
@@ -647,42 +669,27 @@ def run_fig1(cfg: ExperimentConfig) -> dict:
                 for i in range(steps)
             ]
             gap_series.append((f"{cfg.schemes[0]} vs {scheme_text}", epochs_axis, gaps))
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _write_panel_csv(out_dir / "panel_weight_gaps.csv", "epoch", epochs_axis,
-                         [(name, ys) for name, _, ys in gap_series], report)
-        _write_panel_csv(out_dir / "panel_model_norm.csv", "epoch", epochs_axis,
-                         [(f"norm[{cfg.schemes[0]}]", traces[0].theta_norm[:steps])], report)
-        _write_panel_csv(out_dir / "panel_losses.csv", "epoch", epochs_axis,
-                         [(f"risk[{s}]", t.risk[:steps]) for s, t in zip(cfg.schemes, traces)], report)
+        report.panel("panel_weight_gaps.csv", "epoch", epochs_axis,
+                     [(name, ys) for name, _, ys in gap_series])
+        report.panel("panel_model_norm.csv", "epoch", epochs_axis,
+                     [(f"norm[{cfg.schemes[0]}]", traces[0].theta_norm[:steps])])
+        report.panel("panel_losses.csv", "epoch", epochs_axis,
+                     [(f"risk[{s}]", t.risk[:steps]) for s, t in zip(cfg.schemes, traces)])
         gdro_traces = [(s, t) for s, t in zip(cfg.schemes, traces) if s.startswith("gdro")]
         if gdro_traces:
             name, tr = gdro_traces[0]
             cols = [(f"g_{k + 1}", [float(qg[k]) for qg in tr.q_group[:steps]])
                     for k in range(tr.n_groups)]
-            _write_panel_csv(out_dir / "panel_group_weights.csv", "epoch", epochs_axis, cols, report)
-        svg_line_chart(out_dir / "panel_weight_gaps.svg", gap_series,
-                       title="parameter gap to first scheme", xlabel="epoch", ylabel="L2 gap", logy=True)
-        svg_line_chart(
-            out_dir / "panel_losses.svg",
+            report.panel("panel_group_weights.csv", "epoch", epochs_axis, cols)
+        report.chart("panel_weight_gaps.svg", gap_series,
+                     title="parameter gap to first scheme", xlabel="epoch", ylabel="L2 gap", logy=True)
+        report.chart(
+            "panel_losses.svg",
             [(f"risk[{s}]", epochs_axis, t.risk[:steps]) for s, t in zip(cfg.schemes, traces)],
             title="training risk", xlabel="epoch", ylabel="risk", logy=True,
         )
-        report.artifact(out_dir / "panel_weight_gaps.svg")
-        report.artifact(out_dir / "panel_losses.svg")
     report.metric("comparison", comparison)
-    return report.finish(out_dir)
-
-
-def _write_panel_csv(path, xname, xs, named_columns, report: Report) -> None:
-    header = [xname] + [name for name, _ in named_columns]
-    lines = [",".join(header)]
-    for i, x in enumerate(xs):
-        row = [format(float(x), ".17g")] + [
-            format(float(ys[i]), ".17g") for _, ys in named_columns
-        ]
-        lines.append(",".join(row))
-    Path(path).write_text("\n".join(lines) + "\n")
-    report.artifact(path)
+    return report.finish()
 
 
 # ---------------------------------------------------------------------------
@@ -692,7 +699,6 @@ def _write_panel_csv(path, xname, xs, named_columns, report: Report) -> None:
 def run_fig2(cfg: ExperimentConfig) -> dict:
     """Small vs large ridge penalty around the shared start."""
     report = Report(cfg)
-    out_dir = Path(cfg.out) / "fig2"
     with report.phase("data"):
         data = load_experiment_dataset(cfg, classification=False)
         report.metric("provenance", data.provenance)
@@ -709,7 +715,7 @@ def run_fig2(cfg: ExperimentConfig) -> dict:
         traces = [trace for _, trace in runs]
         with report.phase("export"):
             for scheme_text, trace in zip(cfg.schemes, traces):
-                _export_run(out_dir, f"mu{mu:g}_{_safe_name(scheme_text)}", trace, report)
+                report.trace(f"mu{mu:g}_{scheme_text}", trace)
         with report.phase("checks"):
             pairwise = compare_runs(traces, finals)["pairwise_gap"]
             gaps = [pairwise[i][j] for i in range(len(finals)) for j in range(i + 1, len(finals))]
@@ -759,7 +765,7 @@ def run_fig2(cfg: ExperimentConfig) -> dict:
         )
         report.check("large_mu_gap_ratio_above_10x", ratio > 10.0, ratio, "> 10x small-mu gaps")
         report.metric("gap_ratio_large_over_small", ratio)
-    return report.finish(out_dir)
+    return report.finish()
 
 
 # ---------------------------------------------------------------------------
@@ -784,7 +790,6 @@ def run_fig3(cfg: ExperimentConfig) -> dict:
     """Direction agreement under the logistic loss vs persistent, growing
     disagreement under the power-law-tailed loss, same budget."""
     report = Report(cfg)
-    out_dir = Path(cfg.out) / "fig3"
     with report.phase("data"):
         data = load_experiment_dataset(cfg, classification=True)
         report.metric("provenance", data.provenance)
@@ -802,8 +807,7 @@ def run_fig3(cfg: ExperimentConfig) -> dict:
                              ref_direction=mm.direction, record_params=True)
         with report.phase("export"):
             for scheme_text, (final, trace) in zip(cfg.schemes, pairs):
-                _export_run(out_dir, f"{loss_name(loss).split(':')[0]}_{_safe_name(scheme_text)}",
-                            trace, report)
+                report.trace(f"{loss_name(loss).split(':')[0]}_{scheme_text}", trace)
                 runs[(loss_name(loss), scheme_text)] = (final, trace)
 
     def unit(v):
@@ -849,19 +853,17 @@ def run_fig3(cfg: ExperimentConfig) -> dict:
             report.metric(f"saturated[{key[0]}|{key[1]}]", bool(trace.risk[-1] == 0.0))
 
     with report.phase("export"):
-        svg_line_chart(
-            out_dir / "losses.svg",
+        report.chart(
+            "losses.svg",
             [(f"{ln}|{s}", runs[(ln, s)][1].epochs, runs[(ln, s)][1].risk) for (ln, s) in runs],
             title="training risk", xlabel="epoch", ylabel="risk", logy=True,
         )
-        svg_line_chart(
-            out_dir / "direction_gaps.svg",
+        report.chart(
+            "direction_gaps.svg",
             [(name, *curve) for name, curve in gap_curves.items()],
             title="normalized direction gap (erm vs iw)", xlabel="epoch", ylabel="gap",
         )
-        report.artifact(out_dir / "losses.svg")
-        report.artifact(out_dir / "direction_gaps.svg")
-    return report.finish(out_dir)
+    return report.finish()
 
 
 # ---------------------------------------------------------------------------
@@ -880,7 +882,6 @@ def run_ntk_convergence(cfg: ExperimentConfig) -> dict:
     """Relative Frobenius error of the finite-width kernel Gram matrix against
     the infinite-width erf kernel, across widths."""
     report = Report(cfg)
-    out_dir = Path(cfg.out) / "ntk-convergence"
     if cfg.nn_depth < 1:
         raise UnsupportedError("kernel study needs at least one hidden layer")
     if cfg.nn_activation != "erf":
@@ -921,15 +922,11 @@ def run_ntk_convergence(cfg: ExperimentConfig) -> dict:
         for a, b, wa, wb in zip(medians, medians[1:], cfg.widths, cfg.widths[1:]):
             report.check(f"median_error_decreases[{wa}->{wb}]", b < a, (a, b), "strictly decreasing")
     with report.phase("export"):
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _write_panel_csv(out_dir / "kernel_error.csv", "width", list(cfg.widths),
-                         [("median_rel_fro_error", medians)], report)
-        svg_line_chart(out_dir / "kernel_error.svg",
-                       [("median error", list(cfg.widths), medians)],
-                       title="kernel convergence", xlabel="width", ylabel="rel. Frobenius error",
-                       logx=True, logy=True)
-    report.artifact(out_dir / "kernel_error.svg")
-    return report.finish(out_dir)
+        report.panel("kernel_error.csv", "width", list(cfg.widths), [("median_rel_fro_error", medians)])
+        report.chart("kernel_error.svg", [("median error", list(cfg.widths), medians)],
+                     title="kernel convergence", xlabel="width", ylabel="rel. Frobenius error",
+                     logx=True, logy=True)
+    return report.finish()
 
 
 # ---------------------------------------------------------------------------
@@ -957,10 +954,9 @@ def _train_pair_shared_weights(arch, theta0, data, scheme, eta, epochs, stop_ris
                       record_every=epochs)
     runs = train_batch(net, data, [cfg] * seeds, theta0=theta0, probe=probe)
     stops = [trace.epochs_run for _, trace in runs]
-    # Outputs at the probe points by epoch, point and seed, zero past a seed's stop.
-    net_out = np.stack([np.pad(trace.probe_outputs, ((0, max(stops) - trace.epochs_run), (0, 0)))
-                        for _, trace in runs], axis=2)
-    lin_out = np.zeros_like(net_out)
+    # The linearizations' outputs at the probe points by epoch, point and seed;
+    # rows past a seed's stop are never written or read.
+    lin_out = np.empty((max(stops) + 1, probe.shape[1], seeds))
     f0, feats = nn_grad_batch(arch, ModelParams(theta0, net.layout), np.hstack([data.X, probe]))
     kernel = feats.swapaxes(1, 2) @ feats[:, :, :n]  # S x (n + T) x n
     # Working set: column j (slice j of K) is seed ids[j]'s until its net stopped.
@@ -980,15 +976,15 @@ def _train_pair_shared_weights(arch, theta0, data, scheme, eta, epochs, stop_ris
             f0, kernel, step = f0[:, keep], kernel[keep], step[:, keep]
         step *= eta
         coef -= step
-    sup_gap = np.abs(net_out - lin_out).max(axis=(0, 1))
-    return sup_gap, np.array([trace.risk[-1] for _, trace in runs])
+    sup_gap = [np.abs(trace.probe_outputs - lin_out[: trace.epochs_run + 1, :, s]).max()
+               for s, (_, trace) in enumerate(runs)]
+    return np.array(sup_gap), np.array([trace.risk[-1] for _, trace in runs])
 
 
 def run_approx_scaling(cfg: ExperimentConfig) -> dict:
     """Sup-over-epochs output gap between the net and its linearization,
     swept over widths."""
     report = Report(cfg)
-    out_dir = Path(cfg.out) / "approx-scaling"
     d0 = cfg.approx_d0
     means = _group_mean_directions(len(cfg.approx_sizes), d0, cfg.data_seed, 0.4)
     data = synth_groups(d0, cfg.approx_sizes, means, 0.25, cfg.data_seed, classification=False)
@@ -1048,15 +1044,11 @@ def run_approx_scaling(cfg: ExperimentConfig) -> dict:
                      gaps_mu, "gap(mu/10) < gap(mu)")
 
     with report.phase("export"):
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _write_panel_csv(out_dir / "gap_scaling.csv", "width", list(cfg.widths),
-                         [("median_sup_gap", medians)], report)
-        svg_line_chart(out_dir / "gap_scaling.svg",
-                       [("median sup gap", list(cfg.widths), medians)],
-                       title="linearization gap vs width", xlabel="width", ylabel="sup gap",
-                       logx=True, logy=True)
-    report.artifact(out_dir / "gap_scaling.svg")
-    return report.finish(out_dir)
+        report.panel("gap_scaling.csv", "width", list(cfg.widths), [("median_sup_gap", medians)])
+        report.chart("gap_scaling.svg", [("median sup gap", list(cfg.widths), medians)],
+                     title="linearization gap vs width", xlabel="width", ylabel="sup gap",
+                     logx=True, logy=True)
+    return report.finish()
 
 
 # ---------------------------------------------------------------------------
@@ -1067,7 +1059,6 @@ def run_compare(cfg: ExperimentConfig) -> dict:
     """Arbitrary scheme/model/loss matrix from one start, with the pairwise
     gap report."""
     report = Report(cfg)
-    out_dir = Path(cfg.out) / "compare"
     with report.phase("data"):
         loss = parse_loss(cfg.loss)
         classification = not isinstance(loss, Squared)
@@ -1090,7 +1081,7 @@ def run_compare(cfg: ExperimentConfig) -> dict:
     traces = [trace for _, trace in runs]
     with report.phase("export"):
         for scheme_text, trace in zip(cfg.schemes, traces):
-            _export_run(out_dir, _safe_name(scheme_text), trace, report)
+            report.trace(scheme_text, trace)
     with report.phase("checks"):
         report.metric("comparison", compare_runs(traces, finals))
 
@@ -1110,7 +1101,7 @@ def run_compare(cfg: ExperimentConfig) -> dict:
 
     if cfg.sign_check:
         _sign_agreement_study(cfg, report)
-    return report.finish(out_dir)
+    return report.finish()
 
 
 def _sign_agreement_study(cfg: ExperimentConfig, report: Report) -> None:

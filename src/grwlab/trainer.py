@@ -103,7 +103,8 @@ class TrainTrace:
     stop_risk, "epoch_budget" when the run made all its epochs and
     "diverged" on a non-finite risk; ``epochs_run`` counts the steps made.
     ``probe_outputs`` is None without probe points, else (epochs_run + 1)
-    x T: row t holds the outputs at the T probe points at epoch t.
+    x T: row t holds the outputs at the T probe points at epoch t.  It is a
+    view of the batch's epochs x T x R buffer, not a copy.
     """
 
     scheme: str
@@ -248,7 +249,8 @@ def train(model, data, cfg, theta0=None, theta_ref=None, ref_direction=None, pro
     q = np.column_stack([c.scheme.init_state(groups).q for c in cfgs])
     ycol = np.repeat(ys[:, None], runs, axis=1)
     n, eta, epochs, record_every = groups.n, head.eta, head.epochs, head.record_every
-    # Probe outputs by epoch, point and run; a run that stops keeps its first epochs.
+    # Probe outputs by epoch, point and run.  A trace's probe_outputs is a view of
+    # its run's column, whose rows are not written again once the run stops.
     probed = None if probe is None else np.empty((epochs + 1, probe.shape[1], runs))
 
     def record(j: int, t: int, risk: float, losses: np.ndarray) -> None:
@@ -285,7 +287,7 @@ def train(model, data, cfg, theta0=None, theta_ref=None, ref_direction=None, pro
                 record(j, t, risks[j], losses)
                 trace = traces[ids[j]]
                 trace.stop_reason, trace.epochs_run = "diverged", t
-                trace.probe_outputs = None if probe is None else probed[: t + 1, :, ids[j]].copy()
+                trace.probe_outputs = None if probe is None else probed[: t + 1, :, ids[j]]
                 raise DivergedError(f"run {ids[j]}: non-finite risk at epoch {t}",
                                     trace=trace, params=theta[:, j].copy())
             for i, (first, stop, step) in enumerate(blocks):
@@ -307,7 +309,7 @@ def train(model, data, cfg, theta0=None, theta_ref=None, ref_direction=None, pro
                     finals[r] = theta[:, j].copy()
                     traces[r].stop_reason = "stop_risk" if reached[j] else "epoch_budget"
                     traces[r].epochs_run = t
-                    traces[r].probe_outputs = None if probe is None else probed[: t + 1, :, r].copy()
+                    traces[r].probe_outputs = None if probe is None else probed[: t + 1, :, r]
                 if all(done):
                     break
             step = pullback(q * dloss)

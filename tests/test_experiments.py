@@ -630,6 +630,42 @@ def test_every_report_records_its_environment(tmp_path, experiment):
                         "phases_s", "steps_per_s", "environment", "elapsed_s", "passed"}
 
 
+_ARTIFACT_RUNS = {
+    "fig1": dict(epochs=300, record_every=100),
+    "fig2": dict(epochs=300, record_every=100),
+    "fig3": dict(epochs=300, record_every=100),
+    "ntk-convergence": dict(widths=(16, 64), seeds=(0, 1, 2)),
+    "approx-scaling": dict(widths=(8, 16), seeds=(0, 1, 2), epochs=300, record_every=100),
+    "compare": dict(epochs=300, record_every=100, schemes=("erm", "iw", "gdro:0.01", "cvar:0.5")),
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(_ARTIFACT_RUNS))
+def test_artifacts_list_every_file_the_study_writes_in_order(tmp_path, monkeypatch, experiment):
+    from grwlab.experiments import run_experiment
+
+    written = []
+    write_text = Path.write_text
+
+    def logged(path, *args, **kwargs):
+        written.append(path)
+        return write_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", logged)
+    monkeypatch.chdir(tmp_path)  # a file written to a relative path lands in the tree below
+    cfg = make_config(experiment, synthetic=True, out=str(tmp_path / "out"),
+                      **_ARTIFACT_RUNS[experiment])
+    rep = run_experiment(cfg)
+    study = tmp_path / "out" / experiment
+    assert written[-1] == study / "report.json"
+    assert rep["artifacts"] == [str(path) for path in written[:-1]]
+    assert len(rep["artifacts"]) >= 2 and all(Path(a).is_file() for a in rep["artifacts"])
+    # Every file is in the study's directory, and no other file was made.
+    assert all(path.parent == study for path in written)
+    assert {path for path in tmp_path.rglob("*") if path.is_file()} == set(written)
+    assert json.loads((study / "report.json").read_text())["artifacts"] == rep["artifacts"]
+
+
 _FRESH_ENVIRONMENT_PROBE = """
 import json
 import sys
