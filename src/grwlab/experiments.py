@@ -20,6 +20,7 @@ import hashlib
 import json
 import os
 import platform
+import sys
 import time
 import warnings
 from collections import deque
@@ -29,6 +30,11 @@ from functools import partial
 from pathlib import Path
 
 import numpy as np
+
+try:
+    import resource
+except ImportError:  # Windows
+    resource = None
 
 from . import linalg
 from .data_io import (
@@ -49,6 +55,7 @@ from .models import (
     LinearModel,
     ModelParams,
     WideNet,
+    layout_for,
     nn_grad_batch,
     nn_init,
     parse_model,
@@ -365,6 +372,16 @@ def environment() -> dict:
     }
 
 
+def _peak_rss_mib() -> float | None:
+    """The process's peak resident set so far in MiB, or None where there is
+    no ``getrusage`` (Windows).  ``ru_maxrss`` counts KiB on Linux and bytes
+    on macOS."""
+    if resource is None:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return round(peak / (2**20 if sys.platform == "darwin" else 2**10), 2)
+
+
 class Report:
     """One study's ``report.json`` and the files beside it.  Every file goes
     into ``cfg.out_dir`` through one of the writers below, which lists it in
@@ -379,6 +396,7 @@ class Report:
             "metrics": {},
             "artifacts": [],
             "phases_s": {},
+            "peak_rss_mib": {},
             "steps_per_s": {},
             "environment": environment(),
         }
@@ -394,13 +412,15 @@ class Report:
 
     @contextmanager
     def phase(self, name: str):
-        """Time the enclosed block into ``phases_s``, which is kept apart from
-        ``metrics`` so that metrics compare across reruns.  A phase entered
-        more than once adds up its blocks."""
+        """Time the enclosed block into ``phases_s`` and record the process's
+        peak resident set when it ends into ``peak_rss_mib``; both are kept
+        apart from ``metrics`` so that metrics compare across reruns.  A phase
+        entered more than once adds up its blocks."""
         t0 = time.perf_counter()
         yield
         phases = self.doc["phases_s"]
         phases[name] = round(phases.get(name, 0.0) + time.perf_counter() - t0, 3)
+        self.doc["peak_rss_mib"][name] = _peak_rss_mib()
 
     def train(self, batch: str, data, schemes, loss, eta, epochs, record_every, stop_risk=0.0,
               mu=0.0, theta0=None, model=None, record_params=False, theta_ref=None,
@@ -933,6 +953,25 @@ def run_ntk_convergence(cfg: ExperimentConfig) -> dict:
 # approx-scaling: width scaling of the linearization gap
 
 
+def _tangent_kernels(arch, theta0, points, n):
+    """Outputs and empirical tangent kernels at a p x S stack of starts.
+
+    Returns f0, the (n + T) x S outputs at ``points`` (the n training points
+    first), and the S x (n + T) x n kernels K[s] = F_s^T F_s[:, :n], with F_s
+    the p x (n + T) Jacobian at seed s.  One seed's Jacobian is held at a
+    time, not the S x p x (n + T) block of the whole stack; numpy's batched
+    matmul makes one BLAS call per slice, so the bits are the same.
+    """
+    layout, seeds = layout_for(arch), theta0.shape[1]
+    f0 = np.empty((points.shape[1], seeds))
+    kernel = np.empty((seeds, points.shape[1], n))
+    for s in range(seeds):
+        f0[:, s], feats = nn_grad_batch(arch, ModelParams(theta0[:, s], layout), points)
+        kernel[s] = feats.T @ feats[:, :n]
+        del feats  # so that the next seed's Jacobian is not built beside it
+    return f0, kernel
+
+
 def _train_pair_shared_weights(arch, theta0, data, scheme, eta, epochs, stop_risk, probe,
                                train_batch=train):
     """Train nets and their linearizations with shared weight sequences.
@@ -946,7 +985,8 @@ def _train_pair_shared_weights(arch, theta0, data, scheme, eta, epochs, stop_ris
     replay them in function space (Lee et al. 2019): with F the features at
     the starts, theta_lin - theta0 = F_train @ coef, so their outputs are
     f0 + K @ coef with the tangent kernel K = F^T F_train and their step is
-    coef <- coef - eta * q * dloss.  f0 and F come from one network pass.
+    coef <- coef - eta * q * dloss.  f0 and K come from one network pass per
+    seed (``_tangent_kernels``).
     """
     net, n, seeds = WideNet(arch), data.n, theta0.shape[1]
     logger = _WeightLogger(scheme, tail=None)
@@ -957,8 +997,7 @@ def _train_pair_shared_weights(arch, theta0, data, scheme, eta, epochs, stop_ris
     # The linearizations' outputs at the probe points by epoch, point and seed;
     # rows past a seed's stop are never written or read.
     lin_out = np.empty((max(stops) + 1, probe.shape[1], seeds))
-    f0, feats = nn_grad_batch(arch, ModelParams(theta0, net.layout), np.hstack([data.X, probe]))
-    kernel = feats.swapaxes(1, 2) @ feats[:, :, :n]  # S x (n + T) x n
+    f0, kernel = _tangent_kernels(arch, theta0, np.hstack([data.X, probe]), n)
     # Working set: column j (slice j of K) is seed ids[j]'s until its net stopped.
     ids, coef = np.arange(seeds), np.zeros((n, seeds))
     q = np.repeat(scheme.init_state(data.groups).q[:, None], seeds, axis=1)

@@ -276,6 +276,14 @@ def train(model, data, cfg, theta0=None, theta_ref=None, ref_direction=None, pro
     # risk and reported through DivergedError rather than as warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
+            # The previous step's pullback, and the ForwardCache it closes
+            # over, stays alive until this vjp returns, so two caches are
+            # live at the peak.  Dropping it after the step (pullback = None)
+            # lowers bench/run.py's paired-widenet peak_rss_mib by about
+            # 0.45 MiB, but glibc then trims and refaults the heap every
+            # step: about 68,000 minor faults per paired round instead of
+            # about 2,000, and wall_ref 7.6-8.5 -> 10.4-11.9 (3 alternating
+            # pairs on a Linux VM).  Keep it.
             yhat, pullback = model.vjp(theta, points)
             if probe is not None:
                 probed[t][:, ids] = yhat[n:]

@@ -419,24 +419,67 @@ def _paired_reference(arch, theta0, data, scheme, eta, epochs, pts):
 def test_paired_training_one_forward_pass_per_epoch_and_matches_two_pass_loop(monkeypatch):
     import grwlab.models as models
     from grwlab.experiments import _train_pair_shared_weights
+    from grwlab.models import nn_init
     from grwlab.reweighting import parse_scheme as ps
 
-    arch, theta0, data, pts = _paired_inputs()
-    ref = _paired_reference(arch, theta0, data, ps("gdro:0.1"), 0.25, 40, pts)
+    arch, _, data, pts = _paired_inputs()
+    starts = np.column_stack([nn_init(arch, s).flat for s in (0, 1)])
+    refs = [_paired_reference(arch, start, data, ps("gdro:0.1"), 0.25, 40, pts) for start in starts.T]
     calls = []
     original = models.nn_forward_batch
     monkeypatch.setattr(models, "nn_forward_batch", lambda *a, **k: calls.append(1) or original(*a, **k))
     for epochs in (20, 40):
         calls.clear()
-        got = _train_pair_shared_weights(arch, theta0[:, None], data, ps("gdro:0.1"), 0.25, epochs,
-                                         0.0, pts)
-        # One network pass per epoch (epochs + 1 evaluations), plus the one
-        # made once for f0 and the features at the training and test points;
-        # the linearization then steps in function space with no pass.
-        assert len(calls) == epochs + 1 + 1
-    assert ref[0] > 1e-6  # the gap is not trivially zero
-    assert got[0][0] == pytest.approx(ref[0], rel=1e-10)
-    assert got[1][0] == pytest.approx(ref[1], rel=1e-10)
+        got = _train_pair_shared_weights(arch, starts, data, ps("gdro:0.1"), 0.25, epochs, 0.0, pts)
+        # One network pass per epoch (epochs + 1 evaluations) for both seeds,
+        # plus one per seed for its f0 and tangent kernel at the training and
+        # test points; the linearizations then step in function space with
+        # no pass.
+        assert len(calls) == epochs + 1 + starts.shape[1]
+    for s, ref in enumerate(refs):
+        assert ref[0] > 1e-6  # the gap is not trivially zero
+        assert got[0][s] == pytest.approx(ref[0], rel=1e-10)
+        assert got[1][s] == pytest.approx(ref[1], rel=1e-10)
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+def test_tangent_kernels_one_seed_at_a_time_match_the_batched_jacobian_bits(depth):
+    from grwlab.experiments import _tangent_kernels
+    from grwlab.models import Architecture, ModelParams, layout_for, nn_grad_batch, nn_init
+
+    pts = np.random.default_rng(1).standard_normal((4, 12))
+    pts /= 1.2 * np.linalg.norm(pts, axis=0).max()
+    for width in (16, 256):
+        arch = Architecture(4, (width,) * depth, beta=0.1)
+        starts = np.column_stack([nn_init(arch, s).flat for s in range(3)])
+        for n in (8, 12):  # with test points, and the training points alone
+            f0, kernel = _tangent_kernels(arch, starts, pts, n)
+            f0_all, feats = nn_grad_batch(arch, ModelParams(starts, layout_for(arch)), pts)
+            np.testing.assert_array_equal(f0, f0_all)
+            np.testing.assert_array_equal(kernel, feats.swapaxes(1, 2) @ feats[:, :, :n])
+
+
+def test_tangent_kernels_hold_one_seeds_jacobian_at_a_time():
+    import tracemalloc
+
+    from grwlab.experiments import _tangent_kernels
+    from grwlab.models import Architecture, nn_init
+
+    arch = Architecture(4, (1024,), beta=0.1)
+    starts = np.column_stack([nn_init(arch, s).flat for s in range(5)])
+    pts = np.random.default_rng(1).standard_normal((4, 8))
+    pts /= 1.2 * np.linalg.norm(pts, axis=0).max()
+    _tangent_kernels(arch, starts, pts, 4)  # SciPy's erf loads on the first call
+    tracemalloc.start()
+    try:
+        _tangent_kernels(arch, starts, pts, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # The 5 x p x 8 Jacobian of all seeds at once is 1.97 MB, and building it
+    # peaked at 5.05 MB; one seed at a time peaks at about 1.12 MB.
+    batched_jacobian = starts.size * pts.shape[1] * 8
+    assert peak < 0.7 * batched_jacobian
 
 
 def test_paired_training_pulls_back_only_the_training_columns(monkeypatch):
@@ -540,6 +583,10 @@ def test_approx_scaling_report_times_its_phases(tmp_path):
     # setup loads SciPy's erf, which the first width's phase used to pay for.
     assert set(phases) == {"setup", "paired[width=8]", "paired[width=16]", "reg_tracking", "export"}
     assert all(math.isfinite(t) and t >= 0 for t in phases.values())
+    # The process's peak resident set as each phase ended: it never falls.
+    peaks = [doc["peak_rss_mib"][name] for name in phases]
+    assert set(doc["peak_rss_mib"]) == set(phases) and rep["peak_rss_mib"] == doc["peak_rss_mib"]
+    assert peaks[0] > 1 and peaks == sorted(peaks)
     # One step rate per training batch: each width's seeds and the
     # regularization-tracking runs.
     rates = doc["steps_per_s"]
@@ -627,7 +674,8 @@ def test_every_report_records_its_environment(tmp_path, experiment):
     # The block sits beside the metrics, not in them.
     assert not set(env) & set(doc["metrics"]) and "environment" not in doc["metrics"]
     assert set(doc) == {"experiment", "config_hash", "assertions", "metrics", "artifacts",
-                        "phases_s", "steps_per_s", "environment", "elapsed_s", "passed"}
+                        "phases_s", "peak_rss_mib", "steps_per_s", "environment", "elapsed_s",
+                        "passed"}
 
 
 _ARTIFACT_RUNS = {
