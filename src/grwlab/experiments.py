@@ -670,7 +670,9 @@ def run_fig1(cfg: ExperimentConfig) -> dict:
         for scheme_text, logger in zip(cfg.schemes, loggers):
             if not logger.q_tail:  # static weights
                 continue
-            hist = np.stack(logger.q_tail).reshape(len(logger.q_tail), -1)
+            # One C-level copy into a C-ordered array: the tail mean's bits
+            # depend on the order it sums in.
+            hist = np.array(logger.q_tail).reshape(len(logger.q_tail), -1)
             window = min(1000, hist.shape[0])
             ok, q_star, t_eps = check_assumption1(hist, window=window, tol=1e-4)
             report.check(f"weights_settle_positive[{scheme_text}]", ok, q_star,

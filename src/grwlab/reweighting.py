@@ -32,8 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidArgumentError, parse_number
-from .linalg import as_vector
+from .errors import InvalidArgumentError, as_int, parse_number
+from .linalg import as_matrix, as_vector
 
 
 @dataclass(frozen=True)
@@ -277,15 +277,42 @@ def check_assumption1(weight_history, window: int = 1000, tol: float = 1e-4):
     where q_star is that minimum and t_eps is the first history step such
     that every window ending at or after it oscillates at most ``tol``
     (0 when every window is settled, len(history) when the last one is not).
+
+    The sliding max and min are van Herk's and Gil & Werman's: cut the rows
+    into blocks of ``window`` rows; a window then spans the tail of one block
+    and the head of the next, so its max is the max of the block's suffix max
+    at its start and the next block's prefix max at its end.  The blocks are
+    taken one at a time, so besides the finiteness check's boolean copy of
+    the history the scratch is a few window x n blocks.  Max and min only
+    select values, so the oscillations are exact.  The history must be a
+    finite 2-D array with at least ``window`` rows, ``window`` an integer
+    >= 1 and ``tol`` a finite number >= 0; anything else raises
+    InvalidArgumentError naming the argument.
     """
-    hist = np.asarray(weight_history, dtype=np.float64)
-    if hist.ndim != 2 or hist.shape[0] < window:
-        raise InvalidArgumentError(
-            f"need a 2-D history with at least window={window} rows, got shape {hist.shape}"
-        )
+    window = as_int(window, "window")
+    if window < 1:
+        raise InvalidArgumentError(f"window must be >= 1, got {window}")
+    if not (tol >= 0) or not math.isfinite(tol):
+        raise InvalidArgumentError(f"tol must be a finite float >= 0, got {tol!r}")
+    hist = as_matrix(weight_history, "weight history")
     steps = hist.shape[0]
-    osc = (_sliding(np.maximum, hist, window, -np.inf)
-           - _sliding(np.minimum, hist, window, np.inf)).max(axis=1)
+    if steps < window:
+        raise InvalidArgumentError(
+            f"weight history needs at least window={window} rows, got shape {hist.shape}"
+        )
+    osc = np.empty(steps - window + 1)
+    for start in range(0, osc.size, window):
+        # Windows starting in rows start .. start + k - 1 end in the next
+        # block's first k - 1 rows.
+        k = min(window, osc.size - start)
+        block = hist[start : start + window][::-1]
+        head = hist[start + window : start + window + k - 1]
+        hi = np.maximum.accumulate(block)[::-1][:k]
+        np.maximum(hi[1:], np.maximum.accumulate(head), out=hi[1:])
+        lo = np.minimum.accumulate(block)[::-1][:k]
+        np.minimum(lo[1:], np.minimum.accumulate(head), out=lo[1:])
+        np.subtract(hi, lo, out=hi)
+        hi.max(axis=1, out=osc[start : start + k])
     tail_mean = hist[-window:].mean(axis=0)
     q_star = max(float(tail_mean.min()), 0.0)
     settled = osc <= tol
@@ -297,26 +324,6 @@ def check_assumption1(weight_history, window: int = 1000, tol: float = 1e-4):
     else:
         t_eps = steps
     return satisfied, q_star, t_eps
-
-
-def _sliding(op, hist: np.ndarray, window: int, fill: float) -> np.ndarray:
-    """op (np.maximum or np.minimum) over every window of consecutive rows.
-
-    van Herk / Gil-Werman: cut the rows into blocks of ``window`` rows; a
-    window then spans the tail of one block and the head of the next, so its
-    result is op(suffix scan at its start, prefix scan at its end).  O(steps)
-    instead of O(steps * window), and exact since op only selects values.
-    ``fill`` pads the last block with op's identity.
-    """
-    steps, n = hist.shape
-    blocks = -(-steps // window)
-    padded = np.full((blocks * window, n), fill)
-    padded[:steps] = hist
-    padded = padded.reshape(blocks, window, n)
-    prefix = op.accumulate(padded, axis=1).reshape(-1, n)
-    suffix = op.accumulate(padded[:, ::-1], axis=1)[:, ::-1].reshape(-1, n)
-    count = steps - window + 1
-    return op(suffix[:count], prefix[window - 1 : window - 1 + count])
 
 
 class StaticScheme:

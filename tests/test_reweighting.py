@@ -1,4 +1,5 @@
 import warnings
+from collections import deque
 
 import mpmath
 import numpy as np
@@ -257,23 +258,92 @@ def test_group_info_validation():
 def test_check_assumption1_matches_window_by_window_scan():
     # The sliding max/min must give exactly what rescanning each window gives.
     rng = np.random.default_rng(11)
+    # The cases put the history's end at, just before and just after a block
+    # edge (steps = k * window and k * window -+ 1), and cover window = 1,
+    # window = steps and fewer windows than window rows.
     for steps, window, tol in ((50, 10, 0.05), (57, 10, 0.05), (40, 40, 0.5), (33, 1, 0.0),
-                               (300, 37, 1e-3)):
+                               (300, 37, 1e-3), (60, 10, 1e-3), (59, 10, 1e-3), (61, 10, 1e-3),
+                               (111, 37, 1e-3), (112, 37, 1e-3), (110, 37, 1e-3),
+                               (1, 1, 0.0), (20, 1, 1e-3), (23, 23, 1.0), (16, 10, 1e-3),
+                               (25, 24, 1e-3)):
         hist = rng.dirichlet(np.ones(3), size=steps)
         hist[steps // 2 :] = hist[steps // 2] + 1e-4 * rng.standard_normal((steps - steps // 2, 3))
         osc = np.array([float((hist[e - window + 1 : e + 1].max(axis=0)
                                - hist[e - window + 1 : e + 1].min(axis=0)).max())
                         for e in range(window - 1, steps)])
-        settled = osc <= tol
-        if np.all(settled):
-            t_eps = 0
-        elif settled[-1]:
-            t_eps = int(np.nonzero(~settled)[0][-1] + window)
-        else:
-            t_eps = steps
         q_star = max(float(hist[-window:].mean(axis=0).min()), 0.0)
-        assert check_assumption1(hist, window=window, tol=tol) == (
-            bool(settled[-1]) and q_star > 0.0, q_star, t_eps)
+        # Every oscillation level, and the float just below it, as tol: t_eps
+        # then shows where each level last occurs, not one threshold only.
+        levels = np.unique(osc)
+        below = np.nextafter(levels, -np.inf)
+        for tol in (tol, *levels, *below[below >= 0]):
+            settled = osc <= tol
+            if np.all(settled):
+                t_eps = 0
+            elif settled[-1]:
+                t_eps = int(np.nonzero(~settled)[0][-1] + window)
+            else:
+                t_eps = steps
+            assert check_assumption1(hist, window=window, tol=tol) == (
+                bool(settled[-1]) and q_star > 0.0, q_star, t_eps)
+
+
+def test_check_assumption1_same_on_fig1s_gathered_tail():
+    # fig1 gathers its deque of (n, 1) weight blocks with np.array: one
+    # C-ordered copy with np.stack's values, so the check, whose tail mean
+    # sums in memory order, returns the same bits, q_star included.  A
+    # settled Group DRO stepper hands back one read-only block many times.
+    rng = np.random.default_rng(4)
+    settled = rng.dirichlet(np.ones(5))[:, None]
+    settled.flags.writeable = False
+    tail = deque(maxlen=300)
+    for t in range(400):
+        tail.append(settled if t >= 250 else rng.dirichlet(np.ones(5))[:, None])
+    gathered = np.array(tail)
+    assert gathered.flags.c_contiguous
+    stacked = np.stack(tail)
+    assert np.array_equal(gathered, stacked)
+    for window in (1, 7, 50, 300):
+        for tol in (0.0, 1e-4, 1.0):
+            assert check_assumption1(gathered.reshape(len(tail), -1), window, tol) == (
+                check_assumption1(stacked.reshape(len(tail), -1), window, tol))
+
+
+@pytest.mark.parametrize("window", [0, -5, 2.5, True])
+def test_check_assumption1_rejects_a_bad_window(window):
+    hist = np.full((20, 2), 0.5)
+    with pytest.raises(InvalidArgumentError, match="window"):
+        check_assumption1(hist, window=window)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
+def test_check_assumption1_rejects_a_bad_tol(tol):
+    hist = np.full((20, 2), 0.5)
+    with pytest.raises(InvalidArgumentError, match="tol"):
+        check_assumption1(hist, window=5, tol=tol)
+
+
+def test_check_assumption1_rejects_a_non_finite_history():
+    hist = np.full((20, 2), 0.5)
+    hist[3, 1] = np.nan
+    with pytest.raises(InvalidArgumentError, match="weight history"):
+        check_assumption1(hist, window=5)
+
+
+def test_check_assumption1_scratch_stays_below_half_the_history():
+    import tracemalloc
+
+    hist = np.random.default_rng(2).dirichlet(np.ones(6), size=50_000)
+    check_assumption1(hist, window=1000)
+    tracemalloc.start()
+    try:
+        check_assumption1(hist, window=1000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Blocks of window rows keep about 620 KB (most of it the finiteness
+    # check's boolean copy); full-length scans kept about 11.7 MB.
+    assert peak < hist.nbytes / 2
 
 
 def test_scheme_updates_on_a_block_of_runs_match_each_run():
